@@ -279,7 +279,7 @@ func (r *OpenLoopRunner) snapshot() {
 	for s, sh := range r.cl.shards {
 		for _, class := range qos.Classes() {
 			r.prevStats[s][class] = sh.shaper.Stats(class)
-			r.prevSamples[s][class] = len(sh.shaper.AppendLatencySamples(class, nil))
+			r.prevSamples[s][class] = len(sh.shaper.LatencySamplesFrom(class, 0))
 		}
 	}
 }
@@ -371,8 +371,7 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 		for s, sh := range r.cl.shards {
 			cur := sh.shaper.Stats(class)
 			acc.Accumulate(statsDelta(cur, r.prevStats[s][class]))
-			all := sh.shaper.AppendLatencySamples(class, nil)
-			samples = append(samples, all[r.prevSamples[s][class]:]...)
+			samples = append(samples, sh.shaper.LatencySamplesFrom(class, r.prevSamples[s][class])...)
 		}
 		agg := OpenLoopClass{
 			Class:     class,

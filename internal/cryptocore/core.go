@@ -175,7 +175,8 @@ func (b *coreBus) Out(port uint8, val uint8, done func()) {
 	switch port {
 	case firmware.PortCU:
 		// The unit's start/ack handshake: the controller's OUTPUT retires
-		// when the unit latches the instruction.
+		// when the unit latches the instruction. Issue may run done before
+		// it returns, so nothing may follow it here.
 		c.Unit.Issue(cuisa.Instr(val), done)
 		return
 	case firmware.PortMaskLo:

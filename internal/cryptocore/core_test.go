@@ -357,3 +357,38 @@ func TestCCMLoopSteadyState(t *testing.T) {
 	}
 	t.Logf("CCM 1-core loop: %.2f cycles/block (paper theoretical 104, 2KB-implied ~113.7)", perBlock)
 }
+
+// BenchmarkGCMLoop is the single-core rung of the host-cost ladder: one
+// 128-block GCM encryption per iteration on a lone core, the T_GCMloop = 49
+// steady state with nothing else on the engine. ns/block and events/block
+// are the figures to watch (events/block counts Engine.Step calls; the
+// SAES/FAES/LOAD/XOR/STORE/SGFM handshakes fuse to one event each here).
+func BenchmarkGCMLoop(b *testing.B) {
+	const blocks = 128
+	eng, c := newTestCore(make([]byte, 16))
+	f, err := radio.FrameGCMEnc(make([]byte, 12), nil, make([]byte, 16*blocks))
+	if err != nil {
+		b.Fatal(err)
+	}
+	code := uint8(0xFF)
+	onResult := func(r cryptocore.Result) { code = r.Code }
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pushFrame(c, f)
+		c.Start(f.Task, onResult)
+		for eng.Step() {
+			events++
+		}
+		if code != firmware.ResultOK {
+			b.Fatalf("task result %#x", code)
+		}
+		code = 0xFF
+		for c.Out.Len() > 0 {
+			c.Out.TryPop()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+	b.ReportMetric(float64(events)/float64(b.N*blocks), "events/block")
+}

@@ -222,6 +222,15 @@ func (u *Unit) WhenIdle(fn func()) {
 // Issue presents an instruction on the instruction port. If the unit is
 // still executing, the issue stalls (the start/ack handshake of §V.B);
 // onAccept runs at the cycle the unit latches the instruction.
+//
+// The reference handshake is three engine events per instruction: the
+// completion tick, the stalled issue's retry and onAccept, the last two
+// zero-delay. Issue and complete fuse them into the tick whenever the engine
+// is Quiet at the point the zero-delay event would have been scheduled: that
+// event would be the next one popped, so calling it as the last act of the
+// running event is the same execution order. Issue must therefore be its
+// caller's last act in the current event (the controller's OUTPUT is), since
+// onAccept may have run by the time it returns.
 func (u *Unit) Issue(in cuisa.Instr, onAccept func()) {
 	if u.busy {
 		if !u.stalled {
@@ -239,18 +248,36 @@ func (u *Unit) Issue(in cuisa.Instr, onAccept func()) {
 	if u.Trace != nil {
 		u.Trace(now, in)
 	}
-	if onAccept != nil {
+	// An idle unit with the stall slot still taken means OnDone issued from
+	// inside complete: the released retry is pending at this cycle (possibly
+	// held for complete's tail, where Quiet cannot see it) and goes first.
+	fuse := onAccept != nil && !u.stalled && u.eng.Quiet()
+	if onAccept != nil && !fuse {
 		u.eng.After(0, onAccept)
 	}
 	u.execute(in)
+	if fuse {
+		onAccept()
+	}
 }
 
-// complete idles the unit and wakes HALTed controllers / stalled issues.
+// complete idles the unit, wakes stalled issues and strobes the done line.
+// When the stalled issue is the only waiter and the engine is Quiet, its
+// retry is run after the done strobe instead of being scheduled (see Issue).
 func (u *Unit) complete() {
 	u.busy = false
-	u.idleWaiters.Release()
+	var retry func()
+	if u.stalled && u.eng.Quiet() {
+		retry = u.idleWaiters.TakeSole()
+	}
+	if retry == nil {
+		u.idleWaiters.Release()
+	}
 	if u.OnDone != nil {
 		u.OnDone()
+	}
+	if retry != nil {
+		retry()
 	}
 }
 

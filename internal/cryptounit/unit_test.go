@@ -1,6 +1,8 @@
 package cryptounit
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mccp/internal/aes"
@@ -319,5 +321,128 @@ func TestIssueCountAndTrace(t *testing.T) {
 	}
 	if len(traced) != 3 {
 		t.Errorf("traced %d instructions, want 3", len(traced))
+	}
+}
+
+// handshakeLog drives one unit through a stalled issue while OnDone — the
+// done strobe — issues the next instruction from inside complete, as
+// bench's rungCryptoUnit does. It returns every acceptance and every
+// onAccept in execution order, the issue counts and the engine events run.
+//
+// Re-entrancy is where fusion could go wrong: the instruction OnDone issues
+// is accepted while the stalled issue's retry is released but has not run,
+// so its onAccept must queue behind that retry. The chain4 onAccept makes
+// the order visible: it issues a second concurrent instruction, which parks
+// behind the re-stalled one only if the retry ran first.
+func handshakeLog(compat bool) (log []string, counts [16]uint64, events int) {
+	eng := sim.NewEngine()
+	eng.Compat = compat
+	u := New(eng, sim.NewWordFIFO(eng, 16), sim.NewWordFIFO(eng, 16))
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%d %s", eng.Now(), what)) }
+	}
+	u.Trace = func(now sim.Time, in cuisa.Instr) { log = append(log, fmt.Sprintf("%d accept %v", now, in)) }
+	instr := [2]cuisa.Instr{cuisa.Xor(0, 1), cuisa.Inc(1, 1)}
+	left := 6
+	u.OnDone = func() {
+		if left == 0 {
+			return
+		}
+		left--
+		n := left
+		u.Issue(instr[n&1], func() {
+			note(fmt.Sprintf("onAccept chain%d", n))()
+			if n == 4 {
+				u.Issue(cuisa.Mov(0, 1), note("onAccept concurrent"))
+			}
+		})
+	}
+	u.Issue(cuisa.Xor(2, 3), note("onAccept first"))
+	u.Issue(cuisa.Mov(2, 3), note("onAccept stalled"))
+	for eng.Step() {
+		events++
+	}
+	return log, u.IssueCount, events
+}
+
+func TestOnDoneIssueWhileStalledMatchesCompat(t *testing.T) {
+	fast, fastCounts, fastEvents := handshakeLog(false)
+	ref, refCounts, refEvents := handshakeLog(true)
+	if !reflect.DeepEqual(fast, ref) {
+		t.Errorf("handshake order differs from the reference path:\nfast:   %q\ncompat: %q", fast, ref)
+	}
+	if fastCounts != refCounts {
+		t.Errorf("IssueCount %v != reference %v", fastCounts, refCounts)
+	}
+	if len(ref) != 2*9 {
+		t.Errorf("reference log has %d entries, want 9 acceptances and 9 onAccepts: %q", len(ref), ref)
+	}
+	if fastEvents >= refEvents {
+		t.Errorf("fast path ran %d engine events, reference %d: nothing was fused", fastEvents, refEvents)
+	}
+}
+
+func TestStalledIssueChainMatchesCompat(t *testing.T) {
+	// The controller's shape: each onAccept presents the next instruction
+	// at once, so every issue but the first goes through the stall slot.
+	// Alone on the engine, the fast path runs one event per instruction.
+	prog := []cuisa.Instr{cuisa.Xor(0, 1), cuisa.SAES(0), cuisa.Inc(1, 1), cuisa.FAES(2), cuisa.Mov(2, 3), cuisa.SGFM(1), cuisa.FGFM(3)}
+	run := func(compat bool) (at []sim.Time, counts [16]uint64, events int) {
+		eng, u := newUnit()
+		eng.Compat = compat
+		var next func()
+		next = func() {
+			if i := len(at); i > 0 {
+				at[i-1] = eng.Now()
+			}
+			if len(at) < len(prog) {
+				at = append(at, 0)
+				u.Issue(prog[len(at)-1], next)
+			}
+		}
+		next()
+		for eng.Step() {
+			events++
+		}
+		return at, u.IssueCount, events
+	}
+	fast, fastCounts, fastEvents := run(false)
+	ref, refCounts, refEvents := run(true)
+	if !reflect.DeepEqual(fast, ref) || fastCounts != refCounts {
+		t.Errorf("acceptance cycles %v counts %v, reference %v %v", fast, fastCounts, ref, refCounts)
+	}
+	if fastEvents != len(prog) || refEvents != 3*len(prog)-1 {
+		t.Errorf("events: fast %d reference %d, want %d (one per instruction) and %d (tick, retry, accept)",
+			fastEvents, refEvents, len(prog), 3*len(prog)-1)
+	}
+}
+
+// BenchmarkIssueStalled is the Cryptographic Unit rung of the host-cost
+// ladder: back-to-back simple instructions, each presented from the
+// previous one's onAccept so that it waits in the stall slot for the done
+// edge — the path every firmware instruction takes. One op is one
+// instruction: acceptance, execution, completion and the retry of the next.
+func BenchmarkIssueStalled(b *testing.B) {
+	eng, u := newUnit()
+	instr := [2]cuisa.Instr{cuisa.Xor(0, 1), cuisa.Inc(1, 1)}
+	left := 0
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			u.Issue(instr[left&1], next)
+		}
+	}
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	left = b.N
+	next()
+	for eng.Step() {
+		events++
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	if got := u.IssueCount[cuisa.OpXOR] + u.IssueCount[cuisa.OpINC]; got != uint64(b.N) {
+		b.Fatalf("%d instructions accepted, want %d", got, b.N)
 	}
 }

@@ -36,6 +36,12 @@ type Bus interface {
 // results are bit-identical to the reference model, which remains
 // available via Engine.Compat and is pinned by the differential
 // determinism tests.
+//
+// A deferred done strobe need not arrive as an event of its own: the
+// Cryptographic Unit calls it from inside its completion event when the
+// engine is Quiet (see cryptounit.Unit.Issue), and the batch then resumes
+// there. That relies on OUTPUT being the last thing step does before it
+// returns — nothing may be added after the bus.Out call.
 type CPU struct {
 	eng *sim.Engine
 	bus Bus
@@ -152,7 +158,9 @@ func (c *CPU) Flags() (bool, bool) { return c.zero, c.carry }
 
 // next resumes execution after an OUTPUT handshake completes: inline when
 // no pending event would interleave before the next retire cycle, through
-// the event queue otherwise (exactly the reference model's behaviour).
+// the event queue otherwise (exactly the reference model's behaviour). It
+// runs in whichever event completed the handshake — the OUTPUT's own for an
+// immediate write, the unit's acceptance or completion event otherwise.
 func (c *CPU) next(advance bool) {
 	if advance {
 		c.pc = (c.pc + 1) & (IMemWords - 1)
@@ -270,7 +278,8 @@ func (c *CPU) step() {
 				port = c.regs[y]
 			}
 			// The write may stall (Cryptographic Unit handshake); execution
-			// resumes CyclesPerInstr after the bus accepts it.
+			// resumes CyclesPerInstr after the bus accepts it. Tail call:
+			// the bus may run outDone before returning.
 			c.bus.Out(port, c.regs[x], c.outDone)
 			return
 		case opSHIFTR:

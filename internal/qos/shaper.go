@@ -455,6 +455,13 @@ func (s *Shaper) AppendLatencySamples(c Class, dst []sim.Time) []sim.Time {
 	return append(dst, s.latency[c]...)
 }
 
+// LatencySamplesFrom returns a class's latency samples from index from on,
+// as a view of the shaper's own record: read it, or copy it, before the
+// shaper runs again. A windowed reader that remembers the count it has seen
+// fetches only the new tail, instead of copying the whole history each time
+// as AppendLatencySamples would.
+func (s *Shaper) LatencySamplesFrom(c Class, from int) []sim.Time { return s.latency[c][from:] }
+
 // PercentileOf returns the p-th nearest-rank percentile of samples (which
 // it sorts in place), or 0 with no samples.
 func PercentileOf(samples []sim.Time, p float64) sim.Time {

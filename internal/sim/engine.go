@@ -14,9 +14,25 @@
 // controller's 2-cycle instruction rate, the crossbar's 1-cycle word rate,
 // the Cryptographic Unit's <=64-cycle latencies) in O(1), and a value-typed
 // 4-ary min-heap holds the far future without per-event pointer allocation
-// or container/heap interface boxing. Hot components additionally batch
-// work inside one event and advance the clock arithmetically through
-// TryAdvance, which is legal exactly when no pending event would interleave.
+// or container/heap interface boxing. For any one cycle every heap insert
+// precedes every wheel insert (the clock is monotonic and the wheel window
+// slides with it), so wheel entries carry no sequence number: a bucket is a
+// plain FIFO and "heap first on a tie" is the exact insertion order.
+//
+// Hot components additionally fold work into the running event wherever the
+// fold is provably invisible, and the engine supplies the two legality tests:
+//
+//   - TryAdvance(t) moves the clock arithmetically inside an event, legal
+//     exactly when no pending event at or before t would interleave (the
+//     PicoBlaze instruction batch).
+//   - Quiet() reports that nothing is pending at the current cycle. A
+//     zero-delay event scheduled into a quiet cycle is by construction the
+//     next event popped, so a component may instead call the continuation
+//     directly as the last act of the running event (the Cryptographic
+//     Unit's start/ack handshake). Execution order, every same-cycle
+//     tie-break and every virtual-time figure are unchanged.
+//
+// Both are refused under Compat, which keeps the event-per-step reference.
 package sim
 
 import (
@@ -43,13 +59,7 @@ const (
 // event is a scheduled callback (far-future heap entry).
 type event struct {
 	at  Time
-	seq uint64 // insertion order, breaks ties deterministically
-	fn  func()
-}
-
-// wheelEvt is a near-future entry; its bucket index encodes the timestamp.
-type wheelEvt struct {
-	seq uint64
+	seq uint64 // insertion order among heap entries, breaks ties deterministically
 	fn  func()
 }
 
@@ -57,12 +67,13 @@ type wheelEvt struct {
 // concurrent use; the whole simulation is single-threaded and deterministic.
 type Engine struct {
 	now Time
-	seq uint64
+	seq uint64 // heap insertion counter
 
 	// Near-future timing wheel: bucket (t & wheelMask) holds the events at
-	// time t for t-now < wheelSize. Buckets are drained front-to-back
-	// (entries are appended in seq order), occ is the non-empty bitmap.
-	wheel      [wheelSize][]wheelEvt
+	// time t for t-now < wheelSize; the bucket index encodes the timestamp.
+	// Buckets are drained front-to-back (entries are appended in insertion
+	// order), occ is the non-empty bitmap.
+	wheel      [wheelSize][]func()
 	wheelHead  [wheelSize]int
 	occ        [wheelWords]uint64
 	wheelCount int
@@ -80,11 +91,11 @@ type Engine struct {
 	FreqHz float64
 
 	// Compat disables the fast paths layered on this kernel (PicoBlaze
-	// instruction batching, crossbar burst transfers, bulk FIFO moves) and
-	// forces the cycle-by-cycle reference behaviour. Virtual-time results
-	// are identical either way — the differential determinism tests assert
-	// it — so Compat exists as the reference oracle, not as a mode users
-	// should need.
+	// instruction batching, Cryptographic Unit handshake fusion, crossbar
+	// burst transfers, bulk FIFO moves) and forces the cycle-by-cycle
+	// reference behaviour. Virtual-time results are identical either way —
+	// the differential determinism tests assert it — so Compat exists as
+	// the reference oracle, not as a mode users should need.
 	Compat bool
 }
 
@@ -105,7 +116,7 @@ func NewEngine() *Engine {
 	// warm-up churn that dominated shard-construction allocations. A bucket
 	// that outgrows its carve-out reallocates privately (append semantics),
 	// so buckets stay disjoint.
-	backing := make([]wheelEvt, wheelSize*wheelSeedCap)
+	backing := make([]func(), wheelSize*wheelSeedCap)
 	for i := range e.wheel {
 		e.wheel[i] = backing[i*wheelSeedCap : i*wheelSeedCap : (i+1)*wheelSeedCap]
 	}
@@ -126,7 +137,6 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
 	if t-e.now < wheelSize {
 		i := int(t) & wheelMask
 		b := e.wheel[i]
@@ -136,10 +146,11 @@ func (e *Engine) At(t Time, fn func()) {
 			e.wheelHead[i] = 0
 			e.occ[i>>6] |= 1 << uint(i&63)
 		}
-		e.wheel[i] = append(b, wheelEvt{seq: e.seq, fn: fn})
+		e.wheel[i] = append(b, fn)
 		e.wheelCount++
 		return
 	}
+	e.seq++
 	e.heapPush(event{at: t, seq: e.seq, fn: fn})
 }
 
@@ -169,16 +180,51 @@ func (e *Engine) TryAdvance(t Time) bool {
 	if t < e.now || t > e.horizon {
 		return false
 	}
-	if n, ok := e.NextAt(); ok && n <= t {
+	if len(e.heap) > 0 && e.heap[0].at <= t {
 		return false
+	}
+	if e.wheelCount > 0 {
+		if span := t - e.now; span < 64 {
+			// Short span (the controller asks for 2 cycles): test the
+			// span+1 occupancy bits from now's slot instead of scanning
+			// for the nearest bucket.
+			if e.occWindow()<<(63-span) != 0 {
+				return false
+			}
+		} else if wt, _ := e.wheelNext(); wt <= t {
+			return false
+		}
 	}
 	e.now = t
 	return true
 }
 
+// Quiet reports whether no event is pending at the current cycle. A
+// zero-delay event scheduled while Quiet holds would be the very next event
+// popped, so its callback may instead be called directly, provided the call
+// is the last thing the running event does (anything after it would
+// otherwise run ahead of the continuation). Always false under Compat.
+func (e *Engine) Quiet() bool {
+	_, wheel, heap := e.dueNow()
+	return !e.Compat && !wheel && !heap
+}
+
+// dueNow reports whether the wheel (in bucket i) and the heap hold an event
+// at the current cycle.
+func (e *Engine) dueNow() (i int, wheel, heap bool) {
+	i = int(e.now) & wheelMask
+	return i, e.occ[i>>6]&(1<<uint(i&63)) != 0, len(e.heap) > 0 && e.heap[0].at <= e.now
+}
+
 // Step runs the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was run.
 func (e *Engine) Step() bool {
+	// The common case is another event in the cycle being drained: pop its
+	// bucket without searching. A heap entry due now goes first (see popNext).
+	if i, wheel, heap := e.dueNow(); wheel && !heap {
+		e.popBucket(i)()
+		return true
+	}
 	at, fn, ok := e.popNext()
 	if !ok {
 		return false
@@ -253,26 +299,35 @@ func (e *Engine) wheelNext() (Time, bool) {
 	panic("sim: wheel count/bitmap out of sync")
 }
 
+// occWindow returns the occupancy bits of the 64 cycles starting at now,
+// bit k standing for cycle now+k.
+func (e *Engine) occWindow() uint64 {
+	p := int(e.now) & wheelMask
+	wi, off := p>>6, uint(p&63)
+	w := e.occ[wi] >> off
+	if off != 0 {
+		w |= e.occ[(wi+1)&(wheelWords-1)] << (64 - off)
+	}
+	return w
+}
+
 // bucketTime maps a bucket index back to its absolute timestamp.
 func (e *Engine) bucketTime(i int) Time {
 	return e.now + Time((i-int(e.now))&wheelMask)
 }
 
-// popNext removes the earliest pending event, merging wheel and heap by
-// (time, seq) so same-cycle entries run in insertion order regardless of
-// which structure holds them.
+// popNext removes the earliest pending event. On a tie the heap entry goes
+// first: it was inserted when its timestamp was still beyond the wheel
+// window, hence before any wheel entry for the same cycle, so this is the
+// insertion order regardless of which structure holds the events.
 func (e *Engine) popNext() (Time, func(), bool) {
 	wt, wok := e.wheelNext()
 	hok := len(e.heap) > 0
 	if !wok && !hok {
 		return 0, nil, false
 	}
-	if wok {
-		i := int(wt) & wheelMask
-		if !hok || wt < e.heap[0].at ||
-			(wt == e.heap[0].at && e.wheel[i][e.wheelHead[i]].seq < e.heap[0].seq) {
-			return wt, e.popBucket(i), true
-		}
+	if wok && (!hok || wt < e.heap[0].at) {
+		return wt, e.popBucket(int(wt) & wheelMask), true
 	}
 	ev := e.heapPop()
 	return ev.at, ev.fn, true
@@ -282,8 +337,8 @@ func (e *Engine) popNext() (Time, func(), bool) {
 func (e *Engine) popBucket(i int) func() {
 	b := e.wheel[i]
 	h := e.wheelHead[i]
-	fn := b[h].fn
-	b[h].fn = nil
+	fn := b[h]
+	b[h] = nil
 	h++
 	if h == len(b) {
 		e.wheel[i] = b[:0]
@@ -393,6 +448,20 @@ func (w *Waiters) Release() {
 		fns[i] = nil // release the closures for GC
 	}
 	w.spare = fns[:0]
+}
+
+// TakeSole removes and returns the parked callback when exactly one is
+// parked, without scheduling it: the caller runs it itself (see
+// Engine.Quiet for when that is legal). Otherwise it returns nil and leaves
+// the lot untouched.
+func (w *Waiters) TakeSole() func() {
+	if len(w.fns) != 1 {
+		return nil
+	}
+	fn := w.fns[0]
+	w.fns[0] = nil
+	w.fns = w.fns[:0]
+	return fn
 }
 
 // Len reports the number of parked callbacks.

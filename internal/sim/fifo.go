@@ -27,10 +27,12 @@ type WordFIFO struct {
 	// spread the burst over the reference schedule. Entries are
 	// nondecreasing in queue order (single-producer FIFOs; enforced).
 	readyAt []Time
-	// cooling holds future slot-release times from bulk pops, ascending.
-	// A slot still cooling counts as occupied; entries are pruned lazily
-	// against the clock.
+	// cooling[coolHead:] holds future slot-release times from bulk pops,
+	// ascending. A slot still cooling counts as occupied; elapsed entries
+	// are skipped lazily against the clock by advancing coolHead, and the
+	// slice is rewound once it has drained.
 	cooling  []Time
+	coolHead int
 	notEmpty *Waiters
 	notFull  *Waiters
 	// Pushed and Popped count total words moved through the FIFO; they feed
@@ -60,24 +62,22 @@ func (f *WordFIFO) Cap() int { return len(f.buf) }
 // in-flight burst that are not yet poppable).
 func (f *WordFIFO) Len() int { return f.n }
 
-// pruneCooling drops slot-release times that have elapsed.
-func (f *WordFIFO) pruneCooling() {
+// coolingSlots drops slot-release times that have elapsed and returns the
+// ones still ahead of the clock.
+func (f *WordFIFO) coolingSlots() []Time {
 	now := f.eng.Now()
-	i := 0
-	for i < len(f.cooling) && f.cooling[i] <= now {
-		i++
+	for f.coolHead < len(f.cooling) && f.cooling[f.coolHead] <= now {
+		f.coolHead++
 	}
-	if i > 0 {
-		f.cooling = append(f.cooling[:0], f.cooling[i:]...)
+	if f.coolHead == len(f.cooling) {
+		f.cooling, f.coolHead = f.cooling[:0], 0
 	}
+	return f.cooling[f.coolHead:]
 }
 
 // occupied counts slots unavailable to pushers: stored words plus slots
 // still cooling after a bulk pop.
-func (f *WordFIFO) occupied() int {
-	f.pruneCooling()
-	return f.n + len(f.cooling)
-}
+func (f *WordFIFO) occupied() int { return f.n + len(f.coolingSlots()) }
 
 // CanPush reports whether at least k words of space are free.
 func (f *WordFIFO) CanPush(k int) bool { return f.occupied()+k <= len(f.buf) }
@@ -166,6 +166,7 @@ func (f *WordFIFO) BulkPop(dst []uint32, k int, start, stride Time) []uint32 {
 	if !f.CanPopSchedule(k, start, stride) {
 		panic("sim: BulkPop off schedule (check CanPopSchedule first)")
 	}
+	f.coolingSlots() // rewinds a drained list, so it only grows while bursts overlap
 	now := f.eng.Now()
 	for i := 0; i < k; i++ {
 		dst = append(dst, f.buf[f.head])
@@ -214,8 +215,9 @@ func (f *WordFIFO) WhenPushable(k int, fn func()) {
 		f.eng.After(0, fn)
 		return
 	}
-	if need := f.n + len(f.cooling) + k - len(f.buf); need <= len(f.cooling) {
-		f.eng.At(f.cooling[need-1], fn)
+	cooling := f.coolingSlots()
+	if need := f.n + len(cooling) + k - len(f.buf); need <= len(cooling) {
+		f.eng.At(cooling[need-1], fn)
 		return
 	}
 	f.notFull.Park(fn)
@@ -242,7 +244,7 @@ func (f *WordFIFO) WhenPoppable(k int, fn func()) {
 func (f *WordFIFO) Reset() {
 	f.head = 0
 	f.n = 0
-	f.cooling = f.cooling[:0]
+	f.cooling, f.coolHead = f.cooling[:0], 0
 	f.notFull.Release()
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -258,19 +259,96 @@ func TestFlag(t *testing.T) {
 }
 
 func TestWheelHeapSameCycleOrdering(t *testing.T) {
-	// An event scheduled far ahead (heap) and one scheduled later but into
-	// the near-future wheel at the same timestamp must still run in
-	// insertion order.
+	// Events scheduled far ahead (heap) and ones scheduled later into the
+	// near-future wheel at the same timestamp must still run in insertion
+	// order. Wheel entries carry no sequence number, so this is the rule
+	// "heap first on a tie" at work — also for a cycle whose events were
+	// inserted from both sides of the 256-cycle window boundary.
 	e := NewEngine()
 	var order []int
-	e.At(300, func() { order = append(order, 0) }) // 300-0 >= wheel window: heap
-	e.At(100, func() { order = append(order, -1) })
-	e.Step() // now = 100; 300 is now inside the wheel window
-	e.At(300, func() { order = append(order, 1) })
-	e.At(300, func() { order = append(order, 2) })
+	mark := func(i int) func() { return func() { order = append(order, i) } }
+	e.At(300, mark(1)) // 300-0 >= wheel window: heap
+	e.At(300, mark(2)) // heap, after 1
+	e.At(44, mark(0))
+	e.Step()           // now = 44: 300 is the last cycle still beyond the window
+	e.At(300, mark(3)) // 300-44 = 256: heap
+	e.At(45, func() {
+		e.At(300, mark(4)) // 300-45 = 255: first wheel insert for the cycle
+		e.At(299, mark(-1))
+	})
+	e.Step()
+	e.At(300, mark(5))
+	e.At(300, func() {
+		mark(6)()
+		e.After(0, mark(8)) // same cycle, scheduled while it drains
+	})
+	e.At(300, mark(7))
 	e.Run()
-	if len(order) != 4 || order[0] != -1 || order[1] != 0 || order[2] != 1 || order[3] != 2 {
-		t.Errorf("order = %v, want [-1 0 1 2]", order)
+	want := []int{0, -1, 1, 2, 3, 4, 5, 6, 7, 8}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+func TestQuiet(t *testing.T) {
+	e := NewEngine()
+	if !e.Quiet() {
+		t.Error("empty engine not quiet")
+	}
+	got := map[string]bool{}
+	see := func(name string) func() { return func() { got[name] = e.Quiet() } }
+	e.At(5, see("alone")) // later events exist in wheel and heap, none at 5
+	e.At(6, func() {
+		e.After(0, func() {})
+		see("wheel event pending")()
+	})
+	e.At(1000, see("heap event due")) // a second heap entry for 1000 is still queued
+	e.At(1000, see("last of its cycle"))
+	if !e.Quiet() {
+		t.Error("only later events pending: want quiet")
+	}
+	e.Run()
+	want := map[string]bool{"alone": true, "wheel event pending": false, "heap event due": false, "last of its cycle": true}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s: Quiet = %v (ran %v), want %v", name, g, ok, w)
+		}
+	}
+
+	c := NewEngine()
+	c.Compat = true
+	if c.Quiet() {
+		t.Error("Compat engine reported quiet")
+	}
+}
+
+func TestWaitersTakeSole(t *testing.T) {
+	e := NewEngine()
+	w := NewWaiters(e)
+	if w.TakeSole() != nil {
+		t.Error("TakeSole on an empty lot returned a callback")
+	}
+	ran := 0
+	w.Park(func() { ran++ })
+	fn := w.TakeSole()
+	if fn == nil || w.Len() != 0 || e.Pending() != 0 {
+		t.Fatalf("TakeSole: fn=%v len=%d pending=%d, want the callback, 0, 0", fn != nil, w.Len(), e.Pending())
+	}
+	fn()
+	w.Park(func() { ran += 10 })
+	w.Park(func() { ran += 100 })
+	if w.TakeSole() != nil || w.Len() != 2 {
+		t.Error("TakeSole with two parked must leave the lot untouched")
+	}
+	w.Release()
+	e.Run()
+	if ran != 111 {
+		t.Errorf("ran = %d, want 111", ran)
 	}
 }
 
@@ -428,5 +506,151 @@ func TestFIFOBulkPopCooling(t *testing.T) {
 	// Slot 3 cools until cycle 23: pushing 4 words is first possible then.
 	if pushedAt != 23 {
 		t.Errorf("pusher woke at %d, want 23", pushedAt)
+	}
+}
+
+func TestTryAdvanceShortSpanMatchesNextAt(t *testing.T) {
+	// TryAdvance answers spans under 64 cycles from the occupancy bitmap
+	// and longer ones by scanning for the next event; both must be the
+	// predicate "within the horizon and no pending event at or before t".
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		e := NewEngine()
+		e.TryAdvance(Time(rng.Intn(2000))) // vary the wheel position
+		horizon := e.Now() + Time(50+rng.Intn(600))
+		for i := rng.Intn(8); i > 0; i-- {
+			d := Time(rng.Intn(80))
+			if rng.Intn(3) == 0 {
+				d = Time(rng.Intn(700))
+			}
+			e.After(d, func() {})
+		}
+		probes := 0
+		var probe func()
+		probe = func() {
+			for k := 0; k < 20; k++ {
+				now := e.Now()
+				target := now + Time(rng.Intn(130))
+				if k%5 == 4 {
+					target = horizon - 1 + Time(rng.Intn(3)) // straddle the horizon
+					if target < now {
+						target = now
+					}
+				}
+				next, ok := e.NextAt()
+				want := target <= horizon && !(ok && next <= target)
+				got := e.TryAdvance(target)
+				if got != want {
+					t.Fatalf("trial %d: TryAdvance(%d) at %d = %v, want %v (next %d,%v horizon %d)",
+						trial, target, now, got, want, next, ok, horizon)
+				}
+				if after := e.Now(); got && after != target || !got && after != now {
+					t.Fatalf("trial %d: clock %d after TryAdvance(%d)=%v from %d", trial, after, target, got, now)
+				}
+			}
+			if probes++; probes < 6 {
+				e.After(Time(rng.Intn(40)), probe)
+			}
+		}
+		e.After(0, probe)
+		e.RunUntil(horizon)
+	}
+}
+
+func TestFIFOCoolingAcrossOverlappingBursts(t *testing.T) {
+	// Cooling slots are skipped by a head index, not by re-copying the
+	// list. Two overlapping bulk pops with a refill in between: at every
+	// cycle the free space is the capacity minus stored words minus slots
+	// the reference word-per-cycle drain would still hold, and a blocked
+	// pusher wakes at the exact cycle its space appears.
+	e := NewEngine()
+	const capacity = 16
+	f := NewWordFIFO(e, capacity)
+	for i := uint32(0); i < capacity; i++ {
+		f.TryPush(i)
+	}
+	stored := capacity
+	var release []Time // every slot-release time handed to the cooling list
+	bulkPop := func(k int, stride Time) {
+		f.BulkPop(nil, k, e.Now(), stride)
+		stored -= k
+		for i := 0; i < k; i++ {
+			release = append(release, e.Now()+Time(i)*stride)
+		}
+	}
+	free := func() int {
+		held := 0
+		for _, r := range release {
+			if r > e.Now() {
+				held++
+			}
+		}
+		return capacity - stored - held
+	}
+	e.At(10, func() { bulkPop(6, 1) }) // frees at 10..15
+	e.At(13, func() {
+		for i := 0; i < 2; i++ {
+			if !f.TryPush(99) {
+				t.Error("push into cooled space refused at 13")
+			}
+			stored++
+		}
+	})
+	e.At(14, func() { bulkPop(4, 2) }) // frees at 14,16,18,20 while 15 still cools
+	wake := map[int]Time{}
+	e.At(14, func() {
+		for _, k := range []int{6, 7, 8} {
+			k := k
+			f.WhenPushable(k, func() {
+				if !f.CanPush(k) {
+					t.Errorf("woken for %d words at %d without space", k, e.Now())
+				}
+				wake[k] = e.Now()
+			})
+		}
+	})
+	for c := Time(10); c <= 24; c++ {
+		c := c
+		e.At(c, func() {
+			want := free()
+			if !f.CanPush(want) || f.CanPush(want+1) {
+				t.Errorf("cycle %d: free space != %d", c, want)
+			}
+		})
+	}
+	e.Run()
+	// At 14: 8 stored, slots 15/16/18/20 cooling, 4 free; one more at 15, 16, 18, 20.
+	for k, at := range map[int]Time{6: 16, 7: 18, 8: 20} {
+		if wake[k] != at {
+			t.Errorf("pusher of %d words woke at %d, want %d", k, wake[k], at)
+		}
+	}
+	if f.coolHead != 0 || len(f.cooling) != 0 {
+		t.Errorf("drained cooling list not rewound: head %d len %d", f.coolHead, len(f.cooling))
+	}
+}
+
+// BenchmarkEngineStep is the event-queue rung of the host-cost ladder: 64
+// tickers rescheduling themselves, three short delays (timing wheel) for
+// every long one (heap) — the device's event mix, and the same load
+// bench/'s sim.rung_events_per_s times from outside.
+func BenchmarkEngineStep(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		var tk *Ticker
+		i, fired := i, i
+		tk = e.NewTicker(func() {
+			if fired++; fired%4 == 0 {
+				tk.After(Time(1000 + i))
+			} else {
+				tk.After(Time(1 + i%61))
+			}
+		})
+		tk.After(Time(1 + i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		e.Step()
 	}
 }
