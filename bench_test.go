@@ -15,11 +15,12 @@
 //	E9 BenchmarkSchedPolicy_*      §VIII scheduling-policy extension
 //	E10 BenchmarkAblation_*        design-choice ablations
 //	E11 BenchmarkCluster           sharded multi-MCCP service-layer scaling
-//	E12 BenchmarkQoS_*             §VIII QoS: overload retention + drains
+//	E12–E18 benchExperiment        the harness registry's composite sweeps
 package mccp_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,8 +32,6 @@ import (
 	"mccp/internal/fpga"
 	"mccp/internal/ghash"
 	"mccp/internal/harness"
-	"mccp/internal/obs"
-	"mccp/internal/qos"
 	"mccp/internal/reconfig"
 	"mccp/internal/sim"
 	"mccp/internal/trafficgen"
@@ -255,321 +254,46 @@ func BenchmarkCluster(b *testing.B) {
 	}
 }
 
-// --- E12: QoS priority classes (§VIII extension) ----------------------------
+// --- E12–E18: the composite experiments --------------------------------------
 
-// BenchmarkQoS_Overload runs the 4:1 overload mix (four 2KB background
-// streams vs one 256B voice stream) under each dispatch policy and
-// reports per-class Mbps, voice latency percentiles and the voice
-// throughput retained relative to the uncontended baseline. All figures
-// are virtual-time and deterministic per seed; the acceptance bar is
-// >= 90% voice retention under qos-priority (first-idle stays far below).
-func BenchmarkQoS_Overload(b *testing.B) {
-	b.ReportAllocs()
-	var res harness.QoSResult
-	for i := 0; i < b.N; i++ {
-		res = harness.QoSTable(24)
+// benchExperiment reports one registered experiment's bench sweep: every
+// point of harness.ExperimentByID(id) filed under the calling benchmark's
+// name becomes a sub-benchmark that runs — and therefore times — its own
+// point, and reports the point's metrics. All metrics are virtual-time
+// and deterministic per seed; which ones the baseline gate holds, and how
+// tightly, is benchfmt's business (see each experiment's Points).
+func benchExperiment(b *testing.B, id string) {
+	exp, ok := harness.ExperimentByID(id)
+	if !ok {
+		b.Fatalf("no experiment %s in the harness registry", id)
 	}
-	for _, s := range res.Scenarios {
-		b.Run(s.Policy, func(b *testing.B) {
+	family := strings.TrimPrefix(b.Name(), "Benchmark") + "/"
+	for _, p := range exp.Points {
+		sub, ok := strings.CutPrefix(p.Name, family)
+		if !ok {
+			continue
+		}
+		b.Run(sub, func(b *testing.B) {
 			b.ReportAllocs()
+			var metrics []harness.Metric
 			for i := 0; i < b.N; i++ {
-				_ = s // measured above; subruns report the cells
+				metrics = p.Run()
 			}
-			v, bg := s.Cell(qos.Voice), s.Cell(qos.Background)
-			// Reported per subrun: a parent with sub-benchmarks never
-			// prints its own result line.
-			b.ReportMetric(res.VoiceUncontendedMbps, "voice_alone_Mbps")
-			b.ReportMetric(v.Mbps, "voice_Mbps")
-			b.ReportMetric(bg.Mbps, "background_Mbps")
-			b.ReportMetric(float64(v.P50), "voice_p50_cycles")
-			b.ReportMetric(float64(v.P99), "voice_p99_cycles")
-			b.ReportMetric(float64(v.DeadlineMisses), "voice_deadline_misses")
-			b.ReportMetric(res.Retention(s.Policy), "voice_retention")
+			for _, m := range metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
 		})
 	}
 }
 
-// BenchmarkQoS_Drains contrasts the shaper's strict-priority and
-// weighted-fair drain policies under sustained voice load with a
-// background burst behind a bounded class queue.
-func BenchmarkQoS_Drains(b *testing.B) {
-	b.ReportAllocs()
-	var rows []harness.QoSDrainRow
-	for i := 0; i < b.N; i++ {
-		rows = harness.QoSDrainComparison(40)
-	}
-	for _, r := range rows {
-		b.Run(r.Drain, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = r
-			}
-			b.ReportMetric(float64(r.VoiceP95), "voice_p95_cycles")
-			b.ReportMetric(float64(r.BackgroundP95), "background_p95_cycles")
-			b.ReportMetric(float64(r.BackgroundCompleted), "background_done")
-			b.ReportMetric(float64(r.BackgroundShed), "background_shed")
-		})
-	}
-}
-
-// --- E13: open-loop load curves ---------------------------------------------
-
-// BenchmarkLoadCurve runs the open-loop offered-load sweep at three
-// points per policy and reports per-class loss and latency. Every metric
-// is virtual-time and deterministic; voice_delivered_frac (the fraction
-// of offered voice packets actually delivered) participates in the
-// baseline regression gate — it must stay ~1.0 under qos-priority.
-func BenchmarkLoadCurve(b *testing.B) {
-	b.ReportAllocs()
-	var res harness.LoadCurveResult
-	for i := 0; i < b.N; i++ {
-		res = harness.LoadCurve(harness.LoadCurveConfig{
-			Offered:           []float64{0.5, 1.0, 2.0},
-			BackgroundPackets: 200,
-		})
-	}
-	for _, p := range res.Points {
-		p := p
-		b.Run(fmt.Sprintf("%s/offered=%.1f", p.Policy, p.Offered), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = p // measured above; subruns report the cells
-			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
-			b.ReportMetric(p.TotalDeliveredMbps, "delivered_Mbps")
-			b.ReportMetric(100*v.LossFrac, "voice_loss_pct")
-			b.ReportMetric(100*bg.LossFrac, "background_loss_pct")
-			b.ReportMetric(1-v.LossFrac, "voice_delivered_frac")
-			b.ReportMetric(float64(v.P99), "voice_p99_cycles")
-			b.ReportMetric(float64(bg.P99), "background_p99_cycles")
-			b.ReportMetric(float64(v.Misses), "voice_deadline_misses")
-		})
-	}
-}
-
-// --- E14: wire-level latency curves -----------------------------------------
-
-// BenchmarkWireLatency runs the loopback mccpserver in front of the
-// cluster and replays the open-loop mix through the wire protocol at
-// three offered points. wire_Mbps (delivered wire throughput) gates
-// higher-is-better; voice_wire_p99_cycles gates lower-is-better — both
-// are virtual-time figures, deterministic on the loopback transport with
-// a single connection.
-func BenchmarkWireLatency(b *testing.B) {
-	b.ReportAllocs()
-	cfg := harness.WireConfig{
-		Sessions: 64,
-		Offered:  []float64{0.5, 1.0, 2.0},
-		Windows:  24,
-	}
-	var res harness.WireResult
-	for i := 0; i < b.N; i++ {
-		res = harness.WireLatency(cfg)
-	}
-	for _, p := range res.Points {
-		p := p
-		b.Run(fmt.Sprintf("offered=%.1f", p.Offered), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = p // measured above; subruns report the cells
-			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
-			b.ReportMetric(p.WireMbps, "wire_Mbps")
-			b.ReportMetric(float64(v.P99), "voice_wire_p99_cycles")
-			b.ReportMetric(float64(bg.P99), "background_wire_p99_cycles")
-			b.ReportMetric(100*v.LossFrac, "voice_loss_pct")
-			b.ReportMetric(100*bg.LossFrac, "background_loss_pct")
-			b.ReportMetric(float64(v.Shed), "voice_shed")
-		})
-	}
-}
-
-// --- E15: rolling reconfiguration under load --------------------------------
-
-// BenchmarkReconfigUnderLoad runs the E15 fleet-agility measurement — a
-// rolling Whirlpool swap across a two-shard cluster under a sustained
-// open-loop stream — and reports what the serving shards delivered
-// during the bitstream windows at each source speed and policy.
-// voice_delivered_frac participates in the tight baseline gate (voice
-// must ride out every swap); during_delivered_Mbps gates as throughput;
-// voice_swap_p99_cycles is informational (not a wire metric).
-func BenchmarkReconfigUnderLoad(b *testing.B) {
-	b.ReportAllocs()
-	var res harness.ReconfigLoadResult
-	for i := 0; i < b.N; i++ {
-		res = harness.ReconfigUnderLoad(harness.ReconfigLoadConfig{
-			Shards:    2,
-			TimeScale: 256,
-		})
-	}
-	for _, run := range res.Runs {
-		run := run
-		b.Run(fmt.Sprintf("%s/src=%s", run.Policy, run.Source), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = run // measured above; subruns report the cells
-			}
-			v, bg := run.Cell(qos.Voice), run.Cell(qos.Background)
-			b.ReportMetric(run.TrueWindowMillis, "window_ms")
-			b.ReportMetric(run.BaselineDelivered, "baseline_delivered_Mbps")
-			b.ReportMetric(run.DuringDelivered, "during_delivered_Mbps")
-			b.ReportMetric(1-v.LossFrac, "voice_delivered_frac")
-			b.ReportMetric(float64(v.P99), "voice_swap_p99_cycles")
-			b.ReportMetric(100*bg.LossFrac, "background_loss_pct")
-			b.ReportMetric(float64(run.Drained), "sessions_drained")
-		})
-	}
-}
-
-// --- E16: fault curves ------------------------------------------------------
-
-// BenchmarkFaultCurves runs the E16 fault drill — crash count x churn
-// rate at 0.9x saturation through the loopback server — and reports what
-// each policy kept alive. voice_delivered_frac participates in the tight
-// baseline gate (voice must ride out a single-shard crash under
-// qos-priority); wire_Mbps gates as throughput and voice_wire_p99_cycles
-// lower-is-better; the re-home/recovery figures are informational
-// virtual-time cycle counts. The zero-fault row runs the same code path
-// as E14, so its cells double as a wiring check against that baseline.
-func BenchmarkFaultCurves(b *testing.B) {
-	b.ReportAllocs()
-	cfg := harness.FaultConfig{
-		Wire: harness.WireConfig{
-			Shards:       4,
-			Sessions:     96,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		FaultWindow: 8,
-	}
-	var res harness.FaultResult
-	for i := 0; i < b.N; i++ {
-		res = harness.FaultCurves(cfg)
-	}
-	for _, p := range res.Points {
-		p := p
-		b.Run(fmt.Sprintf("%s/crashes=%d_churn=%d", p.Policy, p.Row.Crashes, p.Row.Churn), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = p // measured above; subruns report the cells
-			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-			recovered := 0.0
-			if p.Recovered {
-				recovered = 1
-			}
-			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
-			b.ReportMetric(p.WireMbps, "wire_Mbps")
-			b.ReportMetric(1-v.LossFrac, "voice_delivered_frac")
-			b.ReportMetric(float64(v.P99), "voice_wire_p99_cycles")
-			b.ReportMetric(100*bg.LossFrac, "background_loss_pct")
-			b.ReportMetric(float64(p.Moved), "sessions_moved")
-			b.ReportMetric(float64(p.Lost), "sessions_lost")
-			b.ReportMetric(float64(p.RehomeTook), "rehome_cycles")
-			b.ReportMetric(float64(p.RecoveryCycles), "recovery_cycles")
-			b.ReportMetric(recovered, "recovered")
-			b.ReportMetric(float64(p.Churned), "sessions_churned")
-		})
-	}
-}
-
-// --- E17: recovery curves ---------------------------------------------------
-
-// BenchmarkRecoveryCurves runs the E17 recovery drill — one shard
-// crashed at 0.9x saturation with the restart loop armed, swept over the
-// paper's bitstream sources — and reports the climb back per source.
-// voice_delivered_frac and brownout_lifted participate in the tight
-// baseline gate (voice must ride through crash AND recovery, and the
-// shed classes must all be re-admitted); restart/rejoin/capacity figures
-// are informational virtual-time counts whose ordering mirrors Table IV:
-// icap rejoins before ram before compact-flash.
-func BenchmarkRecoveryCurves(b *testing.B) {
-	b.ReportAllocs()
-	cfg := harness.RecoveryConfig{
-		Wire: harness.WireConfig{
-			Shards:       4,
-			Sessions:     96,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		FaultWindow: 8,
-		// Squeeze even the compact-flash reload into the short bench
-		// horizon; source ordering is scale-invariant.
-		TimeScale: 16384,
-	}
-	var res harness.RecoveryResult
-	for i := 0; i < b.N; i++ {
-		res = harness.RecoveryCurves(cfg)
-	}
-	for _, p := range res.Points {
-		p := p
-		b.Run(fmt.Sprintf("%s/source=%s", p.Policy, p.Source), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = p // measured above; subruns report the cells
-			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-			lifted := 0.0
-			if p.BrownoutLifted {
-				lifted = 1
-			}
-			restored := 0.0
-			if p.CapacityRestored {
-				restored = 1
-			}
-			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
-			b.ReportMetric(p.WireMbps, "wire_Mbps")
-			b.ReportMetric(1-v.LossFrac, "voice_delivered_frac")
-			b.ReportMetric(100*bg.LossFrac, "background_loss_pct")
-			b.ReportMetric(float64(p.Moved), "sessions_moved")
-			b.ReportMetric(float64(p.Lost), "sessions_lost")
-			b.ReportMetric(float64(p.RestartCycles), "restart_cycles")
-			b.ReportMetric(p.TrueRestartMillis, "restart_true_ms")
-			b.ReportMetric(float64(p.RejoinWindow), "rejoin_window")
-			b.ReportMetric(lifted, "brownout_lifted")
-			b.ReportMetric(float64(p.CapacityCycles), "capacity_cycles")
-			b.ReportMetric(restored, "capacity_restored")
-		})
-	}
-}
-
-// --- E18: stage attribution --------------------------------------------------
-
-// BenchmarkStageAttribution runs the E18 traced decomposition at three
-// offered points and reports where each class's p99 latency is spent.
-// The tracer runs at sample rate 1, so the stage cycles are exact
-// virtual-time figures and deterministic; delivered_Mbps gates as
-// throughput and voice_p99_cycles as latency, same cells as E13 (the
-// traced run reconciles bit-for-bit with the untraced one).
-func BenchmarkStageAttribution(b *testing.B) {
-	b.ReportAllocs()
-	var res harness.StageCurveResult
-	for i := 0; i < b.N; i++ {
-		res = harness.StageAttribution(harness.StageCurveConfig{
-			Offered: []float64{0.5, 1.0, 1.5},
-			Load:    harness.LoadCurveConfig{BackgroundPackets: 200},
-		})
-	}
-	for _, p := range res.Points {
-		p := p
-		b.Run(fmt.Sprintf("%s/offered=%.1f", p.Policy, p.Offered), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = p // measured above; subruns report the cells
-			}
-			v, bg := p.StageCell(qos.Voice), p.StageCell(qos.Background)
-			b.ReportMetric(p.TotalDeliveredMbps, "delivered_Mbps")
-			b.ReportMetric(float64(p.Spans), "spans_traced")
-			b.ReportMetric(float64(v.TotalP99), "voice_p99_cycles")
-			b.ReportMetric(float64(v.P99[obs.StageQueue]), "voice_queue_p99_cycles")
-			b.ReportMetric(float64(v.P99[obs.StageCore]), "voice_core_p99_cycles")
-			b.ReportMetric(float64(bg.TotalP99), "background_p99_cycles")
-			b.ReportMetric(float64(bg.P99[obs.StageQueue]), "background_queue_p99_cycles")
-		})
-	}
-}
+func BenchmarkQoS_Overload(b *testing.B)      { benchExperiment(b, "E12") }
+func BenchmarkQoS_Drains(b *testing.B)        { benchExperiment(b, "E12") }
+func BenchmarkLoadCurve(b *testing.B)         { benchExperiment(b, "E13") }
+func BenchmarkWireLatency(b *testing.B)       { benchExperiment(b, "E14") }
+func BenchmarkReconfigUnderLoad(b *testing.B) { benchExperiment(b, "E15") }
+func BenchmarkFaultCurves(b *testing.B)       { benchExperiment(b, "E16") }
+func BenchmarkRecoveryCurves(b *testing.B)    { benchExperiment(b, "E17") }
+func BenchmarkStageAttribution(b *testing.B)  { benchExperiment(b, "E18") }
 
 // --- E10: ablations ---------------------------------------------------------
 

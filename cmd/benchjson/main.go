@@ -1,199 +1,226 @@
 // benchjson converts `go test -bench` output into the repository's
-// benchmark-trajectory JSON and optionally gates it against a committed
-// baseline. The CI bench job runs all steps in one invocation:
+// benchmark-trajectory JSON, optionally gates it against a committed
+// baseline, and runs the harness registry's CI gates — in CI, all in one
+// invocation (see .github/workflows/ci.yml):
 //
-//	go test -run '^$' -bench 'Table2|Cluster|QoS' -benchtime 1x . | tee bench.txt
-//	benchjson -in bench.txt -out BENCH_ci.json -hostout BENCH_host.json \
-//	          -baseline BENCH_baseline.json -match 'Table2' -tolerance 0.25 \
-//	          -hostbudget 'Table2_GCM_1core_128=60'
+//	go test -run '^$' -bench 'Table2|...' -benchtime 1x . | benchjson -out BENCH_ci.json \
+//	    -baseline BENCH_baseline.json -hostbudget 'Table2_GCM_1core_128=60' -gates all
 //
 // Only deterministic virtual-time throughput metrics (*_Mbps at the
 // modeled 190 MHz, voice_retention) participate in the baseline gate;
 // ns/op, host_Mbps and allocs/op describe the host machine and are
 // recorded — -hostout writes them to a separate informational trajectory
 // file — but never gated against the baseline. Three targeted host-side
-// checks exist instead: -hostbudget (catastrophic-regression smoke
-// check: a named benchmark's wall clock, ns/op x iterations, must stay
-// under a deliberately generous budget in seconds), -clusterscale (the
-// pipelined cluster dispatcher's host-scaling ratio, derated to the
-// run's CPU count and skipped on single-CPU machines) and -allocspacket
-// (the zero-alloc packet path's allocations-per-packet ceiling). Exit
-// status: 0 clean, 1 regression/budget violation, 2 usage/IO error.
+// checks exist instead: -hostbudget, -clusterscale and -allocspacket
+// (each documented at its check function). -gates runs the simulation
+// directly and needs no bench input; it composes with the other checks
+// when input is given. Exit status: 0 clean, 1 regression/budget/gate
+// violation, 2 usage/IO error.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"mccp/internal/benchfmt"
 	"mccp/internal/harness"
 	"mccp/internal/obs"
-	"mccp/internal/qos"
 )
 
-func main() {
-	in := flag.String("in", "-", "bench output to read (- = stdin)")
-	out := flag.String("out", "", "write trajectory JSON here (empty = skip)")
-	hostOut := flag.String("hostout", "", "write host-speed metrics (ns/op, host_Mbps, allocs/op) here (empty = skip)")
-	benchExpr := flag.String("bench", "", "provenance note: the -bench expression the run used")
-	baselinePath := flag.String("baseline", "", "baseline JSON to gate against (empty = no gate)")
-	match := flag.String("match", "Table2", "regexp of benchmark names the gate covers")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional throughput drop before the gate fails")
-	hostBudget := flag.String("hostbudget", "", "host-speed smoke check, 'BenchName=seconds': fail if that benchmark's wall clock exceeded the budget")
-	clusterScale := flag.String("clusterscale", "", "cluster host-scaling gate, 'Top:Base=ratio' (e.g. 'Cluster/shards=8:Cluster/shards=1=1.5'): fail if Top's host_Mbps is below ratio x Base's; derated to 0.6 x GOMAXPROCS and skipped on single-CPU runs, where host-parallel speedup is impossible")
-	allocsBudget := flag.String("allocspacket", "", "allocation ceiling, 'BenchName=allocs': fail if the benchmark's allocs_op per packet exceeds the ceiling")
-	loadSmoke := flag.Bool("loadsmoke", false, "run the E13 mini load curve in-process and fail if the voice class loses >1% of its packets at 0.5x saturation under qos-priority")
-	wireSmoke := flag.Bool("wiresmoke", false, "run the one-point loopback E14 gate and fail if voice wire p99 at 0.5x saturation exceeds 2x the in-process E13 p99, or if any voice packet is shed")
-	reconfigSmoke := flag.Bool("reconfigsmoke", false, "run the E15 mini rolling-swap gate and fail if voice loses >1% or its p99 inflates past 3x baseline during the bitstream windows under qos-priority")
-	faultSmoke := flag.Bool("faultsmoke", false, "run the E16 mini fault drill (1 of 4 shards crashed mid-load plus a churn storm at 0.9x saturation under qos-priority) and fail if voice loses >1%, any session is lost, or voice delivery does not recover within 3 windows")
-	healSmoke := flag.Bool("healsmoke", false, "run the E17 mini recovery drill (1 of 4 shards crashed mid-load at 0.9x saturation, restart loop armed with the icap source) and fail if voice loses >1%, any session is lost, the shard does not restart and rejoin, the brownout is not fully lifted, or delivered capacity does not climb back to the pre-crash rate")
-	obsSmoke := flag.Bool("obssmoke", false, "run the E18 observability gate and fail if the traced run is not bit-identical run-to-run, the stage sums do not tile the end-to-end latency, the traced percentiles diverge from the untraced E13 point, the flight recorder produces no postmortem from a one-crash drill, or a disabled tracer costs more than 5% wall clock")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// failure is a violated check (exit status 1); any other error is a
+// usage or IO problem (exit status 2).
+type failure struct{ error }
+
+func failf(format string, args ...any) error { return failure{fmt.Errorf(format, args...)} }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its process edges injected.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	err := execute(args, stdin, stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintf(stderr, "benchjson: %v\n", err)
+	if errors.As(err, new(failure)) {
+		return 1
+	}
+	return 2
+}
+
+func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "-", "bench output to read (- = stdin)")
+	out := fs.String("out", "", "write trajectory JSON here (empty = skip)")
+	hostOut := fs.String("hostout", "", "write host-speed metrics (ns/op, host_Mbps, allocs/op) here (empty = skip)")
+	benchExpr := fs.String("bench", "", "provenance note: the -bench expression the run used")
+	baselinePath := fs.String("baseline", "", "baseline JSON to gate against (empty = no gate)")
+	match := fs.String("match", "Table2", "regexp of benchmark names the gate covers")
+	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional throughput drop before the gate fails")
+	hostBudget := fs.String("hostbudget", "", "host-speed smoke check, 'BenchName=seconds': fail if that benchmark's wall clock exceeded the budget")
+	clusterScale := fs.String("clusterscale", "", "cluster host-scaling gate, 'Top:Base=ratio' (e.g. 'Cluster/shards=8:Cluster/shards=1=1.5'): fail if Top's host_Mbps is below ratio x Base's; derated to 0.6 x GOMAXPROCS and skipped on single-CPU runs, where host-parallel speedup is impossible")
+	allocsBudget := fs.String("allocspacket", "", "allocation ceiling, 'BenchName=allocs': fail if the benchmark's allocs_op per packet exceeds the ceiling")
+	gates := fs.String("gates", "", "run the harness registry's CI gates in-process and fail on any violation: 'all' or a comma-separated subset of "+strings.Join(gateNames(), ","))
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *version {
-		fmt.Println(obs.VersionLine("benchjson"))
-		return
+		fmt.Fprintln(stdout, obs.VersionLine("benchjson"))
+		return nil
 	}
 
-	// The smoke gates run the simulation directly (no bench input needed),
-	// so they are checked before input parsing and compose with the other
-	// gates when input is present.
-	if *loadSmoke {
-		if err := checkLoadSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	if *gates != "" {
+		if err := runGates(*gates, stdout); err != nil {
+			return err
 		}
-	}
-	if *wireSmoke {
-		if err := checkWireSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+		// A gates-only invocation reads no bench input; any flag that
+		// consumes input means the caller piped some in.
+		if *in == "-" && *out+*hostOut+*baselinePath+*hostBudget+*clusterScale+*allocsBudget == "" {
+			return nil
 		}
-	}
-	if *reconfigSmoke {
-		if err := checkReconfigSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *faultSmoke {
-		if err := checkFaultSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *healSmoke {
-		if err := checkHealSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *obsSmoke {
-		if err := checkObsSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if (*loadSmoke || *wireSmoke || *reconfigSmoke || *faultSmoke || *healSmoke || *obsSmoke) &&
-		*in == "-" && *out == "" && *baselinePath == "" && *hostOut == "" {
-		return // smoke-only invocation
 	}
 
-	results, err := parseInput(*in)
+	if *in != "-" {
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		stdin = f
+	}
+	results, err := benchfmt.Parse(stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in %s", *in))
+		return fmt.Errorf("no benchmark lines found in %s", *in)
 	}
 
 	if *out != "" {
-		writeResults(*out, *benchExpr, results)
+		if err := writeResults(stdout, *out, *benchExpr, results); err != nil {
+			return err
+		}
 	}
 	if *hostOut != "" {
 		host := benchfmt.HostOnly(results)
 		if len(host) == 0 {
-			fatal(fmt.Errorf("no host metrics found for -hostout"))
+			return fmt.Errorf("no host metrics found for -hostout")
 		}
-		writeResults(*hostOut, *benchExpr, host)
-	}
-	if *hostBudget != "" {
-		if err := checkHostBudget(*hostBudget, results); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+		if err := writeResults(stdout, *hostOut, *benchExpr, host); err != nil {
+			return err
 		}
 	}
-	if *clusterScale != "" {
-		if err := checkClusterScale(*clusterScale, results); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *allocsBudget != "" {
-		if err := checkAllocsPerPacket(*allocsBudget, results); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	for _, check := range []struct {
+		spec string
+		run  func(io.Writer, string, []benchfmt.Result) error
+	}{{*hostBudget, checkHostBudget}, {*clusterScale, checkClusterScale}, {*allocsBudget, checkAllocsPerPacket}} {
+		if check.spec != "" {
+			if err := check.run(stdout, check.spec, results); err != nil {
+				return err
+			}
 		}
 	}
 
 	if *baselinePath == "" {
-		return
+		return nil
 	}
 	bf, err := os.Open(*baselinePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	baseline, err := benchfmt.ReadJSON(bf)
 	bf.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	regs, err := benchfmt.Gate(results, baseline, *match, *tolerance)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond %.0f%% against %s:\n",
-			len(regs), 100**tolerance, *baselinePath)
+		msg := fmt.Sprintf("%d regression(s) beyond %.0f%% against %s:", len(regs), 100**tolerance, *baselinePath)
 		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
+			msg += "\n  " + r.String()
 		}
-		os.Exit(1)
+		return failf("%s", msg)
 	}
-	fmt.Printf("benchjson: gate clean (%q, tolerance %.0f%%) against %s\n",
+	fmt.Fprintf(stdout, "benchjson: gate clean (%q, tolerance %.0f%%) against %s\n",
 		*match, 100**tolerance, *baselinePath)
+	return nil
 }
 
-func writeResults(path, benchExpr string, results []benchfmt.Result) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
+func gateNames() []string {
+	var names []string
+	for _, g := range harness.Gates() {
+		names = append(names, g.Name)
 	}
-	if err := benchfmt.WriteJSON(f, benchExpr, results); err != nil {
-		fatal(err)
+	return names
+}
+
+// runGates runs the selected registry gates ('all' or comma-separated
+// names), printing each verdict with the gate's doc line, and fails on the
+// first violation. Wall-clock clauses are enforced here, unlike under go test.
+func runGates(spec string, w io.Writer) error {
+	all := harness.Gates()
+	picked := all
+	if spec != "all" {
+		picked = nil
+		for _, name := range strings.Split(spec, ",") {
+			i := slices.IndexFunc(all, func(g harness.Gate) bool { return g.Name == name })
+			if i < 0 {
+				return fmt.Errorf("unknown gate %q in -gates (want all or any of %s)", name, strings.Join(gateNames(), ","))
+			}
+			picked = append(picked, all[i])
+		}
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
+	for _, g := range picked {
+		r := g.Check()
+		violations := append(r.Violations, r.HostViolations...)
+		verdict := "ok"
+		if len(violations) > 0 {
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(w, "benchjson: gate %s %s: %s\n", g.Name, verdict, r.Summary)
+		fmt.Fprintf(w, "benchjson:   checks: %s\n", g.Doc)
+		for _, d := range r.Details {
+			fmt.Fprintf(w, "benchjson:   %s\n", d)
+		}
+		if len(violations) > 0 {
+			return failf("gate %s violated: %s\n  the gate checks: %s", g.Name, strings.Join(violations, "; "), g.Doc)
+		}
 	}
-	fmt.Printf("benchjson: wrote %d results to %s\n", len(results), path)
+	return nil
+}
+
+func writeResults(w io.Writer, path, benchExpr string, results []benchfmt.Result) error {
+	var buf bytes.Buffer
+	if err := benchfmt.WriteJSON(&buf, benchExpr, results); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "benchjson: wrote %d results to %s\n", len(results), path)
+	return nil
 }
 
 // checkHostBudget enforces 'BenchName=seconds': the named benchmark's total
 // wall clock (ns/op x iterations) must stay under the budget. This is a
 // catastrophic-kernel-regression smoke check, so budgets should be set an
 // order of magnitude above a healthy run.
-func checkHostBudget(spec string, results []benchfmt.Result) error {
-	name, limitStr, ok := strings.Cut(spec, "=")
-	if !ok {
-		fatal(fmt.Errorf("bad -hostbudget %q (want 'BenchName=seconds')", spec))
-	}
-	limit, err := strconv.ParseFloat(limitStr, 64)
-	if err != nil || limit <= 0 {
-		fatal(fmt.Errorf("bad -hostbudget seconds in %q", spec))
+func checkHostBudget(w io.Writer, spec string, results []benchfmt.Result) error {
+	name, limit, err := parseSpec("hostbudget", spec, "BenchName=seconds")
+	if err != nil {
+		return err
 	}
 	for _, r := range results {
 		if r.Name != name {
@@ -201,12 +228,12 @@ func checkHostBudget(spec string, results []benchfmt.Result) error {
 		}
 		wall := r.Metrics["ns_op"] * float64(r.Iterations) / 1e9
 		if wall > limit {
-			return fmt.Errorf("host-speed smoke check failed: %s took %.1fs (budget %.0fs) — the simulation kernel has regressed catastrophically", name, wall, limit)
+			return failf("host-speed smoke check failed: %s took %.1fs (budget %.0fs) — the simulation kernel has regressed catastrophically", name, wall, limit)
 		}
-		fmt.Printf("benchjson: host budget ok: %s took %.2fs (budget %.0fs)\n", name, wall, limit)
+		fmt.Fprintf(w, "benchjson: host budget ok: %s took %.2fs (budget %.0fs)\n", name, wall, limit)
 		return nil
 	}
-	return fmt.Errorf("host budget benchmark %q missing from results", name)
+	return failf("host budget benchmark %q missing from results", name)
 }
 
 // checkClusterScale enforces 'Top:Base=ratio': Top's host_Mbps must reach
@@ -214,204 +241,59 @@ func checkHostBudget(spec string, results []benchfmt.Result) error {
 // count makes possible (0.6 x GOMAXPROCS); single-CPU runs skip the
 // check with a notice — the pipelined dispatcher cannot manufacture
 // parallel wall-clock speedup without CPUs to run the shards on.
-func checkClusterScale(spec string, results []benchfmt.Result) error {
-	// Split on the LAST '=' — benchmark names (Cluster/shards=8) carry
-	// their own.
-	pair, ratioStr, ok := cutLast(spec, "=")
-	if !ok {
-		fatal(fmt.Errorf("bad -clusterscale %q (want 'Top:Base=ratio')", spec))
+func checkClusterScale(w io.Writer, spec string, results []benchfmt.Result) error {
+	pair, minRatio, err := parseSpec("clusterscale", spec, "Top:Base=ratio")
+	if err != nil {
+		return err
 	}
 	top, base, ok := strings.Cut(pair, ":")
 	if !ok {
-		fatal(fmt.Errorf("bad -clusterscale %q (want 'Top:Base=ratio')", spec))
-	}
-	minRatio, err := strconv.ParseFloat(ratioStr, 64)
-	if err != nil || minRatio <= 0 {
-		fatal(fmt.Errorf("bad -clusterscale ratio in %q", spec))
+		return fmt.Errorf("bad -clusterscale %q (want 'Top:Base=ratio')", spec)
 	}
 	// A missing benchmark is a gate failure (exit 1), like -hostbudget's
 	// equivalent case — only malformed specs are usage errors.
 	h, err := benchfmt.CheckHostScale(results, top, base, minRatio)
 	if err != nil {
-		return err
+		return failure{err}
 	}
 	if h.Skipped != "" {
-		fmt.Printf("benchjson: cluster scaling check skipped (%s; measured %.2fx)\n", h.Skipped, h.Ratio)
+		fmt.Fprintf(w, "benchjson: cluster scaling check skipped (%s; measured %.2fx)\n", h.Skipped, h.Ratio)
 		return nil
 	}
 	if !h.Pass() {
-		return fmt.Errorf("cluster host scaling regressed: %s is %.2fx %s in host_Mbps (want >= %.2fx) — the pipelined dispatch path has serialized", top, h.Ratio, base, h.Want)
+		return failf("cluster host scaling regressed: %s is %.2fx %s in host_Mbps (want >= %.2fx) — the pipelined dispatch path has serialized", top, h.Ratio, base, h.Want)
 	}
-	fmt.Printf("benchjson: cluster scaling ok: %s = %.2fx %s host_Mbps (floor %.2fx)\n", top, h.Ratio, base, h.Want)
+	fmt.Fprintf(w, "benchjson: cluster scaling ok: %s = %.2fx %s host_Mbps (floor %.2fx)\n", top, h.Ratio, base, h.Want)
 	return nil
 }
 
 // checkAllocsPerPacket enforces 'BenchName=allocs': the benchmark's
 // allocs_op spread over its packets metric must stay under the ceiling —
 // the zero-alloc packet path's regression guard.
-func checkAllocsPerPacket(spec string, results []benchfmt.Result) error {
-	name, limitStr, ok := cutLast(spec, "=")
-	if !ok {
-		fatal(fmt.Errorf("bad -allocspacket %q (want 'BenchName=allocs')", spec))
-	}
-	limit, err := strconv.ParseFloat(limitStr, 64)
-	if err != nil || limit <= 0 {
-		fatal(fmt.Errorf("bad -allocspacket ceiling in %q", spec))
+func checkAllocsPerPacket(w io.Writer, spec string, results []benchfmt.Result) error {
+	name, limit, err := parseSpec("allocspacket", spec, "BenchName=allocs")
+	if err != nil {
+		return err
 	}
 	perPkt, err := benchfmt.AllocsPerPacket(results, name)
 	if err != nil {
-		return err // missing benchmark/metric fails the gate, not usage
+		return failure{err} // missing benchmark/metric fails the gate, not usage
 	}
 	if perPkt > limit {
-		return fmt.Errorf("allocation regression: %s allocates %.0f objects/packet (ceiling %.0f) — the packet path has started allocating again", name, perPkt, limit)
+		return failf("allocation regression: %s allocates %.0f objects/packet (ceiling %.0f) — the packet path has started allocating again", name, perPkt, limit)
 	}
-	fmt.Printf("benchjson: allocs ok: %s at %.0f allocs/packet (ceiling %.0f)\n", name, perPkt, limit)
+	fmt.Fprintf(w, "benchjson: allocs ok: %s at %.0f allocs/packet (ceiling %.0f)\n", name, perPkt, limit)
 	return nil
 }
 
-// checkLoadSmoke runs the 3-point E13 mini load curve (a few hundred
-// simulated packets, deterministic) and enforces the voice-protection
-// floor: under qos-priority, voice loss at 0.5x saturation must stay at
-// or below 1%.
-func checkLoadSmoke() error {
-	v := harness.LoadSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the QoS layer no longer protects voice under moderate load", v)
+// parseSpec splits a 'Name=number' check spec on its LAST '=' —
+// benchmark names (Cluster/shards=8) carry their own — and requires a
+// positive number.
+func parseSpec(flagName, spec, want string) (string, float64, error) {
+	i := strings.LastIndex(spec, "=")
+	v, err := strconv.ParseFloat(spec[i+1:], 64)
+	if i < 0 || err != nil || v <= 0 {
+		return "", 0, fmt.Errorf("bad -%s %q (want '%s')", flagName, spec, want)
 	}
-	fmt.Printf("benchjson: %s\n", v)
-	for _, p := range v.Points {
-		voice := p.Cell(qos.Voice)
-		bg := p.Cell(qos.Background)
-		fmt.Printf("benchjson:   offered %.2fx: voice loss %.2f%% p99 %d cyc, background loss %.2f%%\n",
-			p.Offered, 100*voice.LossFrac, voice.P99, 100*bg.LossFrac)
-	}
-	return nil
-}
-
-// checkWireSmoke runs the one-point loopback E14 measurement (a real
-// mccpserver on an in-process transport, deterministic) and enforces the
-// service-boundary bar: at 0.5x saturation, voice wire p99 must stay
-// within 2x of the in-process E13 p99 and no voice packet may be shed.
-func checkWireSmoke() error {
-	v := harness.WireSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the server front end costs voice more than the service boundary should", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   offered %.2fx: wire %.0f Mbps, background wire p99 %d cyc, loss %.2f%%\n",
-		v.Point.Offered, v.Point.WireMbps, bg.P99, 100*bg.LossFrac)
-	return nil
-}
-
-// checkReconfigSmoke runs the E15 mini rolling-swap gate (two shards,
-// qos-priority, staging-RAM bitstream, deterministic) and enforces the
-// agility bar: during the bitstream windows voice loss must stay at or
-// below 1% and the during-swap voice p99 within 3x the all-shards
-// baseline plus scheduling slack.
-func checkReconfigSmoke() error {
-	v := harness.ReconfigSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — rolling swaps no longer protect voice while a shard is down", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Run.Cell(qos.Background)
-	fmt.Printf("benchjson:   source %s (%.1f ms window): delivered %.0f -> %.0f Mbps during swap, background loss %.2f%%\n",
-		v.Run.Source, v.Run.TrueWindowMillis, v.Run.BaselineDelivered, v.Run.DuringDelivered, 100*bg.LossFrac)
-	return nil
-}
-
-// checkFaultSmoke runs the one-row loopback E16 fault drill (one crash in
-// a 4-shard cluster with a churn storm, 0.9x saturation, qos-priority,
-// deterministic) and enforces the robustness bar: voice loss within 1%,
-// every corpse session re-homed with none lost, and voice delivery back
-// at 99% within the recovery limit.
-func checkFaultSmoke() error {
-	v := harness.FaultSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the fault plane no longer keeps voice alive through a shard crash", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   crashes %d churn %d: %d sessions churned, background loss %.2f%%, worst rehome %d cyc\n",
-		v.Point.Row.Crashes, v.Point.Row.Churn, v.Point.Churned, 100*bg.LossFrac, v.Point.RehomeTook)
-	return nil
-}
-
-// checkHealSmoke runs the one-drill loopback E17 recovery gate (one
-// crash in a 4-shard cluster at 0.9x saturation, qos-priority, restart
-// from the icap source, deterministic) and enforces the self-healing
-// bar: the corpse restarts and rejoins, voice rides through both the
-// fall and the climb within 1% loss with no session lost, the brownout
-// mask lifts fully, and delivered capacity climbs back to the pre-crash
-// rate.
-func checkHealSmoke() error {
-	v := harness.HealSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the recovery plane no longer brings a crashed shard back", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   source %s: restart %d cyc (%.1f ms at true speed), %d sessions rebalanced back, background loss %.2f%%\n",
-		v.Point.Source, v.Point.RestartCycles, v.Point.TrueRestartMillis,
-		healRebalanced(v.Point), 100*bg.LossFrac)
-	return nil
-}
-
-// checkObsSmoke runs the E18 observability gate: the traced measurement
-// must replay bit-identically, reconcile exactly with the untraced E13
-// point (same percentiles, stage sums tiling the totals), the flight
-// recorder must freeze at least one postmortem during the one-crash
-// drill, and a disabled-but-attached tracer must stay within 5% of
-// tracer-absent wall clock.
-func checkObsSmoke() error {
-	v := harness.ObsSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the observability plane is perturbing or misreporting the measurement", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	voice := v.Point.StageCell(qos.Voice)
-	bg := v.Point.StageCell(qos.Background)
-	fmt.Printf("benchjson:   offered %.2fx: %d spans (digest %x); voice p99 %d cyc (queue %d core %d), background p99 %d cyc (queue %d core %d)\n",
-		v.Point.Offered, v.Point.Spans, v.Point.TraceDigest,
-		voice.TotalP99, voice.P99[0], voice.P99[3],
-		bg.TotalP99, bg.P99[0], bg.P99[3])
-	return nil
-}
-
-// healRebalanced sums the sessions the recovery plane shifted back onto
-// rebuilt shards.
-func healRebalanced(p harness.RecoveryPoint) int {
-	n := 0
-	for _, ev := range p.Heals {
-		n += ev.Rebalanced
-	}
-	return n
-}
-
-// cutLast splits s around its last occurrence of sep.
-func cutLast(s, sep string) (before, after string, found bool) {
-	i := strings.LastIndex(s, sep)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+len(sep):], true
-}
-
-func parseInput(path string) ([]benchfmt.Result, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return benchfmt.Parse(r)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-	os.Exit(2)
+	return spec[:i], v, nil
 }

@@ -24,18 +24,6 @@ import (
 	"mccp/internal/trafficgen"
 )
 
-// experimentTables maps -table names to harness experiment registry
-// IDs, in print order.
-var experimentTables = []struct{ name, id string }{
-	{"qos", "E12"},
-	{"loadcurve", "E13"},
-	{"wire", "E14"},
-	{"reconfig", "E15"},
-	{"faults", "E16"},
-	{"heal", "E17"},
-	{"stages", "E18"},
-}
-
 func main() {
 	table := flag.String("table", "all", "which table to regenerate: loops, 2, 3, 4, latency, resources, policy, cluster, qos, loadcurve, wire, reconfig, faults, heal, stages, all; 'sweep' (not in 'all') runs the scale-out sweep")
 	packets := flag.Int("packets", 12, "packets per Table II measurement cell")
@@ -174,16 +162,13 @@ func main() {
 		fmt.Println()
 	}
 
-	// The composite experiments come from the harness registry: the table
-	// name selects an experiment ID, the registry owns the constructor,
-	// headline, and interpretation notes.
-	for _, sel := range experimentTables {
-		if !run(sel.name) {
+	// The composite experiments come from the harness registry, which owns
+	// each one's table name, constructor, headline and interpretation notes.
+	for _, exp := range harness.Experiments {
+		if !run(exp.Table) {
 			continue
 		}
-		id := sel.id
 		any = true
-		exp := harness.Experiments[id]
 		fmt.Printf("== %s: %s ==\n", exp.ID, exp.Title)
 		fmt.Print(exp.Run(*packets))
 		for _, note := range exp.Notes {

@@ -292,13 +292,7 @@ func runOpenLoop(shards, cores int, router, policy, proc, drain string,
 	}
 	fmt.Printf("open-loop %s arrivals, %d shards x %d cores, %.2fx of ~%.0f Mbps per shard, policy %s:\n",
 		proc, shards, cores, offered, sat, policy)
-	fmt.Printf("%-12s %10s %10s %8s %8s %8s %8s %10s %10s\n",
-		"class", "off Mbps", "del Mbps", "loss%", "shed", "expired", "aged", "p50 cyc", "p99 cyc")
-	for _, c := range res.Classes {
-		fmt.Printf("%-12s %10.0f %10.0f %7.2f%% %8d %8d %8d %10d %10d\n",
-			c.Class, c.OfferedMbps, c.DeliveredMbps, 100*c.LossFrac,
-			c.Shed, c.Expired, c.Aged, c.P50, c.P99)
-	}
+	qos.WriteClassCells(os.Stdout, res.Classes)
 	fmt.Printf("per-shard attribution (submitted/completed/shed per class, voice first):\n")
 	for s, stats := range res.PerShard {
 		fmt.Printf("  shard %d:", s)

@@ -89,13 +89,7 @@ func main() {
 		point := harness.LoadPointRun(*policy, *offered, sat, cfg)
 		fmt.Printf("open-loop %s arrivals at %.2fx saturation (%.0f Mbps), policy %s:\n",
 			*arrivalsProc, *offered, sat, *policy)
-		fmt.Printf("%-12s %10s %10s %8s %8s %8s %8s %10s %10s\n",
-			"class", "off Mbps", "del Mbps", "loss%", "shed", "expired", "misses", "p50 cyc", "p99 cyc")
-		for _, c := range point.Classes {
-			fmt.Printf("%-12s %10.0f %10.0f %7.2f%% %8d %8d %8d %10d %10d\n",
-				c.Class, c.OfferedMbps, c.DeliveredMbps, 100*c.LossFrac,
-				c.Shed, c.Expired, c.Misses, c.P50, c.P99)
-		}
+		qos.WriteClassCells(os.Stdout, point.Classes)
 		fmt.Printf("total: offered %.0f Mbps, delivered %.0f Mbps, loss %.2f%%\n",
 			point.TotalOfferedMbps, point.TotalDeliveredMbps, 100*point.TotalLossFrac)
 	case *qosRun:

@@ -141,8 +141,8 @@ func TestFastPathQoSIdentical(t *testing.T) {
 	for i := range fast.Scenarios {
 		fs, rs := fast.Scenarios[i], ref.Scenarios[i]
 		for _, cl := range []qos.Class{qos.Voice, qos.Background} {
-			fc, rc := fs.Cell(cl), rs.Cell(cl)
-			if fc.Mbps != rc.Mbps || fc.P50 != rc.P50 || fc.P99 != rc.P99 ||
+			fc, rc := qos.CellOf(fs.Cells, cl), qos.CellOf(rs.Cells, cl)
+			if fc.DeliveredMbps != rc.DeliveredMbps || fc.P50 != rc.P50 || fc.P99 != rc.P99 ||
 				fc.DeadlineMisses != rc.DeadlineMisses {
 				t.Errorf("%s/%v: fast cell %+v != reference %+v", fs.Policy, cl, fc, rc)
 			}
@@ -224,7 +224,7 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatalf("no spans decomposed: %+v", fast1)
 	}
 	for _, sc := range fast1.Cells {
-		cell := fast1.Cell(sc.Class)
+		cell := qos.CellOf(fast1.Classes, sc.Class)
 		if sc.TotalP50 != cell.P50 || sc.TotalP99 != cell.P99 {
 			t.Errorf("%v: traced percentiles (%d, %d) != E13 cell (%d, %d)",
 				sc.Class, sc.TotalP50, sc.TotalP99, cell.P50, cell.P99)
@@ -455,7 +455,7 @@ func TestRollingReconfigDeterministic(t *testing.T) {
 	if r.Digest == 0 || r.Legs != 2 {
 		t.Errorf("implausible run: digest %#x, %d legs", r.Digest, r.Legs)
 	}
-	if v := r.Cell(qos.Voice); v.Submitted == 0 || v.LossFrac > 0.01 {
+	if v := qos.CellOf(r.Classes, qos.Voice); v.Submitted == 0 || v.LossFrac > 0.01 {
 		t.Errorf("voice cell implausible during swaps: %+v", v)
 	}
 }

@@ -12,7 +12,10 @@ import (
 )
 
 func run(split bool, packets int) (mbps float64, meanLatency float64) {
-	p := mccp.New(mccp.Config{QueueRequests: true})
+	p, err := mccp.NewPlatform(mccp.WithQueueing(0))
+	if err != nil {
+		log.Fatal(err)
+	}
 	key, err := p.NewKey(16)
 	if err != nil {
 		log.Fatal(err)

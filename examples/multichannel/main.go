@@ -13,11 +13,10 @@ import (
 )
 
 func main() {
-	p := mccp.New(mccp.Config{
-		QueueRequests: true,
-		Policy:        mccp.PolicyKeyAffinity,
-		Seed:          7,
-	})
+	p, err := mccp.NewPlatform(mccp.WithQueueing(0), mccp.WithPolicy(mccp.PolicyKeyAffinity), mccp.WithSeed(7))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Three standards, as in the paper's introduction: a CCM voice link,
 	// a CCM WiFi-style data link and a GCM wideband link.

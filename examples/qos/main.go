@@ -16,10 +16,7 @@ func main() {
 	// A 4-core device with the qos-priority policy: one core stays
 	// reserved for video/voice-class traffic, and saturating requests
 	// queue (priority-ordered) instead of drawing the error flag.
-	p, err := mccp.NewChecked(mccp.Config{
-		Policy:        mccp.PolicyQoSPriority,
-		QueueRequests: true,
-	})
+	p, err := mccp.NewPlatform(mccp.WithPolicy(mccp.PolicyQoSPriority), mccp.WithQueueing(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,10 @@ import (
 func main() {
 	// A four-core MCCP at a modeled 190 MHz, with the paper's first-idle
 	// task scheduler.
-	p := mccp.New(mccp.Config{})
+	p, err := mccp.NewPlatform()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The main controller provisions a session key into the Key Memory;
 	// key bytes never cross the MCCP data port.

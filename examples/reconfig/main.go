@@ -14,7 +14,10 @@ import (
 )
 
 func main() {
-	p := mccp.New(mccp.Config{QueueRequests: true})
+	p, err := mccp.NewPlatform(mccp.WithQueueing(0))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	key, err := p.NewKey(16)
 	if err != nil {

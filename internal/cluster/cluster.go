@@ -644,19 +644,27 @@ func (c *Cluster) Open(spec OpenSpec) (*Session, error) {
 	return ses, nil
 }
 
-// openOn enqueues the install-key + OPEN composite on a shard. The
-// returned slot is retained past delivery; the caller reads its result
-// after a Flush and releases it.
-func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
-	key := ses.key[:ses.keyLen]
-	suite := ses.suite
+// control enqueues a generic control operation — session open/close, a
+// reconfiguration, a deny mask, an arrival program — on a shard's
+// timeline. The returned slot is retained past delivery: the caller reads
+// its result after a Flush and releases it with putSlot.
+func (c *Cluster) control(shardID int, run func(sh *shard, op *pendingOp, done func())) *pendingOp {
 	slot := c.getSlot()
 	slot.kind = opGeneric
 	slot.retain = true
 	slot.shard = shardID
 	slot.nbytes = 0
 	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	slot.run = run
+	return c.enqueue(slot, false)
+}
+
+// openOn enqueues the install-key + OPEN composite on a shard (a control
+// op: read the slot after a Flush, then release it).
+func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
+	key := ses.key[:ses.keyLen]
+	suite := ses.suite
+	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		keyID := 0
 		if len(key) > 0 {
 			id, err := sh.mc.InstallKey(key)
@@ -671,8 +679,7 @@ func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
 			op.chOut, op.err = ch, err
 			done()
 		})
-	}
-	return c.enqueue(slot, false)
+	})
 }
 
 // info builds the router's view of the session.
@@ -813,22 +820,14 @@ func (s *Session) Sum(msg []byte) ([]byte, error) {
 	return out, err
 }
 
-// closeOn enqueues a channel close; the returned slot is retained for the
-// caller to read after a Flush.
+// closeOn enqueues a channel close as a control op.
 func (c *Cluster) closeOn(shardID, ch int) *pendingOp {
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = shardID
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		sh.cc.CloseChannel(ch, func(err error) {
 			op.err = err
 			done()
 		})
-	}
-	return c.enqueue(slot, false)
+	})
 }
 
 // Closed reports whether the session is gone — explicitly closed, or a

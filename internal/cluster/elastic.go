@@ -99,19 +99,12 @@ func (c *Cluster) BeginReconfigure(shardID, coreID int, target reconfig.Engine, 
 	if err := c.checkReconfigLeavesHomes(shardID, coreID, target); err != nil {
 		return nil, err
 	}
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = shardID
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	slot := c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		sh.rc.Reconfigure(coreID, target, src, func(took sim.Time, err error) {
 			op.took, op.err = took, err
 			done()
 		})
-	}
-	c.enqueue(slot, false)
+	})
 	return &ReconfigOp{c: c, slot: slot, shardID: shardID}, nil
 }
 
@@ -141,11 +134,11 @@ type OpenLoopRunnerConfig struct {
 	// Profiles is the traffic mix (one profile per class).
 	Profiles []arrivals.ClassProfile
 	// OfferedMbps is the cluster-total offered load at the modeled clock.
-	// Unlike RunOpenLoop's per-shard normalization, the runner splits a
-	// fixed cluster-wide rate across its sources, so the total offered
-	// load stays constant while sessions re-home between windows — the
-	// point of the elastic experiments: fewer serving shards means more
-	// offered load per shard, not less total load.
+	// The runner splits this fixed cluster-wide rate across its sources,
+	// so the total offered load stays constant while sessions re-home
+	// between windows — the point of the elastic experiments: fewer
+	// serving shards means more offered load per shard, not less total
+	// load.
 	OfferedMbps float64
 	// SourcesPerClass is the number of independent arrival sources per
 	// class (default: the cluster's shard count). Each source is one
@@ -166,14 +159,14 @@ type runnerSource struct {
 }
 
 // OpenLoopRunner drives an open-loop arrival stream against a shaped
-// cluster in measurement windows. It differs from RunOpenLoop in three
-// load-bearing ways: it runs against a caller-owned cluster (so the
-// fleet controller can drain, swap and rebalance between windows), its
-// sessions and PRNG streams persist across windows (so the arrival
-// sequence is one deterministic stream, not a fresh workload per
-// window), and each window reports per-class deltas rather than
-// cumulative counters. All virtual-time results are deterministic for a
-// given config and window sequence.
+// cluster in measurement windows — the one open-loop driver (RunOpenLoop
+// is a fresh cluster plus a single window of it). It runs against a
+// caller-owned cluster (so the fleet controller can drain, swap and
+// rebalance between windows), its sessions and PRNG streams persist
+// across windows (so the arrival sequence is one deterministic stream,
+// not a fresh workload per window), and each window reports per-class
+// deltas rather than cumulative counters. All virtual-time results are
+// deterministic for a given config and window sequence.
 type OpenLoopRunner struct {
 	cl          *Cluster
 	procName    string
@@ -190,12 +183,15 @@ type OpenLoopWindow struct {
 	Horizon sim.Time
 	// Classes holds per-class counters for arrivals submitted in this
 	// window (every one resolved — windows close with drained queues),
-	// highest priority first.
-	Classes []OpenLoopClass
+	// highest priority first. Rates are summed across shards, percentiles
+	// merged over every shard's samples, which each cell keeps in Samples.
+	Classes []qos.ClassCell
 	// ArrivalDigests is the per-shard FNV-64a fold of this window's
 	// arrival stream; Digest folds them in shard order.
 	ArrivalDigests []uint64
 	Digest         uint64
+	// ShardCycles is each shard's virtual time consumed by the window.
+	ShardCycles []sim.Time
 	// Errors counts completions with unexpected verdicts.
 	Errors int
 }
@@ -269,13 +265,17 @@ func NewOpenLoopRunner(cl *Cluster, cfg OpenLoopRunnerConfig) (*OpenLoopRunner, 
 	if len(r.sources) == 0 {
 		return nil, fmt.Errorf("cluster: open-loop runner needs at least one profile")
 	}
-	r.snapshot()
+	r.Resnapshot()
 	return r, nil
 }
 
-// snapshot records the current per-shard shaper counters and latency
-// sample counts, the baseline the next window's deltas subtract.
-func (r *OpenLoopRunner) snapshot() {
+// Resnapshot records the current per-shard shaper counters and latency
+// sample counts, the baseline the next window's deltas subtract. The
+// runner takes it after every window; call it after Restart swaps a
+// rebuilt shard into the cluster too — the fresh shard's shaper counters
+// start at zero, so the next window's deltas against the old
+// incarnation's baseline would go negative.
+func (r *OpenLoopRunner) Resnapshot() {
 	for s, sh := range r.cl.shards {
 		for _, class := range qos.Classes() {
 			r.prevStats[s][class] = sh.shaper.Stats(class)
@@ -324,33 +324,22 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 	}
 	for _, src := range r.sources {
 		p := programs[src.ses.Shard()]
-		p.sessions = append(p.sessions, src.ses)
-		p.profiles = append(p.profiles, src.prof)
-		p.rngs = append(p.rngs, src.rng)
-		p.means = append(p.means, src.mean)
+		p.sources = append(p.sources, src)
 	}
 	for shardID, p := range programs {
-		if len(p.sessions) == 0 {
+		if len(p.sources) == 0 {
 			continue
 		}
-		p := p
-		slot := r.cl.getSlot()
-		slot.kind = opGeneric
-		slot.retain = true
-		slot.shard = shardID
-		slot.nbytes = 0
-		slot.cb = nil
-		slot.run = func(sh *shard, op *pendingOp, done func()) {
-			runOpenLoopShard(sh, p, r.procName, 0, horizon, done)
-		}
-		p.slot = slot
-		r.cl.enqueue(slot, false)
+		p.slot = r.cl.control(shardID, func(sh *shard, op *pendingOp, done func()) {
+			runOpenLoopShard(sh, p, r.procName, horizon, done)
+		})
 	}
 	r.cl.Flush()
 	w := OpenLoopWindow{
 		Horizon:        horizon,
 		ArrivalDigests: make([]uint64, r.cl.Shards()),
 		Digest:         arrivals.DigestInit,
+		ShardCycles:    make([]sim.Time, r.cl.Shards()),
 	}
 	for shardID, p := range programs {
 		if p.slot != nil {
@@ -358,56 +347,32 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 		}
 		w.ArrivalDigests[shardID] = p.digest
 		w.Digest = (w.Digest ^ p.digest) * 0x100000001b3
+		w.ShardCycles[shardID] = p.cycles
 		w.Errors += p.errors
 	}
 
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(horizon) * sim.DefaultFreqHz / 1e6
-	}
+	w.Classes = make([]qos.ClassCell, 0, qos.NumClasses)
 	for _, class := range qos.Classes() {
 		prof, have := r.byClass[class]
 		acc := qos.ClassStats{Class: class}
 		var samples []sim.Time
 		for s, sh := range r.cl.shards {
-			cur := sh.shaper.Stats(class)
-			acc.Accumulate(statsDelta(cur, r.prevStats[s][class]))
+			acc.Accumulate(statsDelta(sh.shaper.Stats(class), r.prevStats[s][class]))
 			samples = append(samples, sh.shaper.LatencySamplesFrom(class, r.prevSamples[s][class])...)
 		}
-		agg := OpenLoopClass{
-			Class:     class,
-			Submitted: acc.Submitted,
-			Completed: acc.Completed,
-			Shed:      acc.Shed,
-			Expired:   acc.Expired,
-			Aged:      acc.Aged,
-			Misses:    acc.DeadlineMisses,
-			Samples:   samples,
-		}
-		if !have && agg.Submitted == 0 {
+		if !have && acc.Submitted == 0 {
 			continue
 		}
-		agg.P50 = qos.PercentileOf(samples, 50)
-		agg.P99 = qos.PercentileOf(samples, 99)
-		if agg.Submitted > 0 {
-			agg.LossFrac = float64(agg.Submitted-agg.Completed) / float64(agg.Submitted)
-		}
-		agg.OfferedMbps = toMbps(agg.Submitted * uint64(prof.Bytes))
-		agg.DeliveredMbps = toMbps(agg.Completed * uint64(prof.Bytes))
-		w.Classes = append(w.Classes, agg)
+		cell := qos.NewClassCell(acc, samples, prof.Bytes, horizon)
+		cell.Samples = samples
+		w.Classes = append(w.Classes, cell)
 	}
-	r.snapshot()
+	r.Resnapshot()
 	return w, nil
 }
 
 // Sources returns the number of persistent arrival sources.
 func (r *OpenLoopRunner) Sources() int { return len(r.sources) }
-
-// Resnapshot re-bases the runner's per-shard counter baselines on the
-// current shaper state. Call it after Restart swaps a rebuilt shard into
-// the cluster: the fresh shard's shaper counters start at zero, so the
-// next window's deltas against the old incarnation's baseline would go
-// negative.
-func (r *OpenLoopRunner) Resnapshot() { r.snapshot() }
 
 // Close closes the runner's sessions (the cluster stays usable).
 func (r *OpenLoopRunner) Close() {

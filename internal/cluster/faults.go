@@ -248,13 +248,7 @@ func (c *Cluster) ApplyDeny(deny [qos.NumClasses]bool) error {
 		if sh.crashed.Load() || c.quarantined[i] {
 			continue
 		}
-		slot := c.getSlot()
-		slot.kind = opGeneric
-		slot.retain = true
-		slot.shard = i
-		slot.nbytes = 0
-		slot.cb = nil
-		slot.run = func(sh *shard, op *pendingOp, done func()) {
+		slot := c.control(i, func(sh *shard, op *pendingOp, done func()) {
 			sh.shaper.SetDeny(deny)
 			if len(denied) > 0 {
 				sh.rec.Event(sh.eng.Now(), obs.EvBrownoutOn, note)
@@ -263,8 +257,7 @@ func (c *Cluster) ApplyDeny(deny [qos.NumClasses]bool) error {
 				sh.rec.Event(sh.eng.Now(), obs.EvBrownoutOff, note)
 			}
 			done()
-		}
-		c.enqueue(slot, false)
+		})
 		slots = append(slots, slot)
 	}
 	c.Flush()

@@ -99,13 +99,7 @@ func (c *Cluster) Restart(id int, src reconfig.Source) (RestartReport, error) {
 	c.perShard[id] = nil
 	c.hpPending[id] = 0
 	c.hashCores[id] = 0 // base image: every region boots AES
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = id
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	slot := c.control(id, func(sh *shard, op *pendingOp, done func()) {
 		start := sh.eng.Now()
 		var next func(coreID int)
 		next = func(coreID int) {
@@ -124,8 +118,7 @@ func (c *Cluster) Restart(id int, src reconfig.Source) (RestartReport, error) {
 			})
 		}
 		next(0)
-	}
-	c.enqueue(slot, false)
+	})
 	c.Flush()
 	took, err := slot.took, slot.err
 	c.putSlot(slot)

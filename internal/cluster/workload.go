@@ -5,7 +5,6 @@ import (
 
 	"mccp/internal/arrivals"
 	"mccp/internal/bufpool"
-	"mccp/internal/core"
 	"mccp/internal/cryptocore"
 	"mccp/internal/obs"
 	"mccp/internal/qos"
@@ -291,37 +290,16 @@ type OpenLoopConfig struct {
 	Trace obs.TraceConfig
 }
 
-// OpenLoopClass is one class's aggregated open-loop measurement.
-type OpenLoopClass struct {
-	Class                                             qos.Class
-	Submitted, Completed, Shed, Expired, Aged, Misses uint64
-	// OfferedMbps and DeliveredMbps are at the modeled clock over the
-	// measurement horizon, summed across shards.
-	OfferedMbps, DeliveredMbps float64
-	// LossFrac is (Submitted-Completed)/Submitted.
-	LossFrac float64
-	// P50 and P99 are enqueue-to-completion latency percentiles in
-	// cycles, merged across every shard's samples.
-	P50, P99 sim.Time
-	// Samples holds the raw latency samples behind the percentiles
-	// (RunWindow only), so callers can merge distributions across
-	// windows instead of comparing per-window percentiles.
-	Samples []sim.Time
-}
-
 // OpenLoopResult is the RunOpenLoop summary.
 type OpenLoopResult struct {
-	// Classes aggregates per class, highest priority first; PerShard
-	// holds each shard's shaper counters in the same order.
-	Classes  []OpenLoopClass
+	// OpenLoopWindow is the run's one measurement window: per-class cells
+	// aggregated across shards (highest priority first), the per-shard
+	// arrival digests — the determinism witness: same seed, same digests
+	// — each shard's virtual time consumed, and the count of verdicts
+	// other than success/shed/expired/aged.
+	OpenLoopWindow
+	// PerShard holds each shard's shaper counters, highest priority first.
 	PerShard [][]qos.ClassStats
-	// ArrivalDigests fold every arrival's (session, sequence, virtual
-	// time) per shard — the determinism witness: same seed, same digests.
-	ArrivalDigests []uint64
-	// ShardCycles is each shard's virtual time consumed by the run.
-	ShardCycles []sim.Time
-	// Errors counts verdicts other than success/shed/expired/aged.
-	Errors int
 	// Spans and TraceDigest carry the lifecycle trace when
 	// OpenLoopConfig.Trace was enabled (nil/zero otherwise).
 	Spans       []obs.Span
@@ -330,26 +308,20 @@ type OpenLoopResult struct {
 
 // openLoopProgram is the per-shard arrival program state, driven entirely
 // inside the shard goroutine (one generic operation per shard). The front
-// end prepares it deterministically (session list, split RNG streams) and
-// reads the results only after the flush barrier.
+// end prepares it deterministically (the shard's sources, in the runner's
+// fixed order) and reads the results only after the flush barrier.
 type openLoopProgram struct {
-	sessions []*Session
-	profiles []arrivals.ClassProfile
-	rngs     []*arrivals.Rand
-	// means, when set, pins each source's inter-arrival mean directly
-	// (the OpenLoopRunner's fixed global rate split); when nil the mean
-	// is derived from the per-shard bits-per-cycle rate.
-	means  []float64
-	slot   *pendingOp
-	digest uint64
-	cycles sim.Time
-	errors int
+	sources []runnerSource
+	slot    *pendingOp
+	digest  uint64
+	cycles  sim.Time
+	errors  int
 }
 
-// RunOpenLoop drives the open-loop class mix through a shaped cluster and
-// reports per-class loss/latency, per shard and aggregated. Every random
-// draw descends from cfg.Seed through splittable streams, so two runs are
-// bit-identical.
+// RunOpenLoop drives the open-loop class mix through a fresh shaped
+// cluster for one OpenLoopRunner window and reports per-class
+// loss/latency, per shard and aggregated. Every random draw descends from
+// cfg.Seed through splittable streams, so two runs are bit-identical.
 func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if len(cfg.Profiles) == 0 {
 		return OpenLoopResult{}, fmt.Errorf("cluster: open-loop run needs class profiles")
@@ -370,16 +342,8 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if cfg.ClassQueueDepth <= 0 {
 		cfg.ClassQueueDepth = 32
 	}
-	procName := cfg.Process
-	if procName == "" {
-		procName = arrivals.ProcPoisson
-	}
-	// Validate user-supplied names here, where an error can be returned:
-	// past this point a bad name would surface as a panic on a shard
-	// goroutine (process) or inside qos.NewShaper (drain).
-	if _, err := arrivals.ByName(procName, 1); err != nil {
-		return OpenLoopResult{}, err
-	}
+	// A bad drain name would otherwise surface as a panic inside
+	// qos.NewShaper; the runner validates the process name and profiles.
 	if _, err := qos.DrainByName(cfg.Drain); err != nil {
 		return OpenLoopResult{}, err
 	}
@@ -409,113 +373,25 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	}
 	defer cl.Close()
 
-	// One session per class per shard, opened class-major so the
+	// One source per class per shard, opened class-major so the
 	// least-loaded router spreads each wave evenly (weight 1 across the
 	// board keeps the tie-breaks session-count based).
-	bitsPerCycle := cfg.Offered * cfg.SatMbpsPerShard * 1e6 / sim.DefaultFreqHz
-	programs := make([]*openLoopProgram, cl.Shards())
-	for i := range programs {
-		programs[i] = &openLoopProgram{digest: arrivals.DigestInit}
+	runner, err := NewOpenLoopRunner(cl, OpenLoopRunnerConfig{
+		Process:     cfg.Process,
+		Profiles:    cfg.Profiles,
+		OfferedMbps: cfg.Offered * cfg.SatMbpsPerShard * float64(cl.Shards()),
+		Seed:        cfg.Seed,
+	})
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
-	root := arrivals.NewRand(cfg.Seed ^ 0xA881F5)
-	seen := map[qos.Class]bool{}
-	for _, prof := range cfg.Profiles {
-		if prof.Share <= 0 || prof.Bytes <= 0 {
-			return OpenLoopResult{}, fmt.Errorf("cluster: profile %v needs positive share and size", prof.Class)
-		}
-		// One profile per class: the rate split and the per-class Mbps
-		// aggregation both key on the class, so duplicates would silently
-		// halve rates and misattribute byte counts.
-		if seen[prof.Class] {
-			return OpenLoopResult{}, fmt.Errorf("cluster: duplicate %v profile in open-loop mix", prof.Class)
-		}
-		seen[prof.Class] = true
-		for s := 0; s < cl.Shards(); s++ {
-			suite := core.Suite{Family: prof.Family, TagLen: prof.TagLen, Priority: prof.Class.Priority()}
-			ses, err := cl.Open(OpenSpec{Suite: suite, KeyLen: prof.KeyLen})
-			if err != nil {
-				return OpenLoopResult{}, fmt.Errorf("cluster: opening %v session for shard wave %d: %w", prof.Class, s, err)
-			}
-			p := programs[ses.Shard()]
-			p.sessions = append(p.sessions, ses)
-			p.profiles = append(p.profiles, prof)
-			p.rngs = append(p.rngs, root.Split())
-		}
+	w, err := runner.RunWindow(cfg.Horizon)
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
-
-	res := OpenLoopResult{
-		PerShard:       make([][]qos.ClassStats, cl.Shards()),
-		ArrivalDigests: make([]uint64, cl.Shards()),
-		ShardCycles:    make([]sim.Time, cl.Shards()),
-	}
-	for shardID, p := range programs {
-		if len(p.sessions) == 0 {
-			continue
-		}
-		p := p
-		slot := cl.getSlot()
-		slot.kind = opGeneric
-		slot.retain = true
-		slot.shard = shardID
-		slot.nbytes = 0
-		slot.cb = nil
-		slot.run = func(sh *shard, op *pendingOp, done func()) {
-			runOpenLoopShard(sh, p, procName, bitsPerCycle, cfg.Horizon, done)
-		}
-		// The retained slot is released after the flush below.
-		p.slot = slot
-		cl.enqueue(slot, false)
-	}
-	cl.Flush()
-	for shardID, p := range programs {
-		if p.slot != nil {
-			cl.putSlot(p.slot)
-		}
-		res.ArrivalDigests[shardID] = p.digest
-		res.ShardCycles[shardID] = p.cycles
-		res.Errors += p.errors
-	}
-
-	// Aggregate per-class counters and merged latency percentiles. Rates
-	// are over the per-shard measurement window, summed across shards.
-	byClass := map[qos.Class]arrivals.ClassProfile{}
-	for _, prof := range cfg.Profiles {
-		byClass[prof.Class] = prof
-	}
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(cfg.Horizon) * sim.DefaultFreqHz / 1e6
-	}
-	for _, class := range qos.Classes() {
-		prof, have := byClass[class]
-		acc := qos.ClassStats{Class: class}
-		var samples []sim.Time
-		for _, sh := range cl.shards {
-			acc.Accumulate(sh.shaper.Stats(class))
-			samples = sh.shaper.AppendLatencySamples(class, samples)
-		}
-		agg := OpenLoopClass{
-			Class:     class,
-			Submitted: acc.Submitted,
-			Completed: acc.Completed,
-			Shed:      acc.Shed,
-			Expired:   acc.Expired,
-			Aged:      acc.Aged,
-			Misses:    acc.DeadlineMisses,
-		}
-		if !have && agg.Submitted == 0 {
-			continue
-		}
-		agg.P50 = qos.PercentileOf(samples, 50)
-		agg.P99 = qos.PercentileOf(samples, 99)
-		if agg.Submitted > 0 {
-			agg.LossFrac = float64(agg.Submitted-agg.Completed) / float64(agg.Submitted)
-		}
-		agg.OfferedMbps = toMbps(agg.Submitted * uint64(prof.Bytes))
-		agg.DeliveredMbps = toMbps(agg.Completed * uint64(prof.Bytes))
-		res.Classes = append(res.Classes, agg)
-	}
-	for s := range cl.shards {
-		res.PerShard[s] = cl.shards[s].shaper.AllStats()
+	res := OpenLoopResult{OpenLoopWindow: w, PerShard: make([][]qos.ClassStats, cl.Shards())}
+	for s, sh := range cl.shards {
+		res.PerShard[s] = sh.shaper.AllStats()
 	}
 	if cfg.Trace.Enabled {
 		res.Spans = cl.TraceSpans()
@@ -525,46 +401,31 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 }
 
 // runOpenLoopShard is the arrival program body, running on the shard
-// goroutine: it creates one open-loop source per local session, lets them
+// goroutine: it starts one open-loop source per local session, lets them
 // emit into the shard's shaper until the horizon closes, and calls done
 // once every source has stopped and every submitted packet has a verdict.
-func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, bitsPerCycle float64, horizon sim.Time, done func()) {
+func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon sim.Time, done func()) {
 	start := sh.eng.Now()
 	until := start + horizon
 	outstanding := 0
 	stopped := 0
 	finished := false
 	check := func() {
-		if !finished && stopped == len(p.sessions) && outstanding == 0 {
+		if !finished && stopped == len(p.sources) && outstanding == 0 {
 			finished = true
 			p.cycles = sh.eng.Now() - start
 			done()
 		}
 	}
-	// The class's per-shard rate splits evenly across its local sessions
-	// (normally exactly one per class per shard under the least-loaded
-	// router, but any router-driven grouping keeps the offered rate).
-	var perClass [qos.NumClasses]int
-	for _, prof := range p.profiles {
-		perClass[prof.Class]++
-	}
-	for i := range p.sessions {
-		ses := p.sessions[i]
-		prof := p.profiles[i]
-		var mean float64
-		if p.means != nil {
-			mean = p.means[i]
-		} else {
-			mean = prof.MeanGap(bitsPerCycle) * float64(perClass[prof.Class])
-		}
-		mk, err := arrivals.ByName(procName, mean)
+	for i, rs := range p.sources {
+		mk, err := arrivals.ByName(procName, rs.mean)
 		if err != nil {
-			panic(err) // validated by RunOpenLoop before dispatch
+			panic(err) // validated by NewOpenLoopRunner before dispatch
 		}
-		em := arrivals.NewEmitter(sh.eng, prof, uint64(i), &p.digest,
+		em := arrivals.NewEmitter(sh.eng, rs.prof, uint64(i), &p.digest,
 			func(class qos.Class, nonce, payload []byte, deadline sim.Time) {
 				outstanding++
-				sh.shaper.EncryptDeadline(class, ses.chID, nonce, nil, payload, deadline,
+				sh.shaper.EncryptDeadline(class, rs.ses.chID, nonce, nil, payload, deadline,
 					func(_ []byte, err error) {
 						outstanding--
 						if !arrivals.ExpectedVerdict(err) {
@@ -573,7 +434,7 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, bitsPerCyc
 						check()
 					})
 			})
-		src := arrivals.NewSource(sh.eng, mk(), p.rngs[i], em.Emit)
+		src := arrivals.NewSource(sh.eng, mk(), rs.rng, em.Emit)
 		src.Done = func() {
 			stopped++
 			check()

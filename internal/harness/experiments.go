@@ -1,138 +1,120 @@
 package harness
 
-import (
-	"sort"
-	"strings"
-)
+import "fmt"
+
+// Metric is one reported figure of a sweep point: the (value, unit) pair
+// `go test -bench` prints and BENCH_baseline.json pins.
+type Metric struct {
+	Name  string
+	Value float64
+}
+
+// Point is one row of an experiment's bench-sized sweep. Name is the
+// benchmark name the row is filed under ("LoadCurve/qos-priority/
+// offered=0.5"). Run measures the row from scratch — calibration
+// included, so timing Run times the row's whole cost — and is a pure
+// function: virtual time and fixed seeds only.
+type Point struct {
+	Name string
+	Run  func() []Metric
+}
+
+// GateReport is the outcome of one gate run.
+type GateReport struct {
+	// Summary is the measured values against their limits, one line;
+	// Details are informational lines printed under it.
+	Summary string
+	Details []string
+	// Violations names every failed exact clause; HostViolations every
+	// failed wall-clock clause (only a WallClock gate has any). The gate
+	// passes when both are empty; `go test` asserts only the first.
+	Violations, HostViolations []string
+}
+
+// require records a violation when ok is false.
+func (r *GateReport) require(ok bool, format string, args ...any) {
+	if !ok {
+		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// Gate is an experiment's CI check: a small fixed-seed run of the
+// experiment held against stated limits. Doc is the one place those
+// limits are written down; drivers print it with every verdict.
+type Gate struct {
+	Name, Doc string
+	// WallClock marks a gate whose report carries a host-time measurement
+	// and is therefore not reproducible run-to-run.
+	WallClock bool
+	Check     func() GateReport
+}
 
 // Experiment is one registered composite experiment: a stable ID from
-// the roadmap's numbering, the headline the drivers print, a Run entry
-// point producing the formatted table, and the interpretation notes
-// that belong under it. Drivers (benchtables, benchjson) iterate this
-// registry instead of hand-wiring each experiment's constructor.
+// the roadmap's numbering, the benchtables -table name and headline, a
+// Run entry point producing the formatted table with the interpretation
+// notes that belong under it, the bench-sized sweep as a list of points,
+// and at most one CI gate. Drivers (benchtables, benchjson, the root
+// benchmarks and TestBaselineExact) iterate the registry; adding an
+// experiment is one file declaring its Experiment value plus one entry
+// in Experiments.
 type Experiment struct {
-	ID    string
-	Title string
+	ID, Table, Title string
 	// Run executes the experiment and returns its formatted table.
 	// scale is the driver's size knob (benchtables -packets); <= 0
 	// selects each experiment's default.
-	Run func(scale int) string
-	// Notes are interpretation lines printed after the table.
+	Run   func(scale int) string
 	Notes []string
+	// Points is the sweep the benchmarks report, in output order.
+	Points []Point
+	Gate   *Gate
 }
 
-// Experiments indexes the composite evaluation experiments by ID.
+// Experiments lists the composite evaluation experiments in ID order.
 // Tables E1–E11 predate the registry and stay as direct harness calls
 // (they are single-table reproductions of the paper); the composite
-// extensions register here.
-var Experiments = map[string]Experiment{
-	"E12": {
-		ID:    "E12",
-		Title: "QoS priority classes (§VIII extension)",
-		Run: func(scale int) string {
-			if scale <= 0 {
-				scale = 12
-			}
-			var b strings.Builder
-			b.WriteString(FormatQoSTable(QoSTable(2 * scale)))
-			b.WriteString("shaper drain fairness (sustained voice + background burst, capacity 4):\n")
-			b.WriteString(FormatQoSDrains(QoSDrainComparison(4 * scale)))
-			return b.String()
-		},
-		Notes: []string{
-			"(qos-priority must retain >= 90% of uncontended voice throughput;",
-			" first-idle documents the head-of-line blocking the QoS layer removes)",
-		},
-	},
-	"E13": {
-		ID:    "E13",
-		Title: "open-loop load curves (loss/latency vs offered load)",
-		Run: func(scale int) string {
-			if scale <= 0 {
-				scale = 12
-			}
-			return FormatLoadCurve(LoadCurve(LoadCurveConfig{BackgroundPackets: 16 * scale}))
-		},
-		Notes: []string{
-			"(open-loop Poisson arrivals into a bounded shaper; the knee is where",
-			" delivered throughput plateaus — voice must hold ~0% loss and a flat",
-			" p99 past it under qos-priority while background loss climbs)",
-		},
-	},
-	"E14": {
-		ID:    "E14",
-		Title: "wire-level latency curves (loopback mccpserver)",
-		Run: func(scale int) string {
-			return FormatWireLatency(WireLatency(WireConfig{}))
-		},
-		Notes: []string{
-			"(every arrival crosses the server protocol on a loopback transport;",
-			" wire latency adds the client batching wait to the shard service)",
-		},
-	},
-	"E15": {
-		ID:    "E15",
-		Title: "rolling reconfiguration under load (fleet agility cost)",
-		Run: func(scale int) string {
-			return FormatReconfigUnderLoad(ReconfigUnderLoad(ReconfigLoadConfig{}))
-		},
-		Notes: []string{
-			"(a rolling Whirlpool swap drains each shard voice-first and measures",
-			" every bitstream window on the serving shards; voice must hold ~0%",
-			" loss with qos-priority keeping its p99 below first-idle's at every",
-			" source speed, while background pays for the reservation)",
-		},
-	},
-	"E16": {
-		ID:    "E16",
-		Title: "fault curves (crash + churn under load, re-home and brownout)",
-		Run: func(scale int) string {
-			return FormatFaultCurves(FaultCurves(FaultConfig{}))
-		},
-		Notes: []string{
-			"(a seeded schedule crashes shards mid-window at 0.9x saturation while",
-			" sessions churn; the detector quarantines each frozen heartbeat at the",
-			" next flush boundary, re-homes voice-first and browns out background;",
-			" the zero-fault row is bit-identical to the E14 pipeline at 0.9x)",
-		},
-	},
-	"E17": {
-		ID:    "E17",
-		Title: "recovery curves (restart + rejoin per bitstream source, brownout lift)",
-		Run: func(scale int) string {
-			return FormatRecoveryCurves(RecoveryCurves(RecoveryConfig{}))
-		},
-		Notes: []string{
-			"(the E16 crash with the restart loop armed: the corpse is rebuilt by",
-			" streaming the base bitstream back in at each Table IV source speed,",
-			" rejoined voice-first, and the brownout lifted class-by-class as the",
-			" measured load fits under the restored capacity; the reconfiguration",
-			" hierarchy survives the full stack — icap rejoins before ram before",
-			" compact-flash — and the zero-fault baseline is E16's row verbatim)",
-		},
-	},
-	"E18": {
-		ID:    "E18",
-		Title: "stage attribution (traced per-class latency decomposition)",
-		Run: func(scale int) string {
-			return FormatStageAttribution(StageAttribution(StageCurveConfig{}))
-		},
-		Notes: []string{
-			"(the E13 sweep replayed with the lifecycle tracer at sample rate 1;",
-			" each delivered packet's latency tiles exactly into class queue,",
-			" scheduler, crossbar upload, core service and drain, so the traced",
-			" percentiles reconcile bit-for-bit with E13's and the table shows",
-			" where qos-priority buys voice its headroom: the queue stage)",
-		},
-	},
+// extensions register here, each declared beside its implementation.
+var Experiments = []Experiment{e12, e13, e14, e15, e16, e17, e18}
+
+// ExperimentByID returns the registered experiment with that ID.
+func ExperimentByID(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
-// ExperimentIDs returns the registered experiment IDs in order.
-func ExperimentIDs() []string {
-	ids := make([]string, 0, len(Experiments))
-	for id := range Experiments {
-		ids = append(ids, id)
+// Gates returns every registered experiment's gate, in registry order.
+func Gates() []Gate {
+	var gates []Gate
+	for _, e := range Experiments {
+		if e.Gate != nil {
+			gates = append(gates, *e.Gate)
+		}
 	}
-	sort.Strings(ids)
-	return ids
+	return gates
+}
+
+// sweepPoints names one point per (policy, offered) pair under prefix,
+// policy-major — the E13/E18 sweep shape.
+func sweepPoints(prefix string, policies []string, offered []float64, run func(policy string, offered float64) []Metric) []Point {
+	var pts []Point
+	for _, pol := range policies {
+		for _, off := range offered {
+			pts = append(pts, Point{
+				Name: fmt.Sprintf("%s/%s/offered=%.1f", prefix, pol, off),
+				Run:  func() []Metric { return run(pol, off) },
+			})
+		}
+	}
+	return pts
+}
+
+// flag01 renders a boolean as the 0/1 metric the baseline records.
+func flag01(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return 0
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
-	"mccp/internal/cluster"
 	"mccp/internal/faults"
 	"mccp/internal/qos"
 	"mccp/internal/server"
@@ -25,6 +23,74 @@ import (
 // time. Single connection on the loopback transport: every row is a
 // pure function of (config, seed), and the zero-fault row is computed
 // by the same code path as the E14 baseline — bit-identical to it.
+
+var e16 = Experiment{
+	ID: "E16", Table: "faults",
+	Title: "fault curves (crash + churn under load, re-home and brownout)",
+	Run:   func(int) string { return FormatFaultCurves(FaultCurves(FaultConfig{})) },
+	Notes: []string{
+		"(a seeded schedule crashes shards mid-window at 0.9x saturation while",
+		" sessions churn; the detector quarantines each frozen heartbeat at the",
+		" next flush boundary, re-homes voice-first and browns out background;",
+		" the zero-fault row is bit-identical to the E14 pipeline at 0.9x)",
+	},
+	Points: faultPoints(),
+	Gate: &Gate{
+		Name:  "fault",
+		Doc:   "E16 mini drill (1 of 4 shards crashed mid-load plus an 8-session churn storm, 0.9x saturation, qos-priority): voice loss <= 1%, every corpse session re-homed with none lost, voice delivery back at 99% within 3 windows of the crash",
+		Check: faultGate,
+	},
+}
+
+// faultDrill is the small drill the E16/E17 bench sweeps and the fault,
+// heal and obs gates all run: 4 shards, 24 short windows, the first crash
+// in window 8.
+func faultDrill(sessions int) FaultConfig {
+	return FaultConfig{
+		Wire:        WireConfig{Shards: 4, Sessions: sessions, WindowCycles: 4096, Windows: 24},
+		FaultWindow: 8,
+	}
+}
+
+// faultPoints is the E16 bench sweep: crash count x churn rate under both
+// policies. voice_delivered_frac participates in the tight baseline gate
+// (voice must ride out a single-shard crash under qos-priority); the
+// re-home/recovery figures are informational virtual-time cycle counts.
+func faultPoints() []Point {
+	cfg := faultDrill(96)
+	cfg.fill()
+	var pts []Point
+	for _, pol := range cfg.Policies {
+		for _, row := range cfg.Rows {
+			pts = append(pts, Point{
+				Name: fmt.Sprintf("FaultCurves/%s/crashes=%d_churn=%d", pol, row.Crashes, row.Churn),
+				Run: func() []Metric {
+					p := FaultPointRun(pol, row, cfg.Wire.saturation(), cfg)
+					return append(p.metrics(),
+						Metric{"voice_wire_p99_cycles", float64(qos.CellOf(p.Classes, qos.Voice).P99)},
+						Metric{"rehome_cycles", float64(p.RehomeTook)},
+						Metric{"recovery_cycles", float64(p.RecoveryCycles)},
+						Metric{"recovered", flag01(p.Recovered)},
+						Metric{"sessions_churned", float64(p.Churned)})
+				},
+			})
+		}
+	}
+	return pts
+}
+
+// metrics are the figures every fault drill reports, E16 and E17 alike.
+func (p FaultPoint) metrics() []Metric {
+	v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+	return []Metric{
+		{"offered_Mbps", p.TotalOfferedMbps},
+		{"wire_Mbps", p.WireMbps},
+		{"voice_delivered_frac", 1 - v.LossFrac},
+		{"background_loss_pct", 100 * bg.LossFrac},
+		{"sessions_moved", float64(p.Moved)},
+		{"sessions_lost", float64(p.Lost)},
+	}
+}
 
 // FaultRow is one fault intensity: how many distinct shards crash
 // (in successive windows, mid-window) and how many sessions churn
@@ -95,8 +161,8 @@ type FaultPoint struct {
 	// WirePoint carries the per-class verdict/latency cells, digests and
 	// cluster cycles, built by the same reduction as the E14 table.
 	WirePoint
-	// Schedule is the printable fault plan the row ran under.
-	Schedule string
+	// Schedule is the fault plan the row ran under.
+	Schedule faults.Schedule
 	// Rehomes is the detector's fail-over log; Moved/Lost/RehomeTook
 	// aggregate it (Took is the worst single fail-over).
 	Rehomes    []server.RehomeEvent
@@ -128,11 +194,7 @@ type FaultResult struct {
 // fixed-load mix through it.
 func FaultCurves(cfg FaultConfig) FaultResult {
 	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
+	sat := cfg.Wire.saturation()
 	res := FaultResult{SaturationMbps: sat, Offered: cfg.Offered, Sessions: cfg.Wire.Sessions}
 	for _, pol := range cfg.Policies {
 		for _, row := range cfg.Rows {
@@ -144,14 +206,15 @@ func FaultCurves(cfg FaultConfig) FaultResult {
 
 // FaultPointRun measures one (policy, fault intensity) point.
 func FaultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig) FaultPoint {
-	return faultPointRun(policy, row, satMbps, cfg, nil)
+	return faultPointRun(policy, row, satMbps, cfg, nil, nil)
 }
 
-// faultPointRun is FaultPointRun with an inspection hook that runs while
-// the server is still open — the obs smoke gate reads flight-recorder
-// postmortems through it before teardown.
+// faultPointRun is FaultPointRun with two hooks: arm adjusts the fault
+// policy before the server boots (E17 arms the restart loop through it),
+// and inspect runs while the server is still open (E17 reads the heal
+// log, the obs gate the flight-recorder postmortems).
 func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig,
-	inspect func(*server.Server)) FaultPoint {
+	arm func(*server.FaultPolicy), inspect func(*server.Server)) FaultPoint {
 	cfg.fill()
 	wire := cfg.Wire
 	wire.Policy = policy
@@ -171,69 +234,30 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 			panic(err) // experiment drivers pass literal configurations
 		}
 	}
-	var shares [qos.NumClasses]float64
+	fp := &server.FaultPolicy{
+		Schedule:        sched,
+		Detect:          true,
+		OfferedMbps:     cfg.Offered * satMbps,
+		SatMbpsPerShard: satMbps / float64(wire.Shards),
+	}
 	for _, p := range wire.Mix {
-		shares[p.Class] += p.Share
+		fp.Shares[p.Class] += p.Share
+	}
+	if arm != nil {
+		arm(fp)
 	}
 
-	srv, err := server.New(server.Config{
-		Cluster: cluster.Config{
-			Shards:        wire.Shards,
-			CoresPerShard: wire.CoresPerShard,
-			Router:        wire.Router,
-			Policy:        wire.Policy,
-			QueueRequests: true,
-			Shape:         true,
-			ShardWindow:   wire.BatchOps,
-			Seed:          wire.Seed,
-			Shaper: qos.Config{
-				Capacity:   wire.Capacity,
-				QueueDepth: wire.QueueDepth,
-				Drain:      wire.Drain,
-			},
-		},
-		BatchOps: wire.BatchOps,
-		Faults: &server.FaultPolicy{
-			Schedule:        sched,
-			Detect:          true,
-			OfferedMbps:     cfg.Offered * satMbps,
-			SatMbpsPerShard: satMbps / float64(wire.Shards),
-			Shares:          shares,
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	lb := server.NewLoopback()
-	srv.Serve(lb)
-
-	bitsPerCycle := cfg.Offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:      wire.Sessions,
-		Mix:           wire.Mix,
-		Process:       wire.Process,
-		BitsPerCycle:  bitsPerCycle,
-		WindowCycles:  wire.WindowCycles,
-		Windows:       wire.Windows,
-		Seed:          wire.Seed,
-		WindowTallies: true,
-		ChurnSessions: row.Churn,
-		ChurnFrom:     cfg.FaultWindow,
-	})
-	if err != nil {
-		panic(err)
-	}
-
-	point := FaultPoint{
-		Policy:    policy,
-		Row:       row,
-		WirePoint: buildWirePoint(cfg.Offered, satMbps, wire.Sessions, load),
-		Schedule:  sched.String(),
-		Rehomes:   srv.FaultReport(),
-		Churned:   load.Churned,
-		Windows:   load.Windows,
-	}
+	point := FaultPoint{Policy: policy, Row: row, Schedule: sched}
+	point.WirePoint = runWire(wire, cfg.Offered, satMbps, fp,
+		server.LoadConfig{WindowTallies: true, ChurnSessions: row.Churn, ChurnFrom: cfg.FaultWindow},
+		func(srv *server.Server, load server.LoadResult) {
+			point.Rehomes = srv.FaultReport()
+			point.Churned = load.Churned
+			point.Windows = load.Windows
+			if inspect != nil {
+				inspect(srv)
+			}
+		})
 	for _, ev := range point.Rehomes {
 		point.Moved += ev.Moved
 		point.Lost += ev.Lost
@@ -241,10 +265,7 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 			point.RehomeTook = ev.Took
 		}
 	}
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, load.Windows)
-	if inspect != nil {
-		inspect(srv)
-	}
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, point.Windows)
 	return point
 }
 
@@ -287,11 +308,9 @@ func FormatFaultCurves(r FaultResult) string {
 	fmt.Fprintf(&b, "%-12s %7s %6s | %8s %8s %8s | %10s | %6s %5s %12s %12s\n",
 		"policy", "crashes", "churn", "v loss%", "bg loss%", "loss%", "v p99 cyc", "moved", "lost", "rehome cyc", "recover cyc")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-		rec := fmt.Sprintf("%d", p.RecoveryCycles)
-		if !p.Recovered {
-			rec = "DNF"
-		} else if p.Row.Crashes == 0 {
+		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+		rec := cyclesOrDNF(p.RecoveryCycles, p.Recovered)
+		if p.Recovered && p.Row.Crashes == 0 {
 			rec = "-"
 		}
 		fmt.Fprintf(&b, "%-12s %7d %6d | %7.2f%% %7.2f%% %7.2f%% | %10d | %6d %5d %12d %12s\n",
@@ -302,69 +321,34 @@ func FormatFaultCurves(r FaultResult) string {
 	return b.String()
 }
 
-// FaultSmokeVerdict is the CI -faultsmoke gate's result: with 1 of 4
-// shards crashed mid-load (plus an 8-session churn storm) at 0.9x
-// saturation under qos-priority, every session on the corpse must
-// re-home (none lost), voice loss must stay within 1%, and voice
-// delivery must recover within the window limit.
-type FaultSmokeVerdict struct {
-	VoiceLossFrac  float64
-	Moved          int
-	Lost           int
-	Rehomes        int
-	Recovered      bool
-	RecoveryCycles sim.Time
-	RecoveryLimit  sim.Time
-	Point          FaultPoint
+// cyclesOrDNF renders a crash-to-recovered span, or DNF when the run
+// never got there.
+func cyclesOrDNF(cycles sim.Time, reached bool) string {
+	if !reached {
+		return "DNF"
+	}
+	return fmt.Sprintf("%d", cycles)
 }
 
-// Pass reports whether the gate held.
-func (v FaultSmokeVerdict) Pass() bool {
-	return v.VoiceLossFrac <= 0.01 &&
-		v.Lost == 0 &&
-		v.Rehomes >= 1 &&
-		v.Recovered &&
-		v.RecoveryCycles <= v.RecoveryLimit
-}
-
-func (v FaultSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
+// faultGate runs the one-row loopback drill. Small on purpose: 64
+// sessions, 24 short windows, one crash in a 4-shard cluster with the
+// churn storm on.
+func faultGate() GateReport {
+	cfg := faultDrill(64)
+	row := FaultRow{Crashes: 1, Churn: 8}
+	p := FaultPointRun("qos-priority", row, cfg.Wire.saturation(), cfg)
+	v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+	const limit sim.Time = 3 * 4096
+	r := GateReport{
+		Summary: fmt.Sprintf("voice loss %.2f%% (limit 1%%), rehomed %d sessions across %d fail-overs with %d lost (limit 0), recovery %s cycles (limit %d)",
+			100*v.LossFrac, p.Moved, len(p.Rehomes), p.Lost, cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit),
+		Details: []string{fmt.Sprintf("crashes %d churn %d: %d sessions churned, background loss %.2f%%, worst rehome %d cyc",
+			row.Crashes, row.Churn, p.Churned, 100*bg.LossFrac, p.RehomeTook)},
 	}
-	rec := fmt.Sprintf("%d", v.RecoveryCycles)
-	if !v.Recovered {
-		rec = "DNF"
-	}
-	return fmt.Sprintf("faultsmoke %s: voice loss %.2f%% (limit 1%%), rehomed %d sessions across %d fail-overs with %d lost (limit 0), recovery %s cycles (limit %d)",
-		verdict, 100*v.VoiceLossFrac, v.Moved, v.Rehomes, v.Lost, rec, v.RecoveryLimit)
-}
-
-// FaultSmoke runs the one-row loopback E16 gate CI checks. Small on
-// purpose: 64 sessions, 24 short windows, one crash in a 4-shard
-// cluster with the churn storm on.
-func FaultSmoke() FaultSmokeVerdict {
-	cfg := FaultConfig{
-		Wire: WireConfig{
-			Shards:       4,
-			Sessions:     64,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		Rows:        []FaultRow{{Crashes: 1, Churn: 8}},
-		Policies:    []string{"qos-priority"},
-		FaultWindow: 8,
-	}
-	res := FaultCurves(cfg)
-	p := res.Points[0]
-	return FaultSmokeVerdict{
-		VoiceLossFrac:  p.Cell(qos.Voice).LossFrac,
-		Moved:          p.Moved,
-		Lost:           p.Lost,
-		Rehomes:        len(p.Rehomes),
-		Recovered:      p.Recovered,
-		RecoveryCycles: p.RecoveryCycles,
-		RecoveryLimit:  3 * 4096,
-		Point:          p,
-	}
+	r.require(v.LossFrac <= 0.01, "voice loss %.2f%% exceeds 1%%", 100*v.LossFrac)
+	r.require(p.Lost == 0, "%d sessions lost in re-home", p.Lost)
+	r.require(len(p.Rehomes) >= 1, "the detector logged no fail-over")
+	r.require(p.Recovered && p.RecoveryCycles <= limit, "voice recovery %s cycles exceeds %d",
+		cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit)
+	return r
 }

@@ -11,15 +11,7 @@ import (
 // faultTestConfig keeps the E16 table small enough for CI: 4 shards,
 // 64 sessions, short windows, both policies over the default rows.
 func faultTestConfig() FaultConfig {
-	return FaultConfig{
-		Wire: WireConfig{
-			Shards:       4,
-			Sessions:     64,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		FaultWindow: 8,
-	}
+	return faultDrill(64)
 }
 
 func TestFaultCurvesDeterministic(t *testing.T) {
@@ -65,8 +57,7 @@ func TestFaultZeroRowMatchesWireBaseline(t *testing.T) {
 	cfg.Rows = []FaultRow{{0, 0}}
 	cfg.Policies = []string{"qos-priority"}
 	cfg.fill()
-	sat := SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-		float64(cfg.Wire.CoresPerShard) / 4
+	sat := cfg.Wire.saturation()
 
 	fault := FaultPointRun("qos-priority", FaultRow{0, 0}, sat, cfg)
 
@@ -113,7 +104,7 @@ func TestFaultCurvesShape(t *testing.T) {
 			t.Errorf("%s crashes=%d: voice never recovered", p.Policy, p.Row.Crashes)
 		}
 		if p.Policy == "qos-priority" {
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+			v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 			if p.Row.Crashes == 1 && v.LossFrac > 0.01 {
 				t.Errorf("qos-priority crashes=1 churn=%d: voice loss %.2f%% above 1%%",
 					p.Row.Churn, 100*v.LossFrac)
@@ -129,17 +120,5 @@ func TestFaultCurvesShape(t *testing.T) {
 		if p.Row.Churn > 0 && p.Churned == 0 {
 			t.Errorf("%s churn=%d: no sessions churned", p.Policy, p.Row.Churn)
 		}
-	}
-}
-
-func TestFaultSmoke(t *testing.T) {
-	v := FaultSmoke()
-	t.Logf("%s", v)
-	if !v.Pass() {
-		t.Fatalf("faultsmoke gate failed: %s", v)
-	}
-	a, b := FaultSmoke(), FaultSmoke()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("faultsmoke not reproducible: %s vs %s", a, b)
 	}
 }

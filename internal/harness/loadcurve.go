@@ -24,6 +24,44 @@ import (
 // voice class holds a flat p99 and ~0% loss; the paper's first-idle
 // policy is the contrast that shows what the reservation buys.
 
+var e13 = Experiment{
+	ID: "E13", Table: "loadcurve",
+	Title: "open-loop load curves (loss/latency vs offered load)",
+	Run: func(scale int) string {
+		if scale <= 0 {
+			scale = 12
+		}
+		return FormatLoadCurve(LoadCurve(LoadCurveConfig{BackgroundPackets: 16 * scale}))
+	},
+	Notes: []string{
+		"(open-loop Poisson arrivals into a bounded shaper; the knee is where",
+		" delivered throughput plateaus — voice must hold ~0% loss and a flat",
+		" p99 past it under qos-priority while background loss climbs)",
+	},
+	// Three points per policy. voice_delivered_frac participates in the
+	// tight baseline gate: it must stay ~1.0 under qos-priority.
+	Points: sweepPoints("LoadCurve", []string{"first-idle", "qos-priority"}, []float64{0.5, 1.0, 2.0},
+		func(policy string, offered float64) []Metric {
+			p := LoadPointRun(policy, offered, SaturationMbps(LoadMix, 8), LoadCurveConfig{BackgroundPackets: 200})
+			v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+			return []Metric{
+				{"offered_Mbps", p.TotalOfferedMbps},
+				{"delivered_Mbps", p.TotalDeliveredMbps},
+				{"voice_loss_pct", 100 * v.LossFrac},
+				{"background_loss_pct", 100 * bg.LossFrac},
+				{"voice_delivered_frac", 1 - v.LossFrac},
+				{"voice_p99_cycles", float64(v.P99)},
+				{"background_p99_cycles", float64(bg.P99)},
+				{"voice_deadline_misses", float64(v.DeadlineMisses)},
+			}
+		}),
+	Gate: &Gate{
+		Name:  "load",
+		Doc:   "E13 mini load curve (qos-priority, 0.25x/0.5x/1.5x saturation): voice loses at most 1% of its packets at 0.5x",
+		Check: loadGate,
+	},
+}
+
 // LoadMix is the E13 class mix: voice-light, background-heavy, all four
 // classes present. Shares are fractions of the total offered bits; the
 // voice deadline is about 4x its uncontended round trip, so expiries
@@ -60,43 +98,16 @@ func SaturationMbps(mix []arrivals.ClassProfile, packets int) float64 {
 	return 1 / denom
 }
 
-// LoadClassCell is one class's measurement at one offered-load point.
-type LoadClassCell struct {
-	Class qos.Class
-	// OfferedMbps and DeliveredMbps are over the measurement window at
-	// the modeled clock.
-	OfferedMbps, DeliveredMbps float64
-	// Verdict counters: Shed includes Expired and Aged.
-	Submitted, Completed, Shed, Expired, Aged uint64
-	// LossFrac is (Submitted-Completed)/Submitted — every packet that
-	// arrived but was never delivered.
-	LossFrac float64
-	// P50/P99 are enqueue-to-completion latency percentiles in cycles;
-	// Misses counts completions past their deadline tag.
-	P50, P99 sim.Time
-	Misses   uint64
-}
-
 // LoadPoint is one (policy, offered) measurement.
 type LoadPoint struct {
 	Policy  string
 	Offered float64 // fraction of the calibrated saturation capacity
-	Classes []LoadClassCell
+	Classes []qos.ClassCell
 	// Totals across classes.
 	TotalOfferedMbps, TotalDeliveredMbps, TotalLossFrac float64
 	// ArrivalDigest folds every arrival's (class, seq, time) — the
 	// determinism witness.
 	ArrivalDigest uint64
-}
-
-// Cell returns the point's cell for a class (zero value if absent).
-func (p LoadPoint) Cell(c qos.Class) LoadClassCell {
-	for _, cell := range p.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return LoadClassCell{Class: c}
 }
 
 // LoadCurveConfig parameterizes LoadCurve.
@@ -203,7 +214,7 @@ func LoadPointRun(policy string, offered, satMbps float64, cfg LoadCurveConfig) 
 // attached to the shaper and device layer (E18 reads the spans). With
 // attach false it is LoadPointRun exactly; with attach true the tracer
 // only reads the engine clock, so the returned LoadPoint is bit-identical
-// either way — the reconciliation ObsSmoke checks.
+// either way — the reconciliation the obs gate checks.
 func loadPointTraced(policy string, offered, satMbps float64, cfg LoadCurveConfig,
 	tc obs.TraceConfig, attach bool) (LoadPoint, *obs.Tracer) {
 	cfg.fill()
@@ -217,7 +228,7 @@ func loadPointTraced(policy string, offered, satMbps float64, cfg LoadCurveConfi
 				prof.Class, prof.Share, prof.Bytes))
 		}
 	}
-	eng, _, cc, mc := qosDevice(policy, 17)
+	eng, cc, mc := qosDevice(policy, 17)
 	shaper := qos.NewShaper(eng, cc, qos.Config{
 		Capacity:   cfg.Capacity,
 		QueueDepth: cfg.QueueDepth,
@@ -278,33 +289,15 @@ func loadPointTraced(policy string, offered, satMbps float64, cfg LoadCurveConfi
 	eng.Run()
 	point.ArrivalDigest = digest
 
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(window) * sim.DefaultFreqHz / 1e6
-	}
 	var offeredSum, deliveredSum float64
 	var submitted, completed uint64
 	for _, prof := range cfg.Mix {
-		st := shaper.Stats(prof.Class)
-		cell := LoadClassCell{
-			Class:         prof.Class,
-			OfferedMbps:   toMbps(st.Submitted * uint64(prof.Bytes)),
-			DeliveredMbps: toMbps(st.Completed * uint64(prof.Bytes)),
-			Submitted:     st.Submitted,
-			Completed:     st.Completed,
-			Shed:          st.Shed,
-			Expired:       st.Expired,
-			Aged:          st.Aged,
-			Misses:        st.DeadlineMisses,
-			P50:           shaper.LatencyPercentile(prof.Class, 50),
-			P99:           shaper.LatencyPercentile(prof.Class, 99),
-		}
-		if st.Submitted > 0 {
-			cell.LossFrac = float64(st.Submitted-st.Completed) / float64(st.Submitted)
-		}
+		cell := qos.NewClassCell(shaper.Stats(prof.Class),
+			shaper.AppendLatencySamples(prof.Class, nil), prof.Bytes, window)
 		offeredSum += cell.OfferedMbps
 		deliveredSum += cell.DeliveredMbps
-		submitted += st.Submitted
-		completed += st.Completed
+		submitted += cell.Submitted
+		completed += cell.Completed
 		point.Classes = append(point.Classes, cell)
 	}
 	point.TotalOfferedMbps = offeredSum
@@ -320,6 +313,14 @@ func arrivalsSuite(p arrivals.ClassProfile) core.Suite {
 	return core.Suite{Family: p.Family, TagLen: p.TagLen, Priority: p.Class.Priority()}
 }
 
+// mixBytes indexes a mix's fixed packet sizes by class.
+func mixBytes(mix []arrivals.ClassProfile) (bytes [qos.NumClasses]int) {
+	for _, prof := range mix {
+		bytes[prof.Class] = prof.Bytes
+	}
+	return bytes
+}
+
 // FormatLoadCurve renders the E13 sweep.
 func FormatLoadCurve(r LoadCurveResult) string {
 	var b strings.Builder
@@ -330,51 +331,35 @@ func FormatLoadCurve(r LoadCurveResult) string {
 		"policy", "offered", "off Mbps", "del Mbps",
 		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc", "bg shed")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 		fmt.Fprintf(&b, "%-14s %7.2fx | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d %8d\n",
 			p.Policy, p.Offered, p.TotalOfferedMbps, p.TotalDeliveredMbps,
-			100*v.LossFrac, v.P99, v.Misses, 100*bg.LossFrac, bg.P99, bg.Shed)
+			100*v.LossFrac, v.P99, v.DeadlineMisses, 100*bg.LossFrac, bg.P99, bg.Shed)
 	}
 	return b.String()
 }
 
-// LoadSmokeVerdict is the CI mini-curve gate's result.
-type LoadSmokeVerdict struct {
-	// VoiceLossAtHalf is the voice class's loss fraction at 0.5x
-	// saturation under qos-priority; Limit the gate's ceiling.
-	VoiceLossAtHalf float64
-	Limit           float64
-	Points          []LoadPoint
-}
-
-// Pass reports whether the gate held.
-func (v LoadSmokeVerdict) Pass() bool { return v.VoiceLossAtHalf <= v.Limit }
-
-func (v LoadSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("loadsmoke %s: voice loss %.2f%% at 0.5x saturation under qos-priority (limit %.0f%%)",
-		verdict, 100*v.VoiceLossAtHalf, 100*v.Limit)
-}
-
-// LoadSmoke runs the 3-point mini load curve the CI gate checks: under
-// qos-priority, the voice class must lose at most 1% of its packets at
-// half the saturation load. It is deliberately small (a few hundred
-// packets per point) so the gate costs seconds.
-func LoadSmoke() LoadSmokeVerdict {
+// loadGate runs the 3-point mini load curve. It is deliberately small (a
+// few hundred packets per point) so the gate costs seconds.
+func loadGate() GateReport {
 	res := LoadCurve(LoadCurveConfig{
 		Policies:          []string{"qos-priority"},
 		Offered:           []float64{0.25, 0.5, 1.5},
 		BackgroundPackets: 120,
 	})
-	v := LoadSmokeVerdict{Limit: 0.01, VoiceLossAtHalf: 1}
+	const limit = 0.01
+	var r GateReport
+	atHalf := 1.0
 	for _, p := range res.Points {
+		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 		if p.Offered == 0.5 {
-			v.VoiceLossAtHalf = p.Cell(qos.Voice).LossFrac
+			atHalf = v.LossFrac
 		}
+		r.Details = append(r.Details, fmt.Sprintf("offered %.2fx: voice loss %.2f%% p99 %d cyc, background loss %.2f%%",
+			p.Offered, 100*v.LossFrac, v.P99, 100*bg.LossFrac))
 	}
-	v.Points = res.Points
-	return v
+	r.Summary = fmt.Sprintf("voice loss %.2f%% at 0.5x saturation under qos-priority (limit %.0f%%)", 100*atHalf, 100*limit)
+	r.require(len(res.Points) == 3, "ran %d points, want 3", len(res.Points))
+	r.require(atHalf <= limit, "voice loss %.2f%% at 0.5x exceeds %.0f%%", 100*atHalf, 100*limit)
+	return r
 }

@@ -11,7 +11,7 @@ import (
 // acceptance tests (the sweep is deterministic, so sharing is safe).
 var loadCurveFixture *LoadCurveResult
 
-func e13(t *testing.T) LoadCurveResult {
+func e13Sweep(t *testing.T) LoadCurveResult {
 	t.Helper()
 	if loadCurveFixture == nil {
 		res := LoadCurve(LoadCurveConfig{BackgroundPackets: 200})
@@ -24,7 +24,7 @@ func e13(t *testing.T) LoadCurveResult {
 // monotone in offered load with a visible saturation knee — delivered
 // throughput plateaus and background loss climbs steeply past it.
 func TestLoadCurveShape(t *testing.T) {
-	res := e13(t)
+	res := e13Sweep(t)
 	if res.SaturationMbps < 500 || res.SaturationMbps > 4000 {
 		t.Fatalf("implausible calibrated saturation %.0f Mbps", res.SaturationMbps)
 	}
@@ -39,7 +39,7 @@ func TestLoadCurveShape(t *testing.T) {
 				t.Errorf("%s: total loss not monotone: %.3f at %.2fx after %.3f at %.2fx",
 					pol, pts[i].TotalLossFrac, pts[i].Offered, pts[i-1].TotalLossFrac, pts[i-1].Offered)
 			}
-			bg, prev := pts[i].Cell(qos.Background), pts[i-1].Cell(qos.Background)
+			bg, prev := qos.CellOf(pts[i].Classes, qos.Background), qos.CellOf(pts[i-1].Classes, qos.Background)
 			if bg.LossFrac+eps < prev.LossFrac {
 				t.Errorf("%s: background loss not monotone at %.2fx", pol, pts[i].Offered)
 			}
@@ -47,14 +47,14 @@ func TestLoadCurveShape(t *testing.T) {
 		// Underload is lossless; deep overload loses a big background
 		// fraction (the knee is visible).
 		for _, p := range pts {
-			bg := p.Cell(qos.Background)
+			bg := qos.CellOf(p.Classes, qos.Background)
 			if p.Offered <= 0.75 && bg.LossFrac > 0.01 {
 				t.Errorf("%s: background loses %.1f%% at %.2fx (underload must be lossless)",
 					pol, 100*bg.LossFrac, p.Offered)
 			}
 		}
 		last := pts[len(pts)-1]
-		if bg := last.Cell(qos.Background); bg.LossFrac < 0.2 {
+		if bg := qos.CellOf(last.Classes, qos.Background); bg.LossFrac < 0.2 {
 			t.Errorf("%s: background loss %.1f%% at %.2fx, want a steep climb past the knee",
 				pol, 100*bg.LossFrac, last.Offered)
 		}
@@ -80,11 +80,11 @@ func TestLoadCurveShape(t *testing.T) {
 // ~0%% loss everywhere and a flat p99 past the knee, while first-idle's
 // voice p99 keeps climbing — the E13 headline.
 func TestLoadCurveVoiceProtection(t *testing.T) {
-	res := e13(t)
+	res := e13Sweep(t)
 	qp := res.PolicyPoints("qos-priority")
 	fi := res.PolicyPoints("first-idle")
 	for _, p := range qp {
-		v := p.Cell(qos.Voice)
+		v := qos.CellOf(p.Classes, qos.Voice)
 		if v.LossFrac > 0.01 {
 			t.Errorf("qos-priority: voice loses %.2f%% at %.2fx, want <= 1%%", 100*v.LossFrac, p.Offered)
 		}
@@ -94,7 +94,7 @@ func TestLoadCurveVoiceProtection(t *testing.T) {
 	var pastKnee []float64
 	for _, p := range qp {
 		if p.Offered >= 1.25 {
-			pastKnee = append(pastKnee, float64(p.Cell(qos.Voice).P99))
+			pastKnee = append(pastKnee, float64(qos.CellOf(p.Classes, qos.Voice).P99))
 		}
 	}
 	min, max := pastKnee[0], pastKnee[0]
@@ -111,7 +111,7 @@ func TestLoadCurveVoiceProtection(t *testing.T) {
 	}
 	// The contrast: at deep overload first-idle's voice p99 exceeds
 	// qos-priority's.
-	lastQP, lastFI := qp[len(qp)-1].Cell(qos.Voice), fi[len(fi)-1].Cell(qos.Voice)
+	lastQP, lastFI := qos.CellOf(qp[len(qp)-1].Classes, qos.Voice), qos.CellOf(fi[len(fi)-1].Classes, qos.Voice)
 	if lastFI.P99 <= lastQP.P99 {
 		t.Errorf("first-idle voice p99 %d should exceed qos-priority %d at 2x overload",
 			lastFI.P99, lastQP.P99)
@@ -135,21 +135,6 @@ func TestLoadPointDeterminism(t *testing.T) {
 	}
 }
 
-// TestLoadSmoke: the CI mini-curve gate passes on a healthy tree and
-// carries the three points it measured.
-func TestLoadSmoke(t *testing.T) {
-	v := LoadSmoke()
-	if !v.Pass() {
-		t.Fatalf("%s", v)
-	}
-	if len(v.Points) != 3 {
-		t.Fatalf("smoke ran %d points, want 3", len(v.Points))
-	}
-	if v.VoiceLossAtHalf > 0.01 {
-		t.Fatalf("voice loss at 0.5x = %.3f", v.VoiceLossAtHalf)
-	}
-}
-
 // TestLoadCurveProcesses: the deterministic and bursty on/off processes
 // drive the same machinery; the bursty source sheds more background at
 // the same mean load (clumps overflow the bounded queue).
@@ -164,11 +149,11 @@ func TestLoadCurveProcesses(t *testing.T) {
 	onoff.Process = "onoff"
 	pDet := LoadPointRun("qos-priority", 1.0, sat, det)
 	pBurst := LoadPointRun("qos-priority", 1.0, sat, onoff)
-	if pDet.Cell(qos.Background).Submitted == 0 || pBurst.Cell(qos.Background).Submitted == 0 {
+	if qos.CellOf(pDet.Classes, qos.Background).Submitted == 0 || qos.CellOf(pBurst.Classes, qos.Background).Submitted == 0 {
 		t.Fatal("process sweep produced no arrivals")
 	}
-	lossDet := pDet.Cell(qos.Background).LossFrac
-	lossBurst := pBurst.Cell(qos.Background).LossFrac
+	lossDet := qos.CellOf(pDet.Classes, qos.Background).LossFrac
+	lossBurst := qos.CellOf(pBurst.Classes, qos.Background).LossFrac
 	if lossBurst <= lossDet {
 		t.Errorf("bursty on/off background loss %.3f should exceed deterministic %.3f at the knee",
 			lossBurst, lossDet)

@@ -21,6 +21,59 @@ import (
 // throughput while the paper's first-idle policy lets bulk traffic
 // head-of-line block it.
 
+var e12 = Experiment{
+	ID: "E12", Table: "qos",
+	Title: "QoS priority classes (§VIII extension)",
+	Run: func(scale int) string {
+		if scale <= 0 {
+			scale = 12
+		}
+		return FormatQoSTable(QoSTable(2*scale)) +
+			"shaper drain fairness (sustained voice + background burst, capacity 4):\n" +
+			FormatQoSDrains(QoSDrainComparison(4*scale))
+	},
+	Notes: []string{
+		"(qos-priority must retain >= 90% of uncontended voice throughput;",
+		" first-idle documents the head-of-line blocking the QoS layer removes)",
+	},
+	Points: qosPoints(),
+}
+
+// qosPoints is the E12 bench sweep: the 4:1 overload mix per dispatch
+// policy (voice_retention >= 0.9 under qos-priority is the acceptance
+// bar; first-idle stays far below), then the shaper drain policies under
+// sustained voice load with a background burst behind a bounded queue.
+func qosPoints() []Point {
+	var pts []Point
+	for _, pol := range []string{"first-idle", "qos-priority"} {
+		pts = append(pts, Point{Name: "QoS_Overload/" + pol, Run: func() []Metric {
+			res := qosOverload(24, pol)
+			v, bg := qos.CellOf(res.Scenarios[0].Cells, qos.Voice), qos.CellOf(res.Scenarios[0].Cells, qos.Background)
+			return []Metric{
+				{"voice_alone_Mbps", res.VoiceUncontendedMbps},
+				{"voice_Mbps", v.DeliveredMbps},
+				{"background_Mbps", bg.DeliveredMbps},
+				{"voice_p50_cycles", float64(v.P50)},
+				{"voice_p99_cycles", float64(v.P99)},
+				{"voice_deadline_misses", float64(v.DeadlineMisses)},
+				{"voice_retention", res.Retention(pol)},
+			}
+		}})
+	}
+	for _, drain := range qos.DrainNames() {
+		pts = append(pts, Point{Name: "QoS_Drains/" + drain, Run: func() []Metric {
+			r := qosDrainRun(drain, 40)
+			return []Metric{
+				{"voice_p95_cycles", float64(r.VoiceP95)},
+				{"background_p95_cycles", float64(r.BackgroundP95)},
+				{"background_done", float64(r.BackgroundCompleted)},
+				{"background_shed", float64(r.BackgroundShed)},
+			}
+		}})
+	}
+	return pts
+}
+
 // QoSVoiceBytes and QoSBackgroundBytes are the experiment's fixed packet
 // sizes (a small CCM voice frame vs the Table II bulk packet size).
 const (
@@ -33,48 +86,15 @@ const (
 	QoSVoiceDeadline sim.Time = 8000
 )
 
-// QoSCell is one class's measurement in one scenario.
-type QoSCell struct {
-	Class qos.Class
-	// Mbps is the class's delivered throughput over its own active
-	// window at 190 MHz; P50/P95/P99 are enqueue-to-completion latency
-	// percentiles in cycles.
-	Mbps          float64
-	P50, P95, P99 sim.Time
-	Completed     uint64
-	// DeadlineMisses counts voice packets finishing past their tag.
-	DeadlineMisses uint64
-	// Queued and Shed are the device's saturation counters for the run
-	// (whole-device, reported on the background row).
-	Queued, Shed uint64
-}
-
 // QoSScenario is one experiment run: a dispatch policy against the
 // overload mix (or the uncontended voice baseline).
 type QoSScenario struct {
-	Name   string // scenario label ("uncontended", "first-idle", "qos-priority")
 	Policy string // device dispatch policy used
-	Cells  []QoSCell
-}
-
-// VoiceMbps returns the scenario's voice-class throughput.
-func (s QoSScenario) VoiceMbps() float64 {
-	for _, c := range s.Cells {
-		if c.Class == qos.Voice {
-			return c.Mbps
-		}
-	}
-	return 0
-}
-
-// Cell returns the scenario's cell for a class (zero value if absent).
-func (s QoSScenario) Cell(c qos.Class) QoSCell {
-	for _, cell := range s.Cells {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return QoSCell{Class: c}
+	// Cells holds one cell per active class. Each cell's window is the
+	// class's own active interval (first dispatch to last completion), so
+	// DeliveredMbps is the class's throughput while it was running; the
+	// cells keep their latency samples (the table also prints p95).
+	Cells []qos.ClassCell
 }
 
 // QoSResult is the full E12 sweep.
@@ -94,7 +114,7 @@ func (r QoSResult) Retention(policy string) float64 {
 	}
 	for _, s := range r.Scenarios {
 		if s.Policy == policy {
-			return s.VoiceMbps() / r.VoiceUncontendedMbps
+			return qos.CellOf(s.Cells, qos.Voice).DeliveredMbps / r.VoiceUncontendedMbps
 		}
 	}
 	return 0
@@ -102,7 +122,7 @@ func (r QoSResult) Retention(policy string) float64 {
 
 // qosDevice is the shared experiment fixture: one device under a named
 // dispatch policy with queueing on, firmware settled.
-func qosDevice(policy string, seed uint64) (*sim.Engine, *core.MCCP, *radio.CommController, *radio.MainController) {
+func qosDevice(policy string, seed uint64) (*sim.Engine, *radio.CommController, *radio.MainController) {
 	pol, err := scheduler.ByName(policy)
 	if err != nil {
 		// Experiment drivers pass literal policy names; a typo is a
@@ -114,7 +134,7 @@ func qosDevice(policy string, seed uint64) (*sim.Engine, *core.MCCP, *radio.Comm
 	cc := radio.NewCommController(dev)
 	mc := radio.NewMainController(dev, seed)
 	eng.Run()
-	return eng, dev, cc, mc
+	return eng, cc, mc
 }
 
 // openQoSChannel provisions a 128-bit key and opens a channel with the
@@ -136,91 +156,72 @@ func openQoSChannel(eng *sim.Engine, cc *radio.CommController, mc *radio.MainCon
 	return ch
 }
 
-// QoSRunConfig parameterizes one runQoS scenario.
-type QoSRunConfig struct {
-	Policy            string
-	VoicePackets      int
-	BackgroundStreams int
-	Drain             string
+// Channel suites of the two E12 streams.
+var (
+	qosVoiceSuite = core.Suite{Family: cryptocore.FamilyCCM, TagLen: 8, Priority: qos.Voice.Priority()}
+	qosBulkSuite  = core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16, Priority: qos.Background.Priority()}
+)
+
+// closedLoop keeps one stream of a class in flight on ch: every
+// completion submits the next packet (tagged with a deadline budget
+// cycles ahead, 0 = none) for as long as more() holds.
+func closedLoop(eng *sim.Engine, shaper *qos.Shaper, class qos.Class, ch int, nonce, payload []byte,
+	budget sim.Time, more func() bool) {
+	if !more() {
+		return
+	}
+	var deadline sim.Time
+	if budget > 0 {
+		deadline = eng.Now() + budget
+	}
+	shaper.EncryptDeadline(class, ch, nonce, nil, payload, deadline, func(_ []byte, err error) {
+		if err != nil {
+			panic(err)
+		}
+		closedLoop(eng, shaper, class, ch, nonce, payload, budget, more)
+	})
 }
 
-// runQoS drives the overload mix through one device and returns the
-// scenario. Everything is closed-loop and virtual-time, so the result is
-// a pure function of the configuration.
-func runQoS(cfg QoSRunConfig) QoSScenario {
-	eng, dev, cc, mc := qosDevice(cfg.Policy, 17)
-	shaper := qos.NewShaper(eng, cc, qos.Config{Drain: cfg.Drain})
-
-	voiceCh := openQoSChannel(eng, cc, mc, core.Suite{Family: cryptocore.FamilyCCM,
-		TagLen: 8, Priority: qos.Voice.Priority()})
-	voiceNonce := make([]byte, 13)
-	voicePayload := make([]byte, QoSVoiceBytes)
-
+// runQoS drives the overload mix — voicePackets closed-loop voice frames
+// against backgroundStreams saturating bulk streams — through one device
+// and returns the scenario. Everything is closed-loop and virtual-time,
+// so the result is a pure function of the arguments.
+func runQoS(policy string, voicePackets, backgroundStreams int) QoSScenario {
+	eng, cc, mc := qosDevice(policy, 17)
+	shaper := qos.NewShaper(eng, cc, qos.Config{})
+	voiceCh := openQoSChannel(eng, cc, mc, qosVoiceSuite)
 	bgCh := 0
-	bgNonce := make([]byte, 12)
-	bgPayload := make([]byte, QoSBackgroundBytes)
-	if cfg.BackgroundStreams > 0 {
-		bgCh = openQoSChannel(eng, cc, mc, core.Suite{Family: cryptocore.FamilyGCM,
-			TagLen: 16, Priority: qos.Background.Priority()})
+	if backgroundStreams > 0 {
+		bgCh = openQoSChannel(eng, cc, mc, qosBulkSuite)
 	}
 
-	voiceLeft := cfg.VoicePackets
+	// The background load keeps saturating until the voice measurement
+	// finishes, then the run drains.
 	voiceDone := false
-	var launchVoice func()
-	launchVoice = func() {
-		if voiceLeft == 0 {
-			voiceDone = true
-			return
-		}
-		voiceLeft--
-		shaper.EncryptDeadline(qos.Voice, voiceCh, voiceNonce, nil, voicePayload,
-			eng.Now()+QoSVoiceDeadline, func(_ []byte, err error) {
-				if err != nil {
-					panic(err)
-				}
-				launchVoice()
-			})
+	bgNonce, bgPayload := make([]byte, 12), make([]byte, QoSBackgroundBytes)
+	for i := 0; i < backgroundStreams; i++ {
+		closedLoop(eng, shaper, qos.Background, bgCh, bgNonce, bgPayload, 0, func() bool { return !voiceDone })
 	}
-	var launchBG func()
-	launchBG = func() {
-		// Keep the background load saturating until the voice measurement
-		// finishes, then let the run drain.
-		if voiceDone {
-			return
-		}
-		shaper.Encrypt(qos.Background, bgCh, bgNonce, nil, bgPayload,
-			func(_ []byte, err error) {
-				if err != nil {
-					panic(err)
-				}
-				launchBG()
-			})
-	}
-	for i := 0; i < cfg.BackgroundStreams; i++ {
-		launchBG()
-	}
-	launchVoice()
+	closedLoop(eng, shaper, qos.Voice, voiceCh, make([]byte, 13), make([]byte, QoSVoiceBytes), QoSVoiceDeadline,
+		func() bool {
+			voiceDone = voicePackets == 0
+			voicePackets--
+			return !voiceDone
+		})
 	eng.Run()
 
-	scen := QoSScenario{Name: cfg.Policy, Policy: cfg.Policy}
-	for _, class := range []qos.Class{qos.Voice, qos.Background} {
-		st := shaper.Stats(class)
+	scen := QoSScenario{Policy: policy}
+	for _, c := range []struct {
+		class qos.Class
+		bytes int
+	}{{qos.Voice, QoSVoiceBytes}, {qos.Background, QoSBackgroundBytes}} {
+		st := shaper.Stats(c.class)
 		if st.Submitted == 0 {
 			continue
 		}
-		cell := QoSCell{
-			Class:          class,
-			Mbps:           st.Mbps(sim.DefaultFreqHz),
-			P50:            shaper.LatencyPercentile(class, 50),
-			P95:            shaper.LatencyPercentile(class, 95),
-			P99:            shaper.LatencyPercentile(class, 99),
-			Completed:      st.Completed,
-			DeadlineMisses: st.DeadlineMisses,
-		}
-		if class == qos.Background {
-			cell.Queued = dev.Stats.Queued
-			cell.Shed = dev.Stats.Shed
-		}
+		samples := shaper.AppendLatencySamples(c.class, nil)
+		cell := qos.NewClassCell(st, samples, c.bytes, st.LastCompletion-st.FirstDispatch)
+		cell.Samples = samples
 		scen.Cells = append(scen.Cells, cell)
 	}
 	return scen
@@ -230,15 +231,16 @@ func runQoS(cfg QoSRunConfig) QoSScenario {
 // overload mix under first-idle and qos-priority. voicePackets sizes the
 // measurement (24 gives stable figures in well under a second).
 func QoSTable(voicePackets int) QoSResult {
-	base := runQoS(QoSRunConfig{Policy: "first-idle", VoicePackets: voicePackets})
-	res := QoSResult{VoiceUncontendedMbps: base.VoiceMbps()}
-	for _, pol := range []string{"first-idle", "qos-priority"} {
-		s := runQoS(QoSRunConfig{
-			Policy:            pol,
-			VoicePackets:      voicePackets,
-			BackgroundStreams: QoSBackgroundStreams,
-		})
-		res.Scenarios = append(res.Scenarios, s)
+	return qosOverload(voicePackets, "first-idle", "qos-priority")
+}
+
+// qosOverload measures the uncontended voice baseline, then the overload
+// mix under each of the policies.
+func qosOverload(voicePackets int, policies ...string) QoSResult {
+	base := runQoS("first-idle", voicePackets, 0)
+	res := QoSResult{VoiceUncontendedMbps: qos.CellOf(base.Cells, qos.Voice).DeliveredMbps}
+	for _, pol := range policies {
+		res.Scenarios = append(res.Scenarios, runQoS(pol, voicePackets, QoSBackgroundStreams))
 	}
 	return res
 }
@@ -255,10 +257,10 @@ func FormatQoSTable(r QoSResult) string {
 		for _, c := range s.Cells {
 			ret := "-"
 			if c.Class == qos.Voice {
-				ret = fmt.Sprintf("%9.0f%%", 100*c.Mbps/r.VoiceUncontendedMbps)
+				ret = fmt.Sprintf("%9.0f%%", 100*c.DeliveredMbps/r.VoiceUncontendedMbps)
 			}
 			fmt.Fprintf(&b, "%-14s %-12s %10.0f %10d %10d %10d %8d %10s\n",
-				s.Name, c.Class, c.Mbps, c.P50, c.P95, c.P99, c.DeadlineMisses, ret)
+				s.Policy, c.Class, c.DeliveredMbps, c.P50, qos.PercentileOf(c.Samples, 95), c.P99, c.DeadlineMisses, ret)
 		}
 	}
 	return b.String()
@@ -285,61 +287,51 @@ type QoSDrainRow struct {
 func QoSDrainComparison(voicePackets int) []QoSDrainRow {
 	var rows []QoSDrainRow
 	for _, drain := range qos.DrainNames() {
-		eng, _, cc, mc := qosDevice("first-idle", 23)
-		shaper := qos.NewShaper(eng, cc, qos.Config{
-			Capacity:   4,
-			QueueDepth: 8,
-			Drain:      drain,
-		})
-		voiceCh := openQoSChannel(eng, cc, mc, core.Suite{Family: cryptocore.FamilyCCM,
-			TagLen: 8, Priority: qos.Voice.Priority()})
-		bgCh := openQoSChannel(eng, cc, mc, core.Suite{Family: cryptocore.FamilyGCM,
-			TagLen: 16, Priority: qos.Background.Priority()})
-
-		voiceNonce := make([]byte, 13)
-		voicePayload := make([]byte, QoSVoiceBytes)
-		left := voicePackets
-		var launch func()
-		launch = func() {
-			if left == 0 {
-				return
-			}
-			left--
-			shaper.Encrypt(qos.Voice, voiceCh, voiceNonce, nil, voicePayload,
-				func(_ []byte, err error) {
-					if err != nil {
-						panic(err)
-					}
-					launch()
-				})
-		}
-		// Six sustained voice streams over a capacity of four keep the
-		// voice queue backlogged, so the drain policy decides every slot.
-		for i := 0; i < 6; i++ {
-			launch()
-		}
-		// A 12-packet background burst against an 8-deep class queue:
-		// 4 shed immediately, the rest wait on the drain policy.
-		bgNonce := make([]byte, 12)
-		bgPayload := make([]byte, QoSBackgroundBytes)
-		for i := 0; i < 12; i++ {
-			shaper.Encrypt(qos.Background, bgCh, bgNonce, nil, bgPayload, func(_ []byte, err error) {
-				if err != nil && err != qos.ErrShed {
-					panic(err)
-				}
-			})
-		}
-		eng.Run()
-		bg := shaper.Stats(qos.Background)
-		rows = append(rows, QoSDrainRow{
-			Drain:               drain,
-			VoiceP95:            shaper.LatencyPercentile(qos.Voice, 95),
-			BackgroundP95:       shaper.LatencyPercentile(qos.Background, 95),
-			BackgroundCompleted: bg.Completed,
-			BackgroundShed:      bg.Shed,
-		})
+		rows = append(rows, qosDrainRun(drain, voicePackets))
 	}
 	return rows
+}
+
+// qosDrainRun measures one drain policy's row of the comparison.
+func qosDrainRun(drain string, voicePackets int) QoSDrainRow {
+	eng, cc, mc := qosDevice("first-idle", 23)
+	shaper := qos.NewShaper(eng, cc, qos.Config{
+		Capacity:   4,
+		QueueDepth: 8,
+		Drain:      drain,
+	})
+	voiceCh := openQoSChannel(eng, cc, mc, qosVoiceSuite)
+	bgCh := openQoSChannel(eng, cc, mc, qosBulkSuite)
+
+	// Six sustained voice streams over a capacity of four keep the
+	// voice queue backlogged, so the drain policy decides every slot.
+	voiceNonce, voicePayload := make([]byte, 13), make([]byte, QoSVoiceBytes)
+	for i := 0; i < 6; i++ {
+		closedLoop(eng, shaper, qos.Voice, voiceCh, voiceNonce, voicePayload, 0, func() bool {
+			voicePackets--
+			return voicePackets >= 0
+		})
+	}
+	// A 12-packet background burst against an 8-deep class queue:
+	// 4 shed immediately, the rest wait on the drain policy.
+	bgNonce := make([]byte, 12)
+	bgPayload := make([]byte, QoSBackgroundBytes)
+	for i := 0; i < 12; i++ {
+		shaper.Encrypt(qos.Background, bgCh, bgNonce, nil, bgPayload, func(_ []byte, err error) {
+			if err != nil && err != qos.ErrShed {
+				panic(err)
+			}
+		})
+	}
+	eng.Run()
+	bg := shaper.Stats(qos.Background)
+	return QoSDrainRow{
+		Drain:               drain,
+		VoiceP95:            shaper.LatencyPercentile(qos.Voice, 95),
+		BackgroundP95:       shaper.LatencyPercentile(qos.Background, 95),
+		BackgroundCompleted: bg.Completed,
+		BackgroundShed:      bg.Shed,
+	}
 }
 
 // FormatQoSDrains renders the drain-policy comparison.

@@ -28,20 +28,20 @@ func TestQoSVoiceRetention(t *testing.T) {
 	// The reservation trades bulk throughput for voice latency; background
 	// must still make real progress (not starve) under qos-priority.
 	for _, s := range res.Scenarios {
-		bg := s.Cell(qos.Background)
+		bg := qos.CellOf(s.Cells, qos.Background)
 		if bg.Completed == 0 {
-			t.Errorf("%s: background starved", s.Name)
+			t.Errorf("%s: background starved", s.Policy)
 		}
-		if v := s.Cell(qos.Voice); v.P99 == 0 || v.P50 > v.P99 {
-			t.Errorf("%s: bad voice percentiles %+v", s.Name, v)
+		if v := qos.CellOf(s.Cells, qos.Voice); v.P99 == 0 || v.P50 > v.P99 {
+			t.Errorf("%s: bad voice percentiles %+v", s.Policy, v)
 		}
 	}
 	// Deadline tags: under first-idle the queued voice frames blow their
 	// deadline; under qos-priority none do.
-	if m := res.Scenarios[0].Cell(qos.Voice).DeadlineMisses; m == 0 {
+	if m := qos.CellOf(res.Scenarios[0].Cells, qos.Voice).DeadlineMisses; m == 0 {
 		t.Error("first-idle: expected deadline misses under overload")
 	}
-	if m := res.Scenarios[1].Cell(qos.Voice).DeadlineMisses; m != 0 {
+	if m := qos.CellOf(res.Scenarios[1].Cells, qos.Voice).DeadlineMisses; m != 0 {
 		t.Errorf("qos-priority: %d deadline misses, want 0", m)
 	}
 }

@@ -23,6 +23,56 @@ import (
 // answers "what happens to voice during the 63–416 ms the fleet is one
 // shard short?" at each source speed and under both dispatch policies.
 
+var e15 = Experiment{
+	ID: "E15", Table: "reconfig",
+	Title: "rolling reconfiguration under load (fleet agility cost)",
+	Run:   func(int) string { return FormatReconfigUnderLoad(ReconfigUnderLoad(ReconfigLoadConfig{})) },
+	Notes: []string{
+		"(a rolling Whirlpool swap drains each shard voice-first and measures",
+		" every bitstream window on the serving shards; voice must hold ~0%",
+		" loss with qos-priority keeping its p99 below first-idle's at every",
+		" source speed, while background pays for the reservation)",
+	},
+	Points: reconfigPoints(),
+	Gate: &Gate{
+		Name:  "reconfig",
+		Doc:   "E15 mini rolling swap (two shards, qos-priority, staging-RAM bitstream; the serving shard carries ~1.8x its own saturation): voice loss <= 1% during the bitstream windows, during-swap voice p99 <= 3x the all-shards baseline + 8000 cycles of scheduling slack",
+		Check: reconfigGate,
+	},
+}
+
+// reconfigBench is the bench- and gate-sized E15 cluster: two shards,
+// bitstream windows compressed 256x.
+var reconfigBench = ReconfigLoadConfig{Shards: 2, TimeScale: 256}
+
+// reconfigPoints is the E15 bench sweep: one rolling swap per policy and
+// bitstream source. voice_delivered_frac participates in the tight
+// baseline gate (voice must ride out every swap); during_delivered_Mbps
+// gates as throughput; voice_swap_p99_cycles is informational.
+func reconfigPoints() []Point {
+	cfg := reconfigBench
+	cfg.fill()
+	var pts []Point
+	for _, pol := range cfg.Policies {
+		for _, src := range cfg.Sources {
+			pts = append(pts, Point{Name: fmt.Sprintf("ReconfigUnderLoad/%s/src=%s", pol, src.Name), Run: func() []Metric {
+				run := reconfigRun(pol, src, cfg.saturation(), cfg)
+				v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
+				return []Metric{
+					{"window_ms", run.TrueWindowMillis},
+					{"baseline_delivered_Mbps", run.BaselineDelivered},
+					{"during_delivered_Mbps", run.DuringDelivered},
+					{"voice_delivered_frac", 1 - v.LossFrac},
+					{"voice_swap_p99_cycles", float64(v.P99)},
+					{"background_loss_pct", 100 * bg.LossFrac},
+					{"sessions_drained", float64(run.Drained)},
+				}
+			}})
+		}
+	}
+	return pts
+}
+
 // ReconfigLoadConfig parameterizes ReconfigUnderLoad.
 type ReconfigLoadConfig struct {
 	// Policies are the shard dispatch policies swept (default first-idle
@@ -126,20 +176,9 @@ func (c ReconfigLoadConfig) effectiveScale(src reconfig.Source) float64 {
 	return scale
 }
 
-// ReconfigClassCell aggregates one class across every swap leg's
-// measurement window (the traffic served while a shard was down).
-type ReconfigClassCell struct {
-	Class                                             qos.Class
-	Submitted, Completed, Shed, Expired, Aged, Misses uint64
-	// LossFrac is (Submitted-Completed)/Submitted across the legs.
-	LossFrac float64
-	// P50 and P99 are latency percentiles over the merged samples of
-	// every leg — the swap phase as one distribution, not the worst
-	// single window (a fully saturated leg serializes dispatch and
-	// erases the policy contrast; merging keeps it visible).
-	P50, P99 sim.Time
-
-	samples []sim.Time
+// saturation calibrates the per-shard capacity for the mix.
+func (c ReconfigLoadConfig) saturation() float64 {
+	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.CoresPerShard) / 4
 }
 
 // ReconfigRun is one (policy, source) measurement.
@@ -161,23 +200,19 @@ type ReconfigRun struct {
 	BaselineVoiceP99  sim.Time
 	BaselineDelivered float64
 	DuringDelivered   float64
-	Classes           []ReconfigClassCell
+	// Classes aggregates each class across every swap leg's measurement
+	// window (the traffic served while a shard was down). Percentiles are
+	// over the merged samples of every leg — the swap phase as one
+	// distribution, not the worst single window (a fully saturated leg
+	// serializes dispatch and erases the policy contrast; merging keeps
+	// it visible).
+	Classes []qos.ClassCell
 	// Digest folds every measurement window's arrival digest (baseline,
 	// each leg, recovery) — the determinism witness.
 	Digest uint64
 	// Errors counts completions with unexpected verdicts (always 0 in a
 	// healthy run).
 	Errors int
-}
-
-// Cell returns the run's cell for a class (zero value if absent).
-func (r ReconfigRun) Cell(c qos.Class) ReconfigClassCell {
-	for _, cell := range r.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return ReconfigClassCell{Class: c}
 }
 
 // ReconfigLoadResult is the full E15 sweep.
@@ -199,7 +234,7 @@ type ReconfigLoadResult struct {
 // splittable PRNG.
 func ReconfigUnderLoad(cfg ReconfigLoadConfig) ReconfigLoadResult {
 	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets) * float64(cfg.CoresPerShard) / 4
+	sat := cfg.saturation()
 	res := ReconfigLoadResult{
 		SaturationMbps: sat,
 		OfferedMbps:    cfg.Offered * sat * float64(cfg.Shards),
@@ -268,12 +303,14 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 		panic(err)
 	}
 	fold(base)
-	run.BaselineVoiceP99 = baseCell(base, qos.Voice).P99
+	run.BaselineVoiceP99 = qos.CellOf(base.Classes, qos.Voice).P99
 	run.BaselineDelivered = base.DeliveredMbps()
 
 	// The rolling swap: each leg's during hook serves one bitstream
 	// window on the remaining shards.
-	acc := map[qos.Class]*ReconfigClassCell{}
+	var acc [qos.NumClasses]qos.ClassCell
+	var seen [qos.NumClasses]bool
+	var during sim.Time
 	legs := 0
 	reports, err := f.RollingSwap(0, cfg.Target, scaled,
 		func(shard int, legWindow sim.Time) error {
@@ -283,20 +320,13 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 			}
 			fold(w)
 			legs++
+			during += legWindow
 			run.DuringDelivered += w.DeliveredMbps()
 			for _, c := range w.Classes {
-				cell := acc[c.Class]
-				if cell == nil {
-					cell = &ReconfigClassCell{Class: c.Class}
-					acc[c.Class] = cell
-				}
-				cell.Submitted += c.Submitted
-				cell.Completed += c.Completed
-				cell.Shed += c.Shed
-				cell.Expired += c.Expired
-				cell.Aged += c.Aged
-				cell.Misses += c.Misses
-				cell.samples = append(cell.samples, c.Samples...)
+				seen[c.Class] = true
+				acc[c.Class].Class = c.Class
+				acc[c.Class].Accumulate(c.ClassStats)
+				acc[c.Class].Samples = append(acc[c.Class].Samples, c.Samples...)
 			}
 			return nil
 		})
@@ -319,30 +349,14 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	}
 	fold(rec)
 
+	bytes := mixBytes(cfg.Mix)
 	for _, class := range qos.Classes() {
-		cell := acc[class]
-		if cell == nil {
-			continue
+		if seen[class] {
+			run.Classes = append(run.Classes,
+				qos.NewClassCell(acc[class].ClassStats, acc[class].Samples, bytes[class], during))
 		}
-		if cell.Submitted > 0 {
-			cell.LossFrac = float64(cell.Submitted-cell.Completed) / float64(cell.Submitted)
-		}
-		cell.P50 = qos.PercentileOf(cell.samples, 50)
-		cell.P99 = qos.PercentileOf(cell.samples, 99)
-		cell.samples = nil
-		run.Classes = append(run.Classes, *cell)
 	}
 	return run
-}
-
-// baseCell looks up a class in a window report.
-func baseCell(w cluster.OpenLoopWindow, class qos.Class) cluster.OpenLoopClass {
-	for _, c := range w.Classes {
-		if c.Class == class {
-			return c
-		}
-	}
-	return cluster.OpenLoopClass{Class: class}
 }
 
 // FormatReconfigUnderLoad renders the E15 sweep.
@@ -355,64 +369,32 @@ func FormatReconfigUnderLoad(r ReconfigLoadResult) string {
 		"policy", "source", "window ms", "base Mbps", "del Mbps",
 		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc")
 	for _, run := range r.Runs {
-		v, bg := run.Cell(qos.Voice), run.Cell(qos.Background)
+		v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
 		fmt.Fprintf(&b, "%-14s %-14s %9.1f | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d\n",
 			run.Policy, run.Source, run.TrueWindowMillis,
 			run.BaselineDelivered, run.DuringDelivered,
-			100*v.LossFrac, v.P99, v.Misses, 100*bg.LossFrac, bg.P99)
+			100*v.LossFrac, v.P99, v.DeadlineMisses, 100*bg.LossFrac, bg.P99)
 	}
 	return b.String()
 }
 
-// ReconfigSmokeVerdict is the CI rolling-swap gate's result.
-type ReconfigSmokeVerdict struct {
-	// VoiceLoss is the voice loss fraction during the bitstream windows
-	// under qos-priority; LossLimit the ceiling.
-	VoiceLoss float64
-	LossLimit float64
-	// VoiceP99 is the worst during-swap voice p99; P99Limit the bound
-	// derived from the baseline window (inflation factor + slack).
-	VoiceP99    sim.Time
-	BaselineP99 sim.Time
-	P99Limit    sim.Time
-	Run         ReconfigRun
-}
-
-// Pass reports whether the gate held.
-func (v ReconfigSmokeVerdict) Pass() bool {
-	return v.VoiceLoss <= v.LossLimit && v.VoiceP99 <= v.P99Limit
-}
-
-func (v ReconfigSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
+// reconfigGate runs the mini rolling swap: each shard's core is rewritten
+// from staging RAM while the other carries the whole stream.
+// Deliberately small so the gate costs seconds.
+func reconfigGate() GateReport {
+	cfg := reconfigBench
+	cfg.fill()
+	run := reconfigRun("qos-priority", reconfig.StagingRAM, cfg.saturation(), cfg)
+	v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
+	const lossLimit = 0.01
+	p99Limit := 3*run.BaselineVoiceP99 + 8000
+	r := GateReport{
+		Summary: fmt.Sprintf("voice loss %.2f%% (limit %.0f%%), p99 %d cycles during swap (baseline %d, limit %d) under qos-priority",
+			100*v.LossFrac, 100*lossLimit, v.P99, run.BaselineVoiceP99, p99Limit),
+		Details: []string{fmt.Sprintf("source %s (%.1f ms window): delivered %.0f -> %.0f Mbps during swap, background loss %.2f%%",
+			run.Source, run.TrueWindowMillis, run.BaselineDelivered, run.DuringDelivered, 100*bg.LossFrac)},
 	}
-	return fmt.Sprintf("reconfigsmoke %s: voice loss %.2f%% (limit %.0f%%), p99 %d cycles during swap (baseline %d, limit %d) under qos-priority",
-		verdict, 100*v.VoiceLoss, 100*v.LossLimit, v.VoiceP99, v.BaselineP99, v.P99Limit)
-}
-
-// ReconfigSmoke runs the CI mini rolling-swap gate: a two-shard cluster
-// under qos-priority swaps each shard's core from staging RAM while the
-// other carries the stream at ~1.8x its own saturation — voice must
-// lose at most 1% and its during-swap p99 must stay within 3x the
-// all-shards-serving baseline plus scheduling slack. Deliberately small
-// so the gate costs seconds.
-func ReconfigSmoke() ReconfigSmokeVerdict {
-	res := ReconfigUnderLoad(ReconfigLoadConfig{
-		Policies:  []string{"qos-priority"},
-		Sources:   []reconfig.Source{reconfig.StagingRAM},
-		Shards:    2,
-		TimeScale: 256,
-	})
-	run := res.Runs[0]
-	v := ReconfigSmokeVerdict{
-		LossLimit:   0.01,
-		VoiceLoss:   run.Cell(qos.Voice).LossFrac,
-		VoiceP99:    run.Cell(qos.Voice).P99,
-		BaselineP99: run.BaselineVoiceP99,
-		Run:         run,
-	}
-	v.P99Limit = 3*run.BaselineVoiceP99 + 8000
-	return v
+	r.require(v.LossFrac <= lossLimit, "voice loss %.2f%% during the swap exceeds %.0f%%", 100*v.LossFrac, 100*lossLimit)
+	r.require(v.P99 <= p99Limit, "during-swap voice p99 %d exceeds %d", v.P99, p99Limit)
+	return r
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
-	"mccp/internal/cluster"
 	"mccp/internal/faults"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
@@ -31,15 +29,62 @@ import (
 // baseline row is computed by E16's own FaultPointRun — bit-identical
 // to its zero row.
 
+var e17 = Experiment{
+	ID: "E17", Table: "heal",
+	Title: "recovery curves (restart + rejoin per bitstream source, brownout lift)",
+	Run:   func(int) string { return FormatRecoveryCurves(RecoveryCurves(RecoveryConfig{})) },
+	Notes: []string{
+		"(the E16 crash with the restart loop armed: the corpse is rebuilt by",
+		" streaming the base bitstream back in at each Table IV source speed,",
+		" rejoined voice-first, and the brownout lifted class-by-class as the",
+		" measured load fits under the restored capacity; the reconfiguration",
+		" hierarchy survives the full stack — icap rejoins before ram before",
+		" compact-flash — and the zero-fault baseline is E16's row verbatim)",
+	},
+	Points: recoveryPoints(),
+	Gate: &Gate{
+		Name:  "heal",
+		Doc:   "E17 mini drill (1 of 4 shards crashed at 0.9x saturation, qos-priority, restart loop armed on the icap source): voice loss <= 1%, no session lost, the corpse restarts and rejoins, the brownout lifts fully, voice recovers within 3 windows, delivered capacity climbs back to 95% of the pre-crash rate",
+		Check: healGate,
+	},
+}
+
+// recoveryPoints is the E17 bench sweep: one drill per bitstream source.
+// voice_delivered_frac and brownout_lifted participate in the tight
+// baseline gate; restart/rejoin/capacity figures are informational
+// virtual-time counts whose ordering mirrors Table IV.
+func recoveryPoints() []Point {
+	// TimeScale squeezes even the compact-flash reload into the short
+	// bench horizon; source ordering is scale-invariant.
+	cfg := RecoveryConfig{FaultConfig: faultDrill(96), TimeScale: 16384}
+	cfg.fill()
+	var pts []Point
+	for _, pol := range cfg.Policies {
+		for _, src := range cfg.Sources {
+			pts = append(pts, Point{Name: fmt.Sprintf("RecoveryCurves/%s/source=%s", pol, src.Name), Run: func() []Metric {
+				p := RecoveryPointRun(pol, src, cfg.Wire.saturation(), cfg)
+				return append(p.metrics(),
+					Metric{"restart_cycles", float64(p.RestartCycles)},
+					Metric{"restart_true_ms", p.TrueRestartMillis},
+					Metric{"rejoin_window", float64(p.RejoinWindow)},
+					Metric{"brownout_lifted", flag01(p.BrownoutLifted)},
+					Metric{"capacity_cycles", float64(p.CapacityCycles)},
+					Metric{"capacity_restored", flag01(p.CapacityRestored)})
+			}})
+		}
+	}
+	return pts
+}
+
 // RecoveryConfig parameterizes RecoveryCurves.
 type RecoveryConfig struct {
-	// Wire is the base pipeline configuration; defaults match E16's
-	// (4 shards, 256 sessions, 36 windows) so the zero-fault baseline
-	// is E16's zero-fault row verbatim.
-	Wire WireConfig
-	// Offered is the fixed load as a fraction of saturation (default
-	// 0.9 — the E16 operating point).
-	Offered float64
+	// FaultConfig is the E16 drill this experiment arms the restart loop
+	// on: pipeline, fixed 0.9x load, crash window and voice-recovery
+	// threshold, all with E16's defaults — so the zero-fault baseline is
+	// E16's zero row verbatim. Rows is unused (every drill is one crash,
+	// no churn) and Policies defaults to qos-priority only, the policy
+	// E16 showed survives the fall with zero voice loss.
+	FaultConfig
 	// Sources are the bitstream sources swept, slowest first (default
 	// the paper's three: compact-flash, ram, icap).
 	Sources []reconfig.Source
@@ -48,50 +93,21 @@ type RecoveryConfig struct {
 	// 1/TimeScale of the true reload, and TrueRestartMillis reports the
 	// unscaled figure. The hierarchy between sources is unaffected.
 	TimeScale float64
-	// Policies are swept per source (default qos-priority only — the
-	// policy E16 showed survives the fall with zero voice loss).
-	Policies []string
-	// FaultWindow is the window the crash lands in (default Windows/3).
-	FaultWindow int
-	// VoiceRecovered is the per-window voice delivered fraction that
-	// counts as voice recovery (default 0.99); CapacityFrac the fraction
-	// of the pre-crash delivered rate that counts as full capacity
-	// restored (default 0.95).
-	VoiceRecovered float64
-	CapacityFrac   float64
+	// CapacityFrac is the fraction of the pre-crash delivered rate that
+	// counts as full capacity restored (default 0.95).
+	CapacityFrac float64
 }
 
 func (c *RecoveryConfig) fill() {
-	if c.Wire.Shards <= 0 {
-		c.Wire.Shards = 4
+	if len(c.Policies) == 0 {
+		c.Policies = []string{"qos-priority"}
 	}
-	if c.Wire.Sessions <= 0 {
-		c.Wire.Sessions = 256
-	}
-	if c.Wire.Windows <= 0 {
-		c.Wire.Windows = 36
-	}
-	c.Wire.fill()
-	if c.Offered <= 0 {
-		c.Offered = 0.9
-	}
+	c.FaultConfig.fill()
 	if len(c.Sources) == 0 {
 		c.Sources = reconfig.Sources()
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 4096
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"qos-priority"}
-	}
-	if c.FaultWindow <= 0 {
-		c.FaultWindow = c.Wire.Windows / 3
-		if c.FaultWindow == 0 {
-			c.FaultWindow = 1
-		}
-	}
-	if c.VoiceRecovered <= 0 {
-		c.VoiceRecovered = 0.99
 	}
 	if c.CapacityFrac <= 0 {
 		c.CapacityFrac = 0.95
@@ -100,19 +116,12 @@ func (c *RecoveryConfig) fill() {
 
 // RecoveryPoint is one (policy, bitstream source) drill.
 type RecoveryPoint struct {
-	Policy string
+	// FaultPoint is the drill as E16 sees it (one crash, no churn): the
+	// horizon-wide cells and digests, the fault plan, the fail-over log
+	// with its aggregates, voice recovery and the per-window tallies.
+	FaultPoint
 	// Source is the bitstream source the restart streamed from.
 	Source string
-	// WirePoint carries the horizon-wide per-class cells and digests,
-	// built by the same reduction as the E14/E16 tables.
-	WirePoint
-	// Schedule is the printable fault plan; Rehomes the fail-over log
-	// with its aggregates (as in E16).
-	Schedule   string
-	Rehomes    []server.RehomeEvent
-	Moved      int
-	Lost       int
-	RehomeTook sim.Time
 	// Heals is the recovery plane's action log: the restart, the
 	// rebalance back, and each brownout lift.
 	Heals []server.HealEvent
@@ -128,15 +137,10 @@ type RecoveryPoint struct {
 	// BrownoutLifted that the mask was fully clear by the horizon.
 	BrownoutImposed bool
 	BrownoutLifted  bool
-	// RecoveryCycles is the crash-to-voice-recovered span (E16's
-	// definition); CapacityCycles the crash to the first post-rejoin
-	// window delivering CapacityFrac of the pre-crash rate.
-	RecoveryCycles   sim.Time
-	Recovered        bool
+	// CapacityCycles is the crash to the first post-rejoin window
+	// delivering CapacityFrac of the pre-crash rate.
 	CapacityCycles   sim.Time
 	CapacityRestored bool
-	// Windows is the per-window tally series behind the spans.
-	Windows []server.WindowLoad
 }
 
 // RecoveryResult is the E17 table.
@@ -156,24 +160,14 @@ type RecoveryResult struct {
 // pipeline, then one full crash-and-recovery drill per (policy, source).
 func RecoveryCurves(cfg RecoveryConfig) RecoveryResult {
 	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
+	sat := cfg.Wire.saturation()
 	res := RecoveryResult{
 		SaturationMbps: sat,
 		Offered:        cfg.Offered,
 		Sessions:       cfg.Wire.Sessions,
 		TimeScale:      cfg.TimeScale,
 	}
-	base := FaultConfig{
-		Wire:           cfg.Wire,
-		Offered:        cfg.Offered,
-		FaultWindow:    cfg.FaultWindow,
-		VoiceRecovered: cfg.VoiceRecovered,
-	}
-	res.Baseline = FaultPointRun(cfg.Policies[0], FaultRow{}, sat, base)
+	res.Baseline = FaultPointRun(cfg.Policies[0], FaultRow{}, sat, cfg.FaultConfig)
 	for _, pol := range cfg.Policies {
 		for _, src := range cfg.Sources {
 			res.Points = append(res.Points, RecoveryPointRun(pol, src, sat, cfg))
@@ -188,102 +182,22 @@ func RecoveryCurves(cfg RecoveryConfig) RecoveryResult {
 // the point records how long the climb back took.
 func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg RecoveryConfig) RecoveryPoint {
 	cfg.fill()
-	wire := cfg.Wire
-	wire.Policy = policy
-
-	sched, err := faults.Plan(faults.PlanConfig{
-		Seed:         wire.Seed,
-		Shards:       wire.Shards,
-		Windows:      wire.Windows,
-		Crashes:      1,
-		FaultWindow:  cfg.FaultWindow,
-		WindowCycles: wire.WindowCycles,
-	})
-	if err != nil {
-		panic(err) // experiment drivers pass literal configurations
-	}
-	var shares [qos.NumClasses]float64
-	for _, p := range wire.Mix {
-		shares[p.Class] += p.Share
-	}
-
-	srv, err := server.New(server.Config{
-		Cluster: cluster.Config{
-			Shards:        wire.Shards,
-			CoresPerShard: wire.CoresPerShard,
-			Router:        wire.Router,
-			Policy:        wire.Policy,
-			QueueRequests: true,
-			Shape:         true,
-			ShardWindow:   wire.BatchOps,
-			Seed:          wire.Seed,
-			Shaper: qos.Config{
-				Capacity:   wire.Capacity,
-				QueueDepth: wire.QueueDepth,
-				Drain:      wire.Drain,
-			},
+	point := RecoveryPoint{Source: src.Name, RejoinWindow: -1}
+	point.FaultPoint = faultPointRun(policy, FaultRow{Crashes: 1}, satMbps, cfg.FaultConfig,
+		func(fp *server.FaultPolicy) {
+			fp.Restart = true
+			fp.RestartSource = src.Scaled(cfg.TimeScale)
+			fp.WindowCycles = cfg.Wire.WindowCycles
 		},
-		BatchOps: wire.BatchOps,
-		Faults: &server.FaultPolicy{
-			Schedule:        sched,
-			Detect:          true,
-			OfferedMbps:     cfg.Offered * satMbps,
-			SatMbpsPerShard: satMbps / float64(wire.Shards),
-			Shares:          shares,
-			Restart:         true,
-			RestartSource:   src.Scaled(cfg.TimeScale),
-			WindowCycles:    wire.WindowCycles,
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	lb := server.NewLoopback()
-	srv.Serve(lb)
-
-	bitsPerCycle := cfg.Offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:      wire.Sessions,
-		Mix:           wire.Mix,
-		Process:       wire.Process,
-		BitsPerCycle:  bitsPerCycle,
-		WindowCycles:  wire.WindowCycles,
-		Windows:       wire.Windows,
-		Seed:          wire.Seed,
-		WindowTallies: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-
-	point := RecoveryPoint{
-		Policy:       policy,
-		Source:       src.Name,
-		WirePoint:    buildWirePoint(cfg.Offered, satMbps, wire.Sessions, load),
-		Schedule:     sched.String(),
-		Rehomes:      srv.FaultReport(),
-		Heals:        srv.HealReport(),
-		RejoinWindow: -1,
-		Windows:      load.Windows,
-	}
-	for _, ev := range point.Rehomes {
-		point.Moved += ev.Moved
-		point.Lost += ev.Lost
-		if ev.Took > point.RehomeTook {
-			point.RehomeTook = ev.Took
-		}
-		for _, deny := range ev.Deny {
-			if deny {
-				point.BrownoutImposed = true
-			}
-		}
-	}
+		func(srv *server.Server) { point.Heals = srv.HealReport() })
 	// The final mask on record decides whether the brownout fully
 	// lifted; every heal event carries the mask in force after it ran.
 	finalDeny := [qos.NumClasses]bool{}
-	if n := len(point.Rehomes); n > 0 {
-		finalDeny = point.Rehomes[n-1].Deny
+	for _, ev := range point.Rehomes {
+		for _, deny := range ev.Deny {
+			point.BrownoutImposed = point.BrownoutImposed || deny
+		}
+		finalDeny = ev.Deny
 	}
 	for _, ev := range point.Heals {
 		if ev.Restarted {
@@ -292,16 +206,10 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 		}
 		finalDeny = ev.Deny
 	}
-	point.BrownoutLifted = true
-	for _, deny := range finalDeny {
-		if deny {
-			point.BrownoutLifted = false
-		}
-	}
+	point.BrownoutLifted = finalDeny == [qos.NumClasses]bool{}
 	point.TrueRestartMillis = float64(point.RestartCycles) * cfg.TimeScale / sim.DefaultFreqHz * 1e3
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, load.Windows)
-	point.CapacityCycles, point.CapacityRestored = capacityOf(sched, wire.WindowCycles,
-		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, load.Windows)
+	point.CapacityCycles, point.CapacityRestored = capacityOf(point.Schedule, cfg.Wire.WindowCycles,
+		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, point.Windows)
 	return point
 }
 
@@ -363,123 +271,57 @@ func FormatRecoveryCurves(r RecoveryResult) string {
 		"restart cyc", "true ms", "rejoin", "recover cyc", "capacity cyc", "lifted")
 	base := r.Baseline
 	fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12s %10s %6s | %12s %12s %8s\n",
-		base.Policy, "(no fault)", 100*base.Cell(qos.Voice).LossFrac, 100*base.TotalLossFrac,
+		base.Policy, "(no fault)", 100*qos.CellOf(base.Classes, qos.Voice).LossFrac, 100*base.TotalLossFrac,
 		base.Moved, base.Lost, "-", "-", "-", "-", "-", "-")
 	for _, p := range r.Points {
-		rec := fmt.Sprintf("%d", p.RecoveryCycles)
-		if !p.Recovered {
-			rec = "DNF"
-		}
-		cap := fmt.Sprintf("%d", p.CapacityCycles)
-		if !p.CapacityRestored {
-			cap = "DNF"
-		}
-		rejoin := fmt.Sprintf("%d", p.RejoinWindow)
-		if p.RejoinWindow < 0 {
-			rejoin = "DNF"
-		}
 		lifted := "yes"
 		if !p.BrownoutLifted {
 			lifted = "NO"
 		}
 		fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12d %10.1f %6s | %12s %12s %8s\n",
-			p.Policy, p.Source, 100*p.Cell(qos.Voice).LossFrac, 100*p.TotalLossFrac,
-			p.Moved, p.Lost, p.RestartCycles, p.TrueRestartMillis, rejoin, rec, cap, lifted)
+			p.Policy, p.Source, 100*qos.CellOf(p.Classes, qos.Voice).LossFrac, 100*p.TotalLossFrac,
+			p.Moved, p.Lost, p.RestartCycles, p.TrueRestartMillis,
+			cyclesOrDNF(sim.Time(p.RejoinWindow), p.RejoinWindow >= 0),
+			cyclesOrDNF(p.RecoveryCycles, p.Recovered), cyclesOrDNF(p.CapacityCycles, p.CapacityRestored), lifted)
 	}
 	return b.String()
 }
 
-// HealSmokeVerdict is the CI -healsmoke gate's result: with 1 of 4
-// shards crashed mid-load at 0.9x saturation under qos-priority and the
-// restart loop armed (icap source), the shard must rebuild and rejoin,
-// voice must ride through both the fall and the climb within 1% loss
-// and zero lost sessions, the brownout mask must be fully lifted by the
-// horizon, and the delivered rate must climb back to the pre-crash
-// level.
-type HealSmokeVerdict struct {
-	VoiceLossFrac    float64
-	Lost             int
-	Restarts         int
-	RejoinWindow     int
-	BrownoutLifted   bool
-	Recovered        bool
-	RecoveryCycles   sim.Time
-	RecoveryLimit    sim.Time
-	CapacityRestored bool
-	CapacityCycles   sim.Time
-	Point            RecoveryPoint
-}
-
-// Pass reports whether the gate held.
-func (v HealSmokeVerdict) Pass() bool {
-	return v.VoiceLossFrac <= 0.01 &&
-		v.Lost == 0 &&
-		v.Restarts >= 1 &&
-		v.BrownoutLifted &&
-		v.Recovered &&
-		v.RecoveryCycles <= v.RecoveryLimit &&
-		v.CapacityRestored
-}
-
-func (v HealSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	rec := fmt.Sprintf("%d", v.RecoveryCycles)
-	if !v.Recovered {
-		rec = "DNF"
-	}
-	cap := fmt.Sprintf("%d cycles", v.CapacityCycles)
-	if !v.CapacityRestored {
-		cap = "DNF"
-	}
-	lifted := "lifted"
-	if !v.BrownoutLifted {
-		lifted = "NOT lifted"
-	}
-	return fmt.Sprintf("healsmoke %s: voice loss %.2f%% (limit 1%%), %d lost (limit 0), %d restart(s) rejoining at window %d, brownout %s, voice recovery %s cycles (limit %d), capacity back in %s",
-		verdict, 100*v.VoiceLossFrac, v.Lost, v.Restarts, v.RejoinWindow, lifted, rec, v.RecoveryLimit, cap)
-}
-
-// HealSmoke runs the one-drill loopback E17 gate CI checks. Small on
-// purpose: 64 sessions, 24 short windows, one crash in a 4-shard
-// cluster, restart from the icap source.
-func HealSmoke() HealSmokeVerdict {
-	cfg := RecoveryConfig{
-		Wire: WireConfig{
-			Shards:       4,
-			Sessions:     64,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		Sources:     []reconfig.Source{reconfig.FastICAP},
-		FaultWindow: 8,
-	}
-	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
-	p := RecoveryPointRun(cfg.Policies[0], cfg.Sources[0], sat, cfg)
-	restarts := 0
+// healGate runs the one-drill loopback recovery. Small on purpose: 64
+// sessions, 24 short windows, one crash in a 4-shard cluster, restart
+// from the icap source.
+func healGate() GateReport {
+	cfg := RecoveryConfig{FaultConfig: faultDrill(64)}
+	p := RecoveryPointRun("qos-priority", reconfig.FastICAP, cfg.Wire.saturation(), cfg)
+	v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+	restarts, rebalanced := 0, 0
 	for _, ev := range p.Heals {
 		if ev.Restarted {
 			restarts++
 		}
+		rebalanced += ev.Rebalanced
 	}
-	return HealSmokeVerdict{
-		VoiceLossFrac:    p.Cell(qos.Voice).LossFrac,
-		Lost:             p.Lost,
-		Restarts:         restarts,
-		RejoinWindow:     p.RejoinWindow,
-		BrownoutLifted:   p.BrownoutLifted,
-		Recovered:        p.Recovered,
-		RecoveryCycles:   p.RecoveryCycles,
-		RecoveryLimit:    3 * 4096,
-		CapacityRestored: p.CapacityRestored,
-		CapacityCycles:   p.CapacityCycles,
-		Point:            p,
+	lifted := "lifted"
+	if !p.BrownoutLifted {
+		lifted = "NOT lifted"
 	}
+	capacity := cyclesOrDNF(p.CapacityCycles, p.CapacityRestored)
+	if p.CapacityRestored {
+		capacity += " cycles"
+	}
+	const limit sim.Time = 3 * 4096
+	r := GateReport{
+		Summary: fmt.Sprintf("voice loss %.2f%% (limit 1%%), %d lost (limit 0), %d restart(s) rejoining at window %d, brownout %s, voice recovery %s cycles (limit %d), capacity back in %s",
+			100*v.LossFrac, p.Lost, restarts, p.RejoinWindow, lifted, cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit, capacity),
+		Details: []string{fmt.Sprintf("source %s: restart %d cyc (%.1f ms at true speed), %d sessions rebalanced back, background loss %.2f%%",
+			p.Source, p.RestartCycles, p.TrueRestartMillis, rebalanced, 100*bg.LossFrac)},
+	}
+	r.require(v.LossFrac <= 0.01, "voice loss %.2f%% exceeds 1%%", 100*v.LossFrac)
+	r.require(p.Lost == 0, "%d sessions lost", p.Lost)
+	r.require(restarts >= 1, "the crashed shard never restarted")
+	r.require(p.BrownoutLifted, "the brownout mask was not fully lifted by the horizon")
+	r.require(p.Recovered && p.RecoveryCycles <= limit, "voice recovery %s cycles exceeds %d",
+		cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit)
+	r.require(p.CapacityRestored, "delivered capacity never climbed back to the pre-crash rate")
+	return r
 }

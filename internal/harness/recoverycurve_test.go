@@ -14,16 +14,7 @@ import (
 // horizon; the ordering between sources is what the drill checks, and
 // that is scale-invariant.
 func recoveryTestConfig() RecoveryConfig {
-	return RecoveryConfig{
-		Wire: WireConfig{
-			Shards:       4,
-			Sessions:     64,
-			WindowCycles: 4096,
-			Windows:      24,
-		},
-		FaultWindow: 8,
-		TimeScale:   16384,
-	}
+	return RecoveryConfig{FaultConfig: faultDrill(64), TimeScale: 16384}
 }
 
 func TestRecoveryCurvesDeterministic(t *testing.T) {
@@ -64,7 +55,7 @@ func TestRecoveryCurvesShape(t *testing.T) {
 		if p.Moved == 0 {
 			t.Errorf("%s: no sessions re-homed at the crash", p.Source)
 		}
-		if v := p.Cell(qos.Voice); v.LossFrac > 0.01 {
+		if v := qos.CellOf(p.Classes, qos.Voice); v.LossFrac > 0.01 {
 			t.Errorf("%s: voice loss %.2f%% above 1%% across crash and recovery",
 				p.Source, 100*v.LossFrac)
 		}
@@ -102,29 +93,11 @@ func TestRecoveryCurvesShape(t *testing.T) {
 func TestRecoveryBaselineMatchesFaultZeroRow(t *testing.T) {
 	cfg := recoveryTestConfig()
 	cfg.fill()
-	sat := SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-		float64(cfg.Wire.CoresPerShard) / 4
+	sat := cfg.Wire.saturation()
 	res := RecoveryCurves(recoveryTestConfig())
-	base := FaultPointRun("qos-priority", FaultRow{}, sat, FaultConfig{
-		Wire:           cfg.Wire,
-		Offered:        cfg.Offered,
-		FaultWindow:    cfg.FaultWindow,
-		VoiceRecovered: cfg.VoiceRecovered,
-	})
+	base := FaultPointRun("qos-priority", FaultRow{}, sat, cfg.FaultConfig)
 	if !reflect.DeepEqual(res.Baseline, base) {
 		t.Fatalf("E17 baseline diverges from the E16 zero-fault row:\n%+v\nvs\n%+v",
 			res.Baseline, base)
-	}
-}
-
-func TestHealSmoke(t *testing.T) {
-	v := HealSmoke()
-	t.Logf("%s", v)
-	if !v.Pass() {
-		t.Fatalf("healsmoke gate failed: %s", v)
-	}
-	a, b := HealSmoke(), HealSmoke()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("healsmoke not reproducible: %s vs %s", a, b)
 	}
 }

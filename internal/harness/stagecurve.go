@@ -26,6 +26,42 @@ import (
 // class's queue component stays flat while background's explodes — the
 // stage-level view of what the reservation buys.
 
+var e18 = Experiment{
+	ID: "E18", Table: "stages",
+	Title: "stage attribution (traced per-class latency decomposition)",
+	Run:   func(int) string { return FormatStageAttribution(StageAttribution(StageCurveConfig{})) },
+	Notes: []string{
+		"(the E13 sweep replayed with the lifecycle tracer at sample rate 1;",
+		" each delivered packet's latency tiles exactly into class queue,",
+		" scheduler, crossbar upload, core service and drain, so the traced",
+		" percentiles reconcile bit-for-bit with E13's and the table shows",
+		" where qos-priority buys voice its headroom: the queue stage)",
+	},
+	// Three points per policy: where each class's p99 is spent. The
+	// cells are E13's (the traced run reconciles bit-for-bit);
+	// delivered_Mbps gates as throughput, the cycle counts ride ungated.
+	Points: sweepPoints("StageAttribution", []string{"first-idle", "qos-priority"}, []float64{0.5, 1.0, 1.5},
+		func(policy string, offered float64) []Metric {
+			p := StagePointRun(policy, offered, SaturationMbps(LoadMix, 8), LoadCurveConfig{BackgroundPackets: 200})
+			v, bg := p.Cells[qos.Voice], p.Cells[qos.Background]
+			return []Metric{
+				{"delivered_Mbps", p.TotalDeliveredMbps},
+				{"spans_traced", float64(p.Spans)},
+				{"voice_p99_cycles", float64(v.TotalP99)},
+				{"voice_queue_p99_cycles", float64(v.P99[obs.StageQueue])},
+				{"voice_core_p99_cycles", float64(v.P99[obs.StageCore])},
+				{"background_p99_cycles", float64(bg.TotalP99)},
+				{"background_queue_p99_cycles", float64(bg.P99[obs.StageQueue])},
+			}
+		}),
+	Gate: &Gate{
+		Name:      "obs",
+		Doc:       "E18 traced point (qos-priority, 1.5x saturation, sample rate 1): two traced runs bit-identical, traced percentiles equal the untraced E13 point's, stage sums tile the end-to-end latency exactly, the one-crash drill freezes >= 1 postmortem, and a disabled-but-attached tracer keeps >= 0.95 of tracer-absent wall-clock throughput",
+		WallClock: true,
+		Check:     obsGate,
+	},
+}
+
 // DefaultStagePoints is the E18 sweep: underload, the knee, and twice
 // saturation.
 var DefaultStagePoints = []float64{0.25, 0.5, 1.0, 1.5, 2.0}
@@ -60,17 +96,8 @@ type StagePoint struct {
 	// excluded); Spans counts every recorded span, all outcomes.
 	TraceDigest uint64
 	Spans       int
-	Cells       []StageCell
-}
-
-// StageCell returns the point's stage cell for a class (zero if absent).
-func (p StagePoint) StageCell(c qos.Class) StageCell {
-	for _, cell := range p.Cells {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return StageCell{Class: c}
+	// Cells is indexed by class (zero for a class outside the mix).
+	Cells [qos.NumClasses]StageCell
 }
 
 // StageCurveConfig parameterizes StageAttribution.
@@ -154,7 +181,7 @@ func StagePointRun(policy string, offered, satMbps float64, cfg LoadCurveConfig)
 				sc.SumStages[k] += d
 			}
 		}
-		sp.Cells = append(sp.Cells, sc)
+		sp.Cells[c] = sc
 	}
 	return sp
 }
@@ -172,7 +199,7 @@ func FormatStageAttribution(r StageCurveResult) string {
 		"queue", "sched", "xbar_up", "core", "drain")
 	for _, p := range r.Points {
 		for _, class := range []qos.Class{qos.Voice, qos.Background} {
-			sc := p.StageCell(class)
+			sc := p.Cells[class]
 			fmt.Fprintf(&b, "%-14s %7.2fx %-12s %7d | %8d %8d | %14s %8d %8d %8d %8d\n",
 				p.Policy, p.Offered, sc.Class, sc.Spans,
 				sc.TotalP50, sc.TotalP99,
@@ -183,126 +210,64 @@ func FormatStageAttribution(r StageCurveResult) string {
 	return b.String()
 }
 
-// ObsSmokeVerdict is the CI -obssmoke gate's result: the observability
-// plane must be deterministic, free (bit-identical metrics with the
-// tracer attached, within 5% wall-clock with it disabled), reconciled
-// (stage sums tile the end-to-end totals; traced percentiles equal
-// E13's), and the flight recorder must produce a postmortem from the
-// one-crash drill.
-type ObsSmokeVerdict struct {
-	// Deterministic: two traced runs produced identical points and span
-	// digests.
-	Deterministic bool
-	// Reconciled: the traced run's LoadPoint equals the untraced
-	// LoadPointRun and every class's traced total percentiles equal the
-	// E13 cell's.
-	Reconciled bool
-	// SumsTile: every class's SumTotal == Σ SumStages.
-	SumsTile bool
-	// Postmortems counts frozen flight-recorder dumps after the E16
-	// one-crash drill (>= 1 required).
-	Postmortems int
-	// OverheadRatio is best-of-N wall-clock throughput with a disabled
-	// tracer attached over tracer-absent (>= Limit required; the only
-	// nondeterministic check).
-	OverheadRatio float64
-	Limit         float64
-	Point         StagePoint
-}
-
-// Pass reports whether the gate held.
-func (v ObsSmokeVerdict) Pass() bool {
-	return v.Deterministic && v.Reconciled && v.SumsTile &&
-		v.Postmortems >= 1 && v.OverheadRatio >= v.Limit
-}
-
-func (v ObsSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	flag := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	return fmt.Sprintf("obssmoke %s: determinism %s, reconcile-with-E13 %s, stage-sums %s, postmortems %d (need >= 1), tracing-off overhead ratio %.3f (limit %.2f)",
-		verdict, flag(v.Deterministic), flag(v.Reconciled), flag(v.SumsTile),
-		v.Postmortems, v.OverheadRatio, v.Limit)
-}
-
-// obsSmokeLoad is the gate's measurement point: qos-priority at 1.5x
-// saturation (past the knee, so every stage is exercised: queueing,
-// shedding, expiry and clean service all occur).
-func obsSmokeLoad() (string, float64, float64, LoadCurveConfig) {
+// obsGate runs the observability gate at qos-priority, 1.5x saturation
+// (past the knee, so every stage is exercised: queueing, shedding, expiry
+// and clean service all occur). Everything but the overhead ratio is
+// exact: determinism and reconciliation compare structs and digests
+// bit-for-bit; the wall-clock check takes the best of several short runs
+// on each side to damp scheduler noise.
+func obsGate() GateReport {
+	const policy, offered, limit = "qos-priority", 1.5, 0.95
 	cfg := LoadCurveConfig{BackgroundPackets: 120}
-	cfg.fill()
-	return "qos-priority", 1.5, SaturationMbps(cfg.Mix, cfg.SatPackets), cfg
-}
-
-// ObsSmoke runs the CI observability gate. Everything but the overhead
-// ratio is exact: determinism and reconciliation compare structs and
-// digests bit-for-bit; the wall-clock check takes the best of several
-// short runs on each side to damp scheduler noise.
-func ObsSmoke() ObsSmokeVerdict {
-	policy, offered, sat, cfg := obsSmokeLoad()
-	v := ObsSmokeVerdict{Limit: 0.95}
+	sat := SaturationMbps(LoadMix, 8)
+	var r GateReport
 
 	// Determinism: the traced point must replay bit-identically (host
 	// timestamps are excluded from the digest and absent from the point).
 	a := StagePointRun(policy, offered, sat, cfg)
 	b := StagePointRun(policy, offered, sat, cfg)
-	v.Point = a
-	v.Deterministic = a.TraceDigest == b.TraceDigest && reflect.DeepEqual(a, b)
+	deterministic := a.TraceDigest == b.TraceDigest && reflect.DeepEqual(a, b)
+	r.require(deterministic, "two traced runs diverged (digests %x vs %x)", a.TraceDigest, b.TraceDigest)
 
 	// Reconciliation: attaching the tracer must not perturb the E13
 	// measurement, and the span-derived percentiles must equal the
 	// shaper-derived ones exactly (same samples, same method).
-	untraced := LoadPointRun(policy, offered, sat, cfg)
-	v.Reconciled = reflect.DeepEqual(a.LoadPoint, untraced)
-	v.SumsTile = len(a.Cells) > 0
-	for _, sc := range a.Cells {
-		cell := a.Cell(sc.Class)
+	reconciled := reflect.DeepEqual(a.LoadPoint, LoadPointRun(policy, offered, sat, cfg))
+	tiles := a.Spans > 0
+	for _, cell := range a.Classes {
+		sc := a.Cells[cell.Class]
 		if sc.TotalP50 != cell.P50 || sc.TotalP99 != cell.P99 || sc.Spans != cell.Completed {
-			v.Reconciled = false
+			reconciled = false
 		}
 		var sum sim.Time
 		for _, s := range sc.SumStages {
 			sum += s
 		}
-		if sum != sc.SumTotal {
-			v.SumsTile = false
-		}
+		tiles = tiles && sum == sc.SumTotal
 	}
+	r.require(reconciled, "the traced point does not reconcile with the untraced E13 point")
+	r.require(tiles, "per-stage sums do not tile the end-to-end latency")
 
 	// Flight recorder: the E16 one-crash drill must freeze at least one
 	// postmortem dump (the crash freeze on the victim shard; quarantine
 	// adds another).
-	drill := FaultConfig{
-		Wire:        WireConfig{Shards: 4, Sessions: 64, WindowCycles: 4096, Windows: 24},
-		Rows:        []FaultRow{{Crashes: 1, Churn: 8}},
-		Policies:    []string{"qos-priority"},
-		FaultWindow: 8,
-	}
-	drill.fill()
-	drillSat := SaturationMbps(drill.Wire.Mix, drill.Wire.SatPackets) *
-		float64(drill.Wire.Shards) * float64(drill.Wire.CoresPerShard) / 4
-	faultPointRun("qos-priority", drill.Rows[0], drillSat,
-		drill, func(srv *server.Server) {
+	drill := faultDrill(64)
+	postmortems := 0
+	faultPointRun(policy, FaultRow{Crashes: 1, Churn: 8}, drill.Wire.saturation(), drill, nil,
+		func(srv *server.Server) {
 			for _, d := range srv.Cluster().Postmortems() {
 				if len(d.Records) > 0 {
-					v.Postmortems++
+					postmortems++
 				}
 			}
 		})
+	r.require(postmortems >= 1, "the one-crash drill froze no postmortem")
 
 	// Overhead: a disabled-but-attached tracer must cost at most 5% of
 	// wall-clock throughput vs no tracer at all. Best-of-N on each side.
-	const rounds = 5
 	best := func(attach bool) time.Duration {
 		bestD := time.Duration(0)
-		for i := 0; i < rounds; i++ {
+		for i := 0; i < 5; i++ {
 			t0 := time.Now()
 			loadPointTraced(policy, offered, sat, cfg, obs.TraceConfig{}, attach)
 			if d := time.Since(t0); bestD == 0 || d < bestD {
@@ -311,9 +276,27 @@ func ObsSmoke() ObsSmokeVerdict {
 		}
 		return bestD
 	}
-	absent, disabled := best(false), best(true)
-	if disabled > 0 {
-		v.OverheadRatio = float64(absent) / float64(disabled)
+	ratio := 0.0
+	if absent, disabled := best(false), best(true); disabled > 0 {
+		ratio = float64(absent) / float64(disabled)
 	}
-	return v
+	if ratio < limit {
+		r.HostViolations = append(r.HostViolations,
+			fmt.Sprintf("tracing-off overhead ratio %.3f below %.2f", ratio, limit))
+	}
+
+	flag := func(ok bool) string {
+		if ok {
+			return "ok"
+		}
+		return "FAIL"
+	}
+	r.Summary = fmt.Sprintf("determinism %s, reconcile-with-E13 %s, stage-sums %s, postmortems %d (need >= 1), tracing-off overhead ratio %.3f (limit %.2f)",
+		flag(deterministic), flag(reconciled), flag(tiles), postmortems, ratio, limit)
+	voice, bg := a.Cells[qos.Voice], a.Cells[qos.Background]
+	r.Details = []string{fmt.Sprintf("offered %.2fx: %d spans (digest %x); voice p99 %d cyc (queue %d core %d), background p99 %d cyc (queue %d core %d)",
+		a.Offered, a.Spans, a.TraceDigest,
+		voice.TotalP99, voice.P99[obs.StageQueue], voice.P99[obs.StageCore],
+		bg.TotalP99, bg.P99[obs.StageQueue], bg.P99[obs.StageCore])}
+	return r
 }

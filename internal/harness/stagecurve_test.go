@@ -85,17 +85,3 @@ func TestFormatStageAttribution(t *testing.T) {
 		}
 	}
 }
-
-// TestObsSmoke runs the CI observability gate: determinism, E13
-// reconciliation, stage tiling, a flight-recorder postmortem from the
-// one-crash drill, and the tracing-off overhead bound.
-func TestObsSmoke(t *testing.T) {
-	v := ObsSmoke()
-	t.Log(v.String())
-	// The overhead ratio is the one wall-clock (nondeterministic) check;
-	// under a heavily loaded test host it may dip, so the unit test
-	// asserts the exact checks and logs the ratio rather than flaking.
-	if !v.Deterministic || !v.Reconciled || !v.SumsTile || v.Postmortems < 1 {
-		t.Fatalf("obs smoke gate failed: %s", v)
-	}
-}

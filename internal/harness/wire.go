@@ -25,6 +25,46 @@ import (
 // CI-runnable, and still showing the saturation knee with voice held
 // flat under qos-priority.
 
+var e14 = Experiment{
+	ID: "E14", Table: "wire",
+	Title: "wire-level latency curves (loopback mccpserver)",
+	Run:   func(int) string { return FormatWireLatency(WireLatency(WireConfig{})) },
+	Notes: []string{
+		"(every arrival crosses the server protocol on a loopback transport;",
+		" wire latency adds the client batching wait to the shard service)",
+	},
+	Points: wirePoints(),
+	Gate: &Gate{
+		Name:  "wire",
+		Doc:   "E14 one-point loopback run (64 sessions, 0.5x saturation): voice wire p99 within 2x the in-process E13 p99, no voice packet shed",
+		Check: wireGate,
+	},
+}
+
+// wirePoints is the E14 bench sweep: three offered points through the
+// loopback server. wire_Mbps gates higher-is-better and
+// voice_wire_p99_cycles lower-is-better against the baseline.
+func wirePoints() []Point {
+	var pts []Point
+	for _, offered := range []float64{0.5, 1.0, 2.0} {
+		pts = append(pts, Point{Name: fmt.Sprintf("WireLatency/offered=%.1f", offered), Run: func() []Metric {
+			cfg := WireConfig{Sessions: 64, Windows: 24}
+			p := WirePointRun(offered, cfg.saturation(), cfg)
+			v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+			return []Metric{
+				{"offered_Mbps", p.TotalOfferedMbps},
+				{"wire_Mbps", p.WireMbps},
+				{"voice_wire_p99_cycles", float64(v.P99)},
+				{"background_wire_p99_cycles", float64(bg.P99)},
+				{"voice_loss_pct", 100 * v.LossFrac},
+				{"background_loss_pct", 100 * bg.LossFrac},
+				{"voice_shed", float64(v.Shed)},
+			}
+		}})
+	}
+	return pts
+}
+
 // WireMix is the E14 class mix: E13's LoadMix with deadline budgets on
 // the bulk classes. On the wire every packet inherits its session's
 // deadline; the bulk budget (~1.5 client windows) is what converts a
@@ -119,27 +159,25 @@ func (c *WireConfig) fill() {
 	}
 }
 
-// WireClassCell is one class's measurement at one offered point.
-type WireClassCell struct {
-	Class qos.Class
-	// Verdict counts from the protocol status codes.
-	Submitted, Completed, Rejected, Shed, Expired, Aged, Failed uint64
-	// LossFrac is (Submitted-Completed)/Submitted.
-	LossFrac float64
-	// P50/P99 are end-to-end wire latency percentiles in cycles:
-	// batching wait (window end minus arrival on the wire clock) plus
-	// shard-side service.
-	P50, P99 sim.Time
-	// DeliveredMbps is the class's delivered rate over the wire-clock
-	// horizon at the modeled frequency.
-	DeliveredMbps float64
+// saturation returns the cluster capacity offered fractions refer to:
+// the SatMbps override, or the calibrated per-device mix saturation scaled
+// to the cluster's shard and core counts.
+func (c WireConfig) saturation() float64 {
+	c.fill()
+	if c.SatMbps > 0 {
+		return c.SatMbps
+	}
+	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.Shards) * float64(c.CoresPerShard) / 4
 }
 
 // WirePoint is one offered-rate measurement of the E14 table.
 type WirePoint struct {
 	Offered  float64
 	Sessions int
-	Classes  []WireClassCell // highest priority first
+	// Classes holds the client-side verdict tallies per class, highest
+	// priority first; latency is end to end on the wire clock: batching
+	// wait (window end minus arrival) plus shard-side service.
+	Classes []qos.ClassCell
 	// Totals: WireMbps is the delivered wire throughput over the
 	// horizon.
 	TotalOfferedMbps float64
@@ -151,16 +189,6 @@ type WirePoint struct {
 	ArrivalDigest uint64
 	ServerDigests []uint64
 	ClusterCycles sim.Time
-}
-
-// Cell returns the point's cell for a class (zero value if absent).
-func (p WirePoint) Cell(c qos.Class) WireClassCell {
-	for _, cell := range p.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return WireClassCell{Class: c}
 }
 
 // WireResult is the E14 table.
@@ -179,11 +207,7 @@ type WireResult struct {
 // the table is deterministic.
 func WireLatency(cfg WireConfig) WireResult {
 	cfg.fill()
-	sat := cfg.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Mix, cfg.SatPackets) * float64(cfg.Shards) *
-			float64(cfg.CoresPerShard) / 4
-	}
+	sat := cfg.saturation()
 	res := WireResult{SaturationMbps: sat, Policy: cfg.Policy, Sessions: cfg.Sessions}
 	for _, offered := range cfg.Offered {
 		res.Points = append(res.Points, WirePointRun(offered, sat, cfg))
@@ -193,6 +217,19 @@ func WireLatency(cfg WireConfig) WireResult {
 
 // WirePointRun measures one offered point of the E14 table.
 func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
+	return runWire(cfg, offered, satMbps, nil, server.LoadConfig{}, nil)
+}
+
+// runWire is the one wire pipeline behind E14, E16 and E17: boot a fresh
+// loopback server in front of a fresh cluster (with the fault plane wired
+// in when fp is set), replay the open-loop mix at the offered fraction of
+// satMbps — drill carries the fault drills' extra client knobs (window
+// tallies, churn) — and reduce the outcome to a table point. inspect, if
+// set, sees the server and the raw load before teardown. Because every
+// wire table goes through here, a fault table's zero-fault row is
+// computed by the very same code as the E14 baseline.
+func runWire(cfg WireConfig, offered, satMbps float64, fp *server.FaultPolicy, drill server.LoadConfig,
+	inspect func(*server.Server, server.LoadResult)) WirePoint {
 	cfg.fill()
 	srv, err := server.New(server.Config{
 		Cluster: cluster.Config{
@@ -215,6 +252,7 @@ func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 			},
 		},
 		BatchOps: cfg.BatchOps,
+		Faults:   fp,
 	})
 	if err != nil {
 		panic(err) // experiment drivers pass literal configurations
@@ -223,67 +261,51 @@ func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 	lb := server.NewLoopback()
 	srv.Serve(lb)
 
-	bitsPerCycle := offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:     cfg.Sessions,
-		Mix:          cfg.Mix,
-		Process:      cfg.Process,
-		BitsPerCycle: bitsPerCycle,
-		WindowCycles: cfg.WindowCycles,
-		Windows:      cfg.Windows,
-		Seed:         cfg.Seed,
-	})
+	drill.Sessions = cfg.Sessions
+	drill.Mix = cfg.Mix
+	drill.Process = cfg.Process
+	drill.BitsPerCycle = offered * satMbps * 1e6 / sim.DefaultFreqHz
+	drill.WindowCycles = cfg.WindowCycles
+	drill.Windows = cfg.Windows
+	drill.Seed = cfg.Seed
+	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, drill)
 	if err != nil {
 		panic(err)
 	}
-
-	return buildWirePoint(offered, satMbps, cfg.Sessions, load)
-}
-
-// buildWirePoint reduces one RunLoad outcome to a table point — shared
-// by the E14 wire curves and the E16 fault curves, so a fault table's
-// zero-fault row is computed by the very same code as the E14 baseline.
-func buildWirePoint(offered, satMbps float64, sessions int, load server.LoadResult) WirePoint {
-	horizon := load.HorizonCycles
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(horizon) * sim.DefaultFreqHz / 1e6
+	if inspect != nil {
+		inspect(srv, load)
 	}
+
 	point := WirePoint{
-		Offered:       offered,
-		Sessions:      sessions,
-		ArrivalDigest: load.ArrivalDigest,
+		Offered:          offered,
+		Sessions:         cfg.Sessions,
+		TotalOfferedMbps: offered * satMbps,
+		ArrivalDigest:    load.ArrivalDigest,
 	}
 	if load.Stats != nil {
 		point.ServerDigests = load.Stats.Digests
 		point.ClusterCycles = load.Stats.ClusterCycles
 	}
-	var submitted, completed uint64
-	var deliveredBytes uint64
+	bytes := mixBytes(cfg.Mix)
+	var submitted, completed, deliveredBytes uint64
 	for _, class := range qos.Classes() {
 		cl := load.Classes[class]
-		cell := WireClassCell{
-			Class:         class,
-			Submitted:     cl.Submitted,
-			Completed:     cl.OK,
-			Rejected:      cl.Rejected,
-			Shed:          cl.Shed,
-			Expired:       cl.Expired,
-			Aged:          cl.Aged,
-			Failed:        cl.AuthFail + cl.Failed,
-			P50:           qos.PercentileOf(cl.WireSamples, 50),
-			P99:           qos.PercentileOf(cl.WireSamples, 99),
-			DeliveredMbps: toMbps(cl.DeliveredBytes),
-		}
-		if cl.Submitted > 0 {
-			cell.LossFrac = float64(cl.Submitted-cl.OK) / float64(cl.Submitted)
-		}
+		point.Classes = append(point.Classes, qos.NewClassCell(qos.ClassStats{
+			Class:     class,
+			Submitted: cl.Submitted,
+			Completed: cl.OK,
+			Rejected:  cl.Rejected,
+			Shed:      cl.Shed,
+			Expired:   cl.Expired,
+			Aged:      cl.Aged,
+			Failed:    cl.AuthFail + cl.Failed,
+			Bytes:     cl.DeliveredBytes,
+		}, cl.WireSamples, bytes[class], load.HorizonCycles))
 		submitted += cl.Submitted
 		completed += cl.OK
 		deliveredBytes += cl.DeliveredBytes
-		point.Classes = append(point.Classes, cell)
 	}
-	point.TotalOfferedMbps = offered * satMbps
-	point.WireMbps = toMbps(deliveredBytes)
+	point.WireMbps = qos.MbpsOver(deliveredBytes, load.HorizonCycles)
 	if submitted > 0 {
 		point.TotalLossFrac = float64(submitted-completed) / float64(submitted)
 	}
@@ -300,7 +322,7 @@ func FormatWireLatency(r WireResult) string {
 		"offered", "off Mbps", "wire Mbps",
 		"v p50 cyc", "v p99 cyc", "bg p50", "bg p99", "bg loss%", "shed", "expired", "aged")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 		var shed, expired, aged uint64
 		for _, c := range p.Classes {
 			shed += c.Shed
@@ -314,53 +336,24 @@ func FormatWireLatency(r WireResult) string {
 	return b.String()
 }
 
-// WireSmokeVerdict is the CI -wiresmoke gate's result: at half the
-// saturation load the service boundary must cost voice at most a factor
-// of two in p99 versus the in-process E13 measurement, and shed nothing.
-type WireSmokeVerdict struct {
-	// VoiceWireP99 is the wire-level voice p99 at 0.5x saturation;
-	// VoiceE13P99 the in-process E13 voice p99 at the same point; Factor
-	// the allowed ratio.
-	VoiceWireP99 sim.Time
-	VoiceE13P99  sim.Time
-	Factor       float64
-	VoiceShed    uint64
-	Point        WirePoint
-}
-
-// Pass reports whether the gate held.
-func (v WireSmokeVerdict) Pass() bool {
-	return v.VoiceShed == 0 &&
-		float64(v.VoiceWireP99) <= v.Factor*float64(v.VoiceE13P99)
-}
-
-func (v WireSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("wiresmoke %s: voice wire p99 %d cycles vs %d in-process at 0.5x saturation (limit %.0fx), voice shed %d (limit 0)",
-		verdict, v.VoiceWireP99, v.VoiceE13P99, v.Factor, v.VoiceShed)
-}
-
-// WireSmoke runs the one-point loopback E14 gate CI checks. Small on
-// purpose: one offered point, a short window, 64 sessions.
-func WireSmoke() WireSmokeVerdict {
+// wireGate runs the one-point loopback measurement against the in-process
+// E13 point at the same load. Small on purpose: one offered point, a
+// short window, 64 sessions.
+func wireGate() GateReport {
 	e13 := LoadPointRun("qos-priority", 0.5, SaturationMbps(LoadMix, 8),
 		LoadCurveConfig{BackgroundPackets: 120})
-	cfg := WireConfig{
-		Sessions:     64,
-		Offered:      []float64{0.5},
-		WindowCycles: 4096,
-		Windows:      24,
+	cfg := WireConfig{Sessions: 64, WindowCycles: 4096, Windows: 24}
+	p := WirePointRun(0.5, cfg.saturation(), cfg)
+	v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+	inProc := qos.CellOf(e13.Classes, qos.Voice).P99
+	const factor = 2
+	r := GateReport{
+		Summary: fmt.Sprintf("voice wire p99 %d cycles vs %d in-process at 0.5x saturation (limit %dx), voice shed %d (limit 0)",
+			v.P99, inProc, factor, v.Shed),
+		Details: []string{fmt.Sprintf("offered %.2fx: wire %.0f Mbps, background wire p99 %d cyc, loss %.2f%%",
+			p.Offered, p.WireMbps, bg.P99, 100*bg.LossFrac)},
 	}
-	res := WireLatency(cfg)
-	p := res.Points[0]
-	return WireSmokeVerdict{
-		VoiceWireP99: p.Cell(qos.Voice).P99,
-		VoiceE13P99:  e13.Cell(qos.Voice).P99,
-		Factor:       2,
-		VoiceShed:    p.Cell(qos.Voice).Shed,
-		Point:        p,
-	}
+	r.require(v.Shed == 0, "%d voice packets shed", v.Shed)
+	r.require(v.P99 <= factor*inProc, "voice wire p99 %d exceeds %dx the in-process %d", v.P99, factor, inProc)
+	return r
 }

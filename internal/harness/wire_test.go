@@ -42,7 +42,7 @@ func TestWireLatencyCurveShape(t *testing.T) {
 	}
 	var prevLoss float64
 	for i, p := range res.Points {
-		v := p.Cell(qos.Voice)
+		v := qos.CellOf(p.Classes, qos.Voice)
 		if v.Submitted == 0 || v.Completed == 0 {
 			t.Fatalf("point %.2fx: no voice traffic (%+v)", p.Offered, v)
 		}
@@ -62,7 +62,7 @@ func TestWireLatencyCurveShape(t *testing.T) {
 	}
 	under := res.Points[0]                // 0.25x
 	over := res.Points[len(res.Points)-1] // 2.0x
-	bgU, bgO := under.Cell(qos.Background), over.Cell(qos.Background)
+	bgU, bgO := qos.CellOf(under.Classes, qos.Background), qos.CellOf(over.Classes, qos.Background)
 	if bgO.P99 <= bgU.P99 {
 		t.Errorf("background wire p99 did not grow past the knee: %d -> %d cycles",
 			bgU.P99, bgO.P99)
@@ -71,22 +71,10 @@ func TestWireLatencyCurveShape(t *testing.T) {
 		t.Errorf("no saturation knee: loss %.4f at 0.25x vs %.4f at 2.0x",
 			under.TotalLossFrac, over.TotalLossFrac)
 	}
-	vU, vO := under.Cell(qos.Voice), over.Cell(qos.Voice)
+	vU, vO := qos.CellOf(under.Classes, qos.Voice), qos.CellOf(over.Classes, qos.Voice)
 	// Voice stays flat past the knee under qos-priority: its p99 may grow
 	// only modestly while background's blows out.
 	if vO.P99 > 2*vU.P99 {
 		t.Errorf("voice wire p99 not flat past the knee: %d -> %d cycles", vU.P99, vO.P99)
-	}
-}
-
-func TestWireSmoke(t *testing.T) {
-	v := WireSmoke()
-	t.Logf("%s", v)
-	if !v.Pass() {
-		t.Fatalf("wiresmoke gate failed: %s", v)
-	}
-	a, b := WireSmoke(), WireSmoke()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("wiresmoke not reproducible: %s vs %s", a, b)
 	}
 }

@@ -109,7 +109,7 @@ var ErrAuth = radio.ErrAuth
 var ErrNoResources = core.ErrNoResources
 
 // ErrQueueFull is the bounded-queue verdict: the device request queue hit
-// Config.MaxQueue and shed the request (see Stats.Shed).
+// WithQueueing bound and shed the request (see Stats.Shed).
 var ErrQueueFull = core.ErrQueueFull
 
 // ErrShed is the QoS shaper's admission verdict: a class queue was full.
@@ -147,24 +147,6 @@ const (
 // ErrExpired VerdictExpired, ErrAged VerdictAged, ErrAuth
 // VerdictAuthFail, anything else VerdictFailed.
 func VerdictFor(err error) Verdict { return verdict.For(err) }
-
-// Config sizes a Platform.
-type Config struct {
-	// Cores is the number of Cryptographic Cores (default 4, as in the
-	// paper's implementation).
-	Cores int
-	// Policy selects the dispatch policy (default PolicyFirstIdle, the
-	// paper's §III.C behaviour).
-	Policy Policy
-	// QueueRequests enables the §VIII QoS extension: saturating requests
-	// wait in a priority queue instead of drawing the error flag.
-	QueueRequests bool
-	// MaxQueue bounds the request queue when QueueRequests is on
-	// (0 = unbounded); overflow is shed with ErrQueueFull.
-	MaxQueue int
-	// Seed drives deterministic session-key generation.
-	Seed uint64
-}
 
 // Platform is a simulated radio: the MCCP plus its surrounding controllers.
 type Platform struct {
@@ -248,54 +230,27 @@ func NewPlatform(opts ...Option) (*Platform, error) {
 	if o.Shards != 0 || o.Router != "" || o.Shape {
 		return nil, fmt.Errorf("mccp: fleet-scope option on NewPlatform (use NewFleet)")
 	}
-	return newPlatform(Config{
-		Cores:         o.Cores,
-		Policy:        o.Policy,
-		QueueRequests: o.QueueRequests,
-		MaxQueue:      o.MaxQueue,
-		Seed:          o.Seed,
-	})
-}
-
-func newPlatform(cfg Config) (*Platform, error) {
-	pol, err := scheduler.ByName(string(cfg.Policy))
+	pol, err := scheduler.ByName(string(o.Policy))
 	if err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()
 	dev := core.New(eng, core.Config{
-		Cores:         cfg.Cores,
+		Cores:         o.Cores,
 		Policy:        pol,
-		QueueRequests: cfg.QueueRequests,
-		MaxQueue:      cfg.MaxQueue,
+		QueueRequests: o.QueueRequests,
+		MaxQueue:      o.MaxQueue,
 	})
 	p := &Platform{
 		Eng: eng,
 		Dev: dev,
 		CC:  radio.NewCommController(dev),
-		MC:  radio.NewMainController(dev, cfg.Seed^0xD1CE),
+		MC:  radio.NewMainController(dev, o.Seed^0xD1CE),
 		rc:  reconfig.NewController(eng, dev),
 	}
 	eng.Run() // settle core firmware into its idle loop
 	return p, nil
 }
-
-// New builds a Platform, panicking on an invalid Config.
-//
-// Deprecated: use NewPlatform, the validating functional-options
-// constructor. New remains for existing callers.
-func New(cfg Config) *Platform {
-	p, err := newPlatform(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("mccp: %v", err))
-	}
-	return p
-}
-
-// NewChecked builds a Platform, returning an error on an invalid Config.
-//
-// Deprecated: use NewPlatform. NewChecked remains for existing callers.
-func NewChecked(cfg Config) (*Platform, error) { return newPlatform(cfg) }
 
 // Cycles returns the current virtual time in clock cycles.
 func (p *Platform) Cycles() sim.Time { return p.Eng.Now() }

@@ -11,8 +11,18 @@ import (
 	"mccp/internal/whirlpool"
 )
 
+// newPlatform builds a single-device platform or fails the test.
+func newPlatform(t *testing.T, opts ...mccp.Option) *mccp.Platform {
+	t.Helper()
+	p, err := mccp.NewPlatform(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
-	p := mccp.New(mccp.Config{})
+	p := newPlatform(t)
 	key, err := p.NewKey(16)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +63,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIPolicies(t *testing.T) {
 	for _, pol := range []mccp.Policy{mccp.PolicyFirstIdle, mccp.PolicyRoundRobin, mccp.PolicyKeyAffinity} {
-		p := mccp.New(mccp.Config{Policy: pol, QueueRequests: true})
+		p := newPlatform(t, mccp.WithPolicy(pol), mccp.WithQueueing(0))
 		key, _ := p.NewKey(32)
 		ch, err := p.Open(mccp.Suite{Family: mccp.CCM, TagLen: 8, SplitCCM: true}, key)
 		if err != nil {
@@ -71,7 +81,7 @@ func TestPublicAPIPolicies(t *testing.T) {
 }
 
 func TestPublicAPIAsyncPipeline(t *testing.T) {
-	p := mccp.New(mccp.Config{QueueRequests: true})
+	p := newPlatform(t, mccp.WithQueueing(0))
 	key, _ := p.NewKey(16)
 	ch, err := p.Open(mccp.Suite{Family: mccp.GCM, TagLen: 16}, key)
 	if err != nil {
@@ -96,7 +106,7 @@ func TestPublicAPIAsyncPipeline(t *testing.T) {
 }
 
 func TestPublicAPIReconfigureAndHash(t *testing.T) {
-	p := mccp.New(mccp.Config{})
+	p := newPlatform(t)
 	if _, err := p.Reconfigure(2, mccp.EngineWhirlpool, mccp.FromRAM); err != nil {
 		t.Fatal(err)
 	}
@@ -115,29 +125,15 @@ func TestPublicAPIReconfigureAndHash(t *testing.T) {
 	}
 }
 
-// TestNewCheckedRejectsUnknownPolicy covers the validate-and-error
-// constructor: user-supplied policy names must produce an error from
-// NewChecked and a panic (not a misconfigured platform) from New.
-func TestNewCheckedRejectsUnknownPolicy(t *testing.T) {
-	if _, err := mccp.NewChecked(mccp.Config{Policy: "best-effort"}); err == nil {
-		t.Fatal("NewChecked accepted an unknown policy")
-	}
-	if p, err := mccp.NewChecked(mccp.Config{Policy: mccp.PolicyRoundRobin}); err != nil || p == nil {
-		t.Fatalf("NewChecked rejected a valid policy: %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New did not panic on an unknown policy")
-		}
-	}()
-	mccp.New(mccp.Config{Policy: "best-effort"})
-}
-
 // saturate fires more async packets than the device has cores and returns
 // the outcome counts.
 func saturate(t *testing.T, policy mccp.Policy, queue bool) (ok, rejected int, stats mccp.Stats) {
 	t.Helper()
-	p := mccp.New(mccp.Config{Policy: policy, QueueRequests: queue})
+	opts := []mccp.Option{mccp.WithPolicy(policy)}
+	if queue {
+		opts = append(opts, mccp.WithQueueing(0))
+	}
+	p := newPlatform(t, opts...)
 	key, err := p.NewKey(16)
 	if err != nil {
 		t.Fatal(err)
@@ -243,13 +239,13 @@ func TestPublicAPICluster(t *testing.T) {
 
 // TestPublicAPIMatchesStdlibGCM pins the facade against crypto/cipher.
 func TestPublicAPIMatchesStdlibGCM(t *testing.T) {
-	p := mccp.New(mccp.Config{Seed: 42})
+	p := newPlatform(t, mccp.WithSeed(42))
 	keyID, err := p.NewKey(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recover the generated key via a second deterministic controller run.
-	p2 := mccp.New(mccp.Config{Seed: 42})
+	p2 := newPlatform(t, mccp.WithSeed(42))
 	_, key2, _ := p2.MC.ProvisionKey(16)
 
 	ch, _ := p.Open(mccp.Suite{Family: mccp.GCM, TagLen: 16}, keyID)
@@ -270,7 +266,7 @@ func TestPublicAPIMatchesStdlibGCM(t *testing.T) {
 // a qos-priority platform, per-channel class tags, the shaper front end
 // with a bounded background queue, and the three-way saturation counters.
 func TestPublicAPIQoS(t *testing.T) {
-	p := mccp.New(mccp.Config{Policy: mccp.PolicyQoSPriority, QueueRequests: true})
+	p := newPlatform(t, mccp.WithPolicy(mccp.PolicyQoSPriority), mccp.WithQueueing(0))
 	voiceKey, _ := p.NewKey(16)
 	bulkKey, _ := p.NewKey(16)
 	voice, err := p.Open(mccp.Suite{Family: mccp.CCM, TagLen: 8, Priority: mccp.QoSVoice.Priority()}, voiceKey)
@@ -332,7 +328,7 @@ func TestPublicAPIQoS(t *testing.T) {
 // device queues up to the bound, sheds the rest with ErrQueueFull, and
 // Stats separates the outcomes.
 func TestPublicAPIBoundedDeviceQueue(t *testing.T) {
-	p := mccp.New(mccp.Config{QueueRequests: true, MaxQueue: 2})
+	p := newPlatform(t, mccp.WithQueueing(2))
 	key, _ := p.NewKey(16)
 	ch, err := p.Open(mccp.Suite{Family: mccp.GCM, TagLen: 16}, key)
 	if err != nil {
