@@ -17,8 +17,11 @@
 //	mccpcluster -faults crashes=1 -offered 0.9
 //	                                    # fault drill: a seeded schedule
 //	                                    # crashes shards mid-window; the
-//	                                    # detector quarantines, re-homes
-//	                                    # voice-first and browns out
+//	                                    # heal controller quarantines,
+//	                                    # re-homes voice-first, browns out
+//	mccpcluster -heal -restart-src icap -offered 0.9
+//	                                    # same drill with the restart loop
+//	                                    # closed: rebuild, rejoin, lift
 package main
 
 import (
@@ -145,18 +148,19 @@ func main() {
 		log.Fatalf("-weights: %v", err)
 	}
 
-	if *heal {
-		src, err := reconfig.SourceByName(*restartSrc)
-		if err != nil {
-			log.Fatalf("-restart-src: %v", err)
+	if *heal || *faultsSpec != "" {
+		// -heal is the fault drill with the restart loop closed; alone it
+		// crashes one shard.
+		spec, src := *faultsSpec, reconfig.Source{}
+		if spec == "" {
+			spec = "crashes=1"
 		}
-		runHeal(*shards, *cores, *router, *policy,
-			*offered, *windows, sim.Time(*horizon), uint64(*seed), src)
-		return
-	}
-
-	if *faultsSpec != "" {
-		runFaults(*faultsSpec, *shards, *cores, *router, *policy,
+		if *heal {
+			if src, err = reconfig.SourceByName(*restartSrc); err != nil {
+				log.Fatalf("-restart-src: %v", err)
+			}
+		}
+		runDrill(spec, src, *shards, *cores, *router, *policy,
 			*offered, *windows, sim.Time(*horizon), uint64(*seed))
 		return
 	}
@@ -261,13 +265,7 @@ func parseWeights(s string) (qos.Weights, error) {
 func runOpenLoop(shards, cores int, router, policy, proc, drain string,
 	weights qos.Weights, offered float64, horizon, seed uint64,
 	traceOut string, traceSample float64) {
-	sat := harness.SaturationMbps(harness.LoadMix, 8)
-	if cores > 0 && cores != 4 {
-		// The calibration runs on the paper's 4-core device; per-core
-		// throughput is flat across the 4x1 mapping, so scale linearly to
-		// keep the "fraction of saturation" axis honest for other sizes.
-		sat *= float64(cores) / 4
-	}
+	sat := satPerShard(cores)
 	res, err := cluster.RunOpenLoop(cluster.OpenLoopConfig{
 		Shards:          shards,
 		CoresPerShard:   cores,
@@ -357,12 +355,27 @@ func parseFaultSpec(spec string, shards, windows int, windowCycles sim.Time, see
 	return cfg, nil
 }
 
-// runFaults is the fault drill: a seeded schedule crashes and stalls
-// shards mid-window under open-loop load; a heartbeat detector
-// quarantines each corpse at the next window boundary, re-homes its
-// sessions voice-first, and browns out low classes while capacity is
-// down. Every number printed is deterministic in (flags, seed).
-func runFaults(spec string, shards, cores int, router, policy string,
+// satPerShard is one shard's E13-calibrated saturation throughput. The
+// calibration runs on the paper's 4-core device; per-core throughput is
+// flat across the 4x1 mapping, so it scales linearly to keep the
+// "fraction of saturation" axis honest for other sizes.
+func satPerShard(cores int) float64 {
+	sat := harness.SaturationMbps(harness.LoadMix, 8)
+	if cores > 0 && cores != 4 {
+		sat *= float64(cores) / 4
+	}
+	return sat
+}
+
+// runDrill is the fault and self-healing drill: a seeded schedule crashes
+// and stalls shards mid-window under open-loop load while the heal
+// controller — the same fleet.Controller the wire server runs and E16/E17
+// gate — closes every window: heartbeat detection, voice-first fail-over,
+// brownout to the surviving capacity and, with a restart source (-heal),
+// rebuild, rejoin, rebalance back and a measured-load-gated lift one
+// class per boundary. Every number printed is deterministic in (flags,
+// seed).
+func runDrill(spec string, src reconfig.Source, shards, cores int, router, policy string,
 	offered float64, windows int, windowCycles sim.Time, seed uint64) {
 	planCfg, err := parseFaultSpec(spec, shards, windows, windowCycles, seed)
 	if err != nil {
@@ -372,141 +385,14 @@ func runFaults(spec string, shards, cores int, router, policy string,
 	if err != nil {
 		log.Fatalf("-faults: %v", err)
 	}
-	satPerShard := harness.SaturationMbps(harness.LoadMix, 8)
-	if cores > 0 && cores != 4 {
-		satPerShard *= float64(cores) / 4
-	}
-	offeredMbps := offered * satPerShard * float64(shards)
-	var shares [qos.NumClasses]float64
-	for _, p := range harness.LoadMix {
-		shares[p.Class] += p.Share
-	}
-
-	cl, err := cluster.New(cluster.Config{
-		Shards:        shards,
-		CoresPerShard: cores,
-		Router:        router,
-		Policy:        policy,
-		QueueRequests: true,
-		Seed:          seed,
-		Shape:         true,
-		Shaper:        qos.Config{Capacity: 2 * max(cores, 1), QueueDepth: 32},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	runner, err := cluster.NewOpenLoopRunner(cl, cluster.OpenLoopRunnerConfig{
-		Profiles:    harness.LoadMix,
-		OfferedMbps: offeredMbps,
-		Seed:        seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer runner.Close()
-
-	fmt.Printf("fault drill: %d shards x %d cores at %.2fx saturation (%.0f Mbps), %d windows x %d cycles\n",
-		shards, cores, offered, offeredMbps, windows, windowCycles)
-	fmt.Printf("schedule (seed %d): %s\n", seed, sched)
-	fmt.Printf("%-8s %10s %10s %8s %s\n", "window", "del Mbps", "voice del%", "errors", "events")
-	lastHB := make([]uint64, shards)
-	for w := 0; w < windows; w++ {
-		var notes []string
-		for _, e := range sched.ForWindow(w) {
-			switch e.Kind {
-			case faults.ShardCrash:
-				if err := cl.ArmShardCrash(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset); err != nil {
-					log.Fatal(err)
-				}
-			case faults.ShardStall:
-				if err := cl.ArmShardStall(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset, e.Dur); err != nil {
-					log.Fatal(err)
-				}
-			}
-			notes = append(notes, e.String())
-		}
-		for i := 0; i < shards; i++ {
-			lastHB[i] = cl.NextHeartbeat(i)
-		}
-		win, err := runner.RunWindow(windowCycles)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Heartbeat detector: a shard whose counter froze across a served
-		// window is dead — quarantine and re-home, then brown out to the
-		// surviving capacity.
-		for i := 0; i < shards; i++ {
-			if cl.QuarantinedShard(i) || cl.NextHeartbeat(i) != lastHB[i] {
-				continue
-			}
-			rep, err := cl.FailOver(i)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d down, fail-over refused: %v", i, err))
-				continue
-			}
-			notes = append(notes, fmt.Sprintf("shard %d down: re-homed %d (voice first), lost %d, %d cycles",
-				i, rep.Moved, rep.Lost, rep.Took))
-			healthy := 0
-			for j := 0; j < shards; j++ {
-				if !cl.QuarantinedShard(j) {
-					healthy++
-				}
-			}
-			deny := faults.BrownoutDeny(offeredMbps, float64(healthy)*satPerShard, shares)
-			if err := cl.ApplyDeny(deny); err != nil {
-				log.Fatal(err)
-			}
-			var shed []string
-			for _, class := range qos.Classes() {
-				if deny[class] {
-					shed = append(shed, class.String())
-				}
-			}
-			if len(shed) > 0 {
-				notes = append(notes, "brownout: shedding "+strings.Join(shed, ", "))
-			}
-		}
-		voice := 100.0
-		for _, c := range win.Classes {
-			if c.Class == qos.Voice && c.Submitted > 0 {
-				voice = 100 * float64(c.Completed) / float64(c.Submitted)
-			}
-		}
-		fmt.Printf("%-8d %10.0f %9.2f%% %8d %s\n",
-			w, win.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
-	}
-	exitReport(cl)
-}
-
-// runHeal is the self-healing drill: one seeded crash under open-loop
-// load, the fault side handled exactly as runFaults (fail-over
-// voice-first, brownout to the surviving capacity), and then the
-// recovery side the fault drill leaves open — the corpse is rebuilt by
-// streaming the base bitstream back in from src, rejoined, reloaded
-// voice-first with RebalanceInto, and the brownout lifted once capacity
-// is back. Every number printed is deterministic in (flags, seed).
-func runHeal(shards, cores int, router, policy string,
-	offered float64, windows int, windowCycles sim.Time, seed uint64, src reconfig.Source) {
-	sched, err := faults.Plan(faults.PlanConfig{
-		Seed:         seed,
-		Shards:       shards,
-		Windows:      windows,
-		Crashes:      1,
-		FaultWindow:  windows / 3,
-		WindowCycles: windowCycles,
-	})
-	if err != nil {
-		log.Fatalf("-heal: %v", err)
-	}
-	satPerShard := harness.SaturationMbps(harness.LoadMix, 8)
-	if cores > 0 && cores != 4 {
-		satPerShard *= float64(cores) / 4
-	}
-	offeredMbps := offered * satPerShard * float64(shards)
-	var shares [qos.NumClasses]float64
-	for _, p := range harness.LoadMix {
-		shares[p.Class] += p.Share
+	sat := satPerShard(cores)
+	pol := fleet.HealPolicy{
+		Schedule:        sched,
+		OfferedMbps:     offered * sat * float64(shards),
+		SatMbpsPerShard: sat,
+		Shares:          arrivals.ClassShares(harness.LoadMix),
+		RestartSource:   src,
+		WindowCycles:    windowCycles,
 	}
 
 	cl, err := cluster.New(cluster.Config{
@@ -525,99 +411,47 @@ func runHeal(shards, cores int, router, policy string,
 	defer cl.Close()
 	runner, err := cluster.NewOpenLoopRunner(cl, cluster.OpenLoopRunnerConfig{
 		Profiles:    harness.LoadMix,
-		OfferedMbps: offeredMbps,
+		OfferedMbps: pol.OfferedMbps,
 		Seed:        seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer runner.Close()
+	ctl := fleet.NewController(cl, pol)
 
-	restartIn := int((cluster.RestartCycles(cores, src) + windowCycles - 1) / windowCycles)
-	if restartIn < 1 {
-		restartIn = 1
+	name, restart := "fault", ""
+	if src.BytesPerSec > 0 {
+		name = "self-healing"
+		restart = fmt.Sprintf("; restart from %s takes %d cycles (~%d windows)",
+			src.Name, cluster.RestartCycles(cl.CoresPerShard(), src), pol.RestartWindows(cl.CoresPerShard()))
 	}
-	fmt.Printf("self-healing drill: %d shards x %d cores at %.2fx saturation (%.0f Mbps), %d windows x %d cycles\n",
-		shards, cores, offered, offeredMbps, windows, windowCycles)
-	fmt.Printf("schedule (seed %d): %s; restart from %s takes %d cycles (~%d windows)\n",
-		seed, sched, src.Name, cluster.RestartCycles(cores, src), restartIn)
+	fmt.Printf("%s drill: %d shards x %d cores at %.2fx saturation (%.0f Mbps), %d windows x %d cycles\n",
+		name, shards, cores, offered, pol.OfferedMbps, windows, windowCycles)
+	fmt.Printf("schedule (seed %d): %s%s\n", seed, sched, restart)
 	fmt.Printf("%-8s %10s %10s %8s %s\n", "window", "del Mbps", "voice del%", "errors", "events")
-	lastHB := make([]uint64, shards)
-	restartAt := make(map[int]int) // shard -> due window
 	for w := 0; w < windows; w++ {
+		// The controller armed this window's faults at the boundary that
+		// opened it; note them on the row they fire in.
 		var notes []string
 		for _, e := range sched.ForWindow(w) {
-			if e.Kind != faults.ShardCrash {
-				continue
-			}
-			if err := cl.ArmShardCrash(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset); err != nil {
-				log.Fatal(err)
-			}
 			notes = append(notes, e.String())
-		}
-		for i := 0; i < shards; i++ {
-			lastHB[i] = cl.NextHeartbeat(i)
 		}
 		win, err := runner.RunWindow(windowCycles)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := 0; i < shards; i++ {
-			if cl.QuarantinedShard(i) || cl.NextHeartbeat(i) != lastHB[i] {
-				continue
+		for _, ev := range ctl.Boundary() {
+			if ev.Kind == fleet.Restarted {
+				// The restart swapped the shard's platform out from under
+				// the runner's per-window deltas; re-base them.
+				runner.Resnapshot()
 			}
-			rep, err := cl.FailOver(i)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d down, fail-over refused: %v", i, err))
-				continue
-			}
-			notes = append(notes, fmt.Sprintf("shard %d down: re-homed %d (voice first), lost %d",
-				i, rep.Moved, rep.Lost))
-			healthy := 0
-			for j := 0; j < shards; j++ {
-				if !cl.QuarantinedShard(j) {
-					healthy++
-				}
-			}
-			deny := faults.BrownoutDeny(offeredMbps, float64(healthy)*satPerShard, shares)
-			if err := cl.ApplyDeny(deny); err != nil {
-				log.Fatal(err)
-			}
-			for _, class := range qos.Classes() {
-				if deny[class] {
-					notes = append(notes, "brownout: shedding "+class.String())
-				}
-			}
-			restartAt[i] = w + restartIn
-		}
-		for i, due := range restartAt {
-			if w+1 < due {
-				continue
-			}
-			delete(restartAt, i)
-			rep, err := cl.Restart(i, src)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d restart refused: %v", i, err))
-				continue
-			}
-			// The restart swapped the shard's platform out from under the
-			// runner's per-window byte deltas; re-base them.
-			runner.Resnapshot()
-			moved, err := cl.RebalanceInto(i)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := cl.ApplyDeny([qos.NumClasses]bool{}); err != nil {
-				log.Fatal(err)
-			}
-			notes = append(notes, fmt.Sprintf("shard %d restarted from %s in %d cycles: rejoined, %d sessions back, brownout lifted",
-				i, src.Name, rep.Took, moved))
+			notes = append(notes, ev.String())
 		}
 		voice := 100.0
-		for _, c := range win.Classes {
-			if c.Class == qos.Voice && c.Submitted > 0 {
-				voice = 100 * float64(c.Completed) / float64(c.Submitted)
-			}
+		if c := qos.CellOf(win.Classes, qos.Voice); c.Submitted > 0 {
+			voice = 100 * float64(c.Completed) / float64(c.Submitted)
 		}
 		fmt.Printf("%-8d %10.0f %9.2f%% %8d %s\n",
 			w, win.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))

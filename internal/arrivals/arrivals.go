@@ -406,6 +406,16 @@ func (e *Emitter) Emit(seq int) {
 	e.submit(e.prof.Class, nonce, e.payload, deadline)
 }
 
+// ClassShares sums a mix's offered-bit shares per class — the brownout
+// planner's input.
+func ClassShares(mix []ClassProfile) [qos.NumClasses]float64 {
+	var shares [qos.NumClasses]float64
+	for _, p := range mix {
+		shares[p.Class] += p.Share
+	}
+	return shares
+}
+
 // MeanGap returns the class's mean interarrival gap in cycles at the
 // given total offered load (in bits per cycle).
 func (p ClassProfile) MeanGap(totalBitsPerCycle float64) float64 {

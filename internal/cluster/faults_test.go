@@ -244,3 +244,33 @@ func TestFaultPlaneIdleIsFree(t *testing.T) {
 		t.Fatalf("polling the detector perturbed the run:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// TestSnapshotCountsShardSideBytes: open-loop arrivals are generated on
+// the shard, past the front end's submit/deliver counters, and Snapshot
+// must still see them — the heal controller's detector reads a dead
+// shard's "offered bytes kept growing" from exactly these figures.
+func TestSnapshotCountsShardSideBytes(t *testing.T) {
+	cl, r := faultCluster(t, 43)
+	w, err := r.RunWindow(200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed uint64
+	for _, c := range w.Classes {
+		completed += c.Bytes
+	}
+	if completed == 0 {
+		t.Fatal("window completed no bytes")
+	}
+	snap := cl.Snapshot()
+	var delivered uint64
+	for _, sm := range snap.Shards {
+		if sm.OfferedBytes == 0 || sm.OfferedBytes < sm.Bytes {
+			t.Errorf("shard %d: offered %d, delivered %d bytes", sm.Shard, sm.OfferedBytes, sm.Bytes)
+		}
+		delivered += sm.Bytes
+	}
+	if delivered != completed || snap.Bytes != completed {
+		t.Fatalf("snapshot delivered %d bytes (total %d), window completed %d", delivered, snap.Bytes, completed)
+	}
+}

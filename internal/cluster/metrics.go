@@ -175,7 +175,9 @@ func (c *Cluster) buildMetrics(frontEnd bool) Metrics {
 	for i, sh := range c.shards {
 		snap := sh.snap.Load()
 		cyc := snap.cycles
-		done := c.bytesDone[i].Load()
+		// Front-end deliveries plus whatever arrival programs completed on
+		// the shard itself (zero on the wire and closed-loop paths).
+		done := c.bytesDone[i].Load() + snap.progBytes
 		pending := 0
 		if frontEnd {
 			pending = len(c.perShard[i])
@@ -185,7 +187,7 @@ func (c *Cluster) buildMetrics(frontEnd bool) Metrics {
 			Sessions:      int(c.shardSessions[i].Load()),
 			Packets:       snap.completions,
 			Bytes:         done,
-			OfferedBytes:  c.bytesRouted[i].Load(),
+			OfferedBytes:  c.bytesRouted[i].Load() + snap.progOffered,
 			AuthFails:     snap.authFails,
 			Rejected:      snap.rejected,
 			Queued:        snap.queued,

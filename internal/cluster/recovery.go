@@ -41,8 +41,8 @@ type RestartReport struct {
 // RestartCycles returns the expected virtual duration of a shard restart
 // from src: every core region is rewritten with the base AES bitstream
 // through the single ICAP port, so the cost is cores sequential swaps.
-// The server's fault policy uses it to schedule the rejoin window before
-// the restart has run.
+// The heal controller (internal/fleet) uses it to schedule the rejoin
+// window before the restart has run.
 func RestartCycles(cores int, src reconfig.Source) sim.Time {
 	per := src.Cycles(reconfig.BitstreamBytes(reconfig.EngineAES.Component()), sim.DefaultFreqHz) +
 		firmware.ImageWordsLoadCycles
@@ -93,8 +93,10 @@ func (c *Cluster) Restart(id int, src reconfig.Source) (RestartReport, error) {
 	c.shards[id] = sh
 	c.obsMu.Unlock()
 	// The new shard's batch sequence restarts at zero; reset the front
-	// end's pipeline bookkeeping to match. Offered/delivered byte counters
-	// stay cumulative — they describe the slot, not the incarnation.
+	// end's pipeline bookkeeping to match. The front end's offered/delivered
+	// byte counters stay cumulative — they describe the slot, not the
+	// incarnation; the shard-side arrival-program counters restart with the
+	// fresh shard, like its packet and cycle counts.
 	c.subSeq[id] = 0
 	c.perShard[id] = nil
 	c.hpPending[id] = 0

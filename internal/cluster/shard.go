@@ -35,6 +35,11 @@ type shardSnap struct {
 	keyExpansions uint64
 	crossbarBusy  sim.Time
 	cycles        sim.Time // virtual time consumed since settle
+	// progOffered/progBytes are the payload bytes shard-side arrival
+	// programs (runOpenLoopShard) submitted and completed cleanly — traffic
+	// the front end's submit/deliver counters never see.
+	progOffered uint64
+	progBytes   uint64
 	// heartbeat counts batches served while healthy: it stops advancing
 	// the moment a ShardCrash fault fires, which is how the front end's
 	// failure detector tells a dead shard from an idle one. crashed
@@ -122,6 +127,10 @@ type shard struct {
 	finished   int
 	doneFn     func()
 	batchStart sim.Time
+
+	// Arrival-program byte counters, published as shardSnap's.
+	progOffered uint64
+	progBytes   uint64
 }
 
 // newShard builds and starts one shard. pol must be a fresh policy
@@ -297,6 +306,8 @@ func (sh *shard) publishSnap() {
 		keyExpansions: sh.dev.KeySched.Expansions,
 		crossbarBusy:  sh.dev.XBar.BusyCycles,
 		cycles:        sh.eng.Now() - sh.base,
+		progOffered:   sh.progOffered,
+		progBytes:     sh.progBytes,
 		heartbeat:     sh.heartbeat,
 		crashed:       sh.crashed.Load(),
 	}

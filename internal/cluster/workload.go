@@ -316,6 +316,14 @@ type openLoopProgram struct {
 	digest  uint64
 	cycles  sim.Time
 	errors  int
+	// outstanding counts submitted packets still without a verdict;
+	// offered/delivered the payload bytes submitted and completed cleanly,
+	// folded into the shard's published counters when the program ends
+	// (these packets never cross the front end's submit/deliver path, so
+	// its byte counters cannot see them).
+	outstanding int
+	offered     uint64
+	delivered   uint64
 }
 
 // RunOpenLoop drives the open-loop class mix through a fresh shaped
@@ -407,13 +415,14 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon sim.Time, done func()) {
 	start := sh.eng.Now()
 	until := start + horizon
-	outstanding := 0
 	stopped := 0
 	finished := false
 	check := func() {
-		if !finished && stopped == len(p.sources) && outstanding == 0 {
+		if !finished && stopped == len(p.sources) && p.outstanding == 0 {
 			finished = true
 			p.cycles = sh.eng.Now() - start
+			sh.progOffered += p.offered
+			sh.progBytes += p.delivered
 			done()
 		}
 	}
@@ -424,11 +433,15 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon si
 		}
 		em := arrivals.NewEmitter(sh.eng, rs.prof, uint64(i), &p.digest,
 			func(class qos.Class, nonce, payload []byte, deadline sim.Time) {
-				outstanding++
+				p.outstanding++
+				n := uint64(len(payload))
+				p.offered += n
 				sh.shaper.EncryptDeadline(class, rs.ses.chID, nonce, nil, payload, deadline,
 					func(_ []byte, err error) {
-						outstanding--
-						if !arrivals.ExpectedVerdict(err) {
+						p.outstanding--
+						if err == nil {
+							p.delivered += n
+						} else if !arrivals.ExpectedVerdict(err) {
 							p.errors++
 						}
 						check()

@@ -7,8 +7,9 @@
 //
 // Everything here is a plan, not a mechanism: internal/cluster executes
 // shard faults as events on the victim shard's own discrete-event engine
-// (ArmShardCrash/ArmShardStall), internal/server executes churn and
-// detection, and internal/qos executes the brownout mask. Schedules are
+// (ArmShardCrash/ArmShardStall), internal/fleet's heal controller arms
+// them and runs detection, the load generator executes churn, and
+// internal/qos executes the brownout mask. Schedules are
 // drawn from the same splittable SplitMix64 PRNG discipline as
 // internal/arrivals, so a schedule is a pure function of its seed — the
 // E16 fault curves replay bit-identically.

@@ -5,7 +5,9 @@
 // serving shard set from the arrivals offered-load signal versus the
 // E13-calibrated saturation knee. It is the paper's §VII.B runtime
 // agility lifted from a single device to the cluster — the machinery
-// behind the E15 "agility cost under traffic" experiment.
+// behind the E15 "agility cost under traffic" experiment. heal.go adds
+// the heal controller: the failure detector and the fail-over → brownout
+// → restart → rejoin → lift loop behind E16/E17.
 package fleet
 
 import (

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"mccp/internal/arrivals"
 	"mccp/internal/faults"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/server"
 	"mccp/internal/sim"
@@ -163,9 +165,10 @@ type FaultPoint struct {
 	WirePoint
 	// Schedule is the fault plan the row ran under.
 	Schedule faults.Schedule
-	// Rehomes is the detector's fail-over log; Moved/Lost/RehomeTook
-	// aggregate it (Took is the worst single fail-over).
-	Rehomes    []server.RehomeEvent
+	// Events is the heal controller's trail; FailOvers/Moved/Lost/
+	// RehomeTook aggregate its fail-overs (Took is the worst single one).
+	Events     []fleet.Event
+	FailOvers  int
 	Moved      int
 	Lost       int
 	RehomeTook sim.Time
@@ -209,12 +212,12 @@ func FaultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 	return faultPointRun(policy, row, satMbps, cfg, nil, nil)
 }
 
-// faultPointRun is FaultPointRun with two hooks: arm adjusts the fault
-// policy before the server boots (E17 arms the restart loop through it),
-// and inspect runs while the server is still open (E17 reads the heal
-// log, the obs gate the flight-recorder postmortems).
+// faultPointRun is FaultPointRun with two hooks: arm adjusts the heal
+// policy before the server boots (E17 sets the restart source through
+// it), and inspect runs while the server is still open (the obs gate
+// reads the flight-recorder postmortems).
 func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig,
-	arm func(*server.FaultPolicy), inspect func(*server.Server)) FaultPoint {
+	arm func(*fleet.HealPolicy), inspect func(*server.Server)) FaultPoint {
 	cfg.fill()
 	wire := cfg.Wire
 	wire.Policy = policy
@@ -234,14 +237,12 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 			panic(err) // experiment drivers pass literal configurations
 		}
 	}
-	fp := &server.FaultPolicy{
+	fp := &fleet.HealPolicy{
 		Schedule:        sched,
-		Detect:          true,
 		OfferedMbps:     cfg.Offered * satMbps,
 		SatMbpsPerShard: satMbps / float64(wire.Shards),
-	}
-	for _, p := range wire.Mix {
-		fp.Shares[p.Class] += p.Share
+		Shares:          arrivals.ClassShares(wire.Mix),
+		WindowCycles:    wire.WindowCycles,
 	}
 	if arm != nil {
 		arm(fp)
@@ -251,19 +252,21 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 	point.WirePoint = runWire(wire, cfg.Offered, satMbps, fp,
 		server.LoadConfig{WindowTallies: true, ChurnSessions: row.Churn, ChurnFrom: cfg.FaultWindow},
 		func(srv *server.Server, load server.LoadResult) {
-			point.Rehomes = srv.FaultReport()
+			point.Events = srv.Events()
 			point.Churned = load.Churned
 			point.Windows = load.Windows
 			if inspect != nil {
 				inspect(srv)
 			}
 		})
-	for _, ev := range point.Rehomes {
+	for _, ev := range point.Events {
+		if ev.Kind != fleet.FailedOver {
+			continue
+		}
+		point.FailOvers++
 		point.Moved += ev.Moved
 		point.Lost += ev.Lost
-		if ev.Took > point.RehomeTook {
-			point.RehomeTook = ev.Took
-		}
+		point.RehomeTook = max(point.RehomeTook, ev.Took)
 	}
 	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, point.Windows)
 	return point
@@ -341,13 +344,13 @@ func faultGate() GateReport {
 	const limit sim.Time = 3 * 4096
 	r := GateReport{
 		Summary: fmt.Sprintf("voice loss %.2f%% (limit 1%%), rehomed %d sessions across %d fail-overs with %d lost (limit 0), recovery %s cycles (limit %d)",
-			100*v.LossFrac, p.Moved, len(p.Rehomes), p.Lost, cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit),
+			100*v.LossFrac, p.Moved, p.FailOvers, p.Lost, cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit),
 		Details: []string{fmt.Sprintf("crashes %d churn %d: %d sessions churned, background loss %.2f%%, worst rehome %d cyc",
 			row.Crashes, row.Churn, p.Churned, 100*bg.LossFrac, p.RehomeTook)},
 	}
 	r.require(v.LossFrac <= 0.01, "voice loss %.2f%% exceeds 1%%", 100*v.LossFrac)
 	r.require(p.Lost == 0, "%d sessions lost in re-home", p.Lost)
-	r.require(len(p.Rehomes) >= 1, "the detector logged no fail-over")
+	r.require(p.FailOvers >= 1, "the detector logged no fail-over")
 	r.require(p.Recovered && p.RecoveryCycles <= limit, "voice recovery %s cycles exceeds %d",
 		cyclesOrDNF(p.RecoveryCycles, p.Recovered), limit)
 	return r

@@ -69,8 +69,8 @@ func TestFaultZeroRowMatchesWireBaseline(t *testing.T) {
 		t.Fatalf("zero-fault row diverges from the E14 baseline:\nfault: %+v\nbase:  %+v",
 			fault.WirePoint, base)
 	}
-	if len(fault.Rehomes) != 0 {
-		t.Fatalf("zero-fault row recorded fail-overs: %+v", fault.Rehomes)
+	if len(fault.Events) != 0 {
+		t.Fatalf("zero-fault row recorded controller events: %+v", fault.Events)
 	}
 	if fault.Churned != 0 {
 		t.Fatalf("zero-fault row churned %d sessions", fault.Churned)
@@ -85,14 +85,14 @@ func TestFaultCurvesShape(t *testing.T) {
 	}
 	for _, p := range res.Points {
 		if p.Row.Crashes == 0 {
-			if len(p.Rehomes) != 0 {
-				t.Errorf("%s zero-fault row has fail-overs: %+v", p.Policy, p.Rehomes)
+			if len(p.Events) != 0 {
+				t.Errorf("%s zero-fault row has controller events: %+v", p.Policy, p.Events)
 			}
 			continue
 		}
-		if len(p.Rehomes) != p.Row.Crashes {
+		if p.FailOvers != p.Row.Crashes {
 			t.Errorf("%s crashes=%d: detector logged %d fail-overs",
-				p.Policy, p.Row.Crashes, len(p.Rehomes))
+				p.Policy, p.Row.Crashes, p.FailOvers)
 		}
 		if p.Lost != 0 {
 			t.Errorf("%s crashes=%d: %d sessions lost in re-home", p.Policy, p.Row.Crashes, p.Lost)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mccp/internal/faults"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
 	"mccp/internal/server"
@@ -117,14 +118,12 @@ func (c *RecoveryConfig) fill() {
 // RecoveryPoint is one (policy, bitstream source) drill.
 type RecoveryPoint struct {
 	// FaultPoint is the drill as E16 sees it (one crash, no churn): the
-	// horizon-wide cells and digests, the fault plan, the fail-over log
-	// with its aggregates, voice recovery and the per-window tallies.
+	// horizon-wide cells and digests, the fault plan, the controller's
+	// event trail (fail-over, restart + rebalance back, each brownout
+	// lift) with its aggregates, voice recovery and the per-window tallies.
 	FaultPoint
 	// Source is the bitstream source the restart streamed from.
 	Source string
-	// Heals is the recovery plane's action log: the restart, the
-	// rebalance back, and each brownout lift.
-	Heals []server.HealEvent
 	// RestartCycles is the bitstream reload's virtual duration on the
 	// rebuilt shard's timeline (at the TimeScale-compressed source);
 	// TrueRestartMillis undoes the compression — the reload at the
@@ -184,29 +183,21 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 	cfg.fill()
 	point := RecoveryPoint{Source: src.Name, RejoinWindow: -1}
 	point.FaultPoint = faultPointRun(policy, FaultRow{Crashes: 1}, satMbps, cfg.FaultConfig,
-		func(fp *server.FaultPolicy) {
-			fp.Restart = true
-			fp.RestartSource = src.Scaled(cfg.TimeScale)
-			fp.WindowCycles = cfg.Wire.WindowCycles
-		},
-		func(srv *server.Server) { point.Heals = srv.HealReport() })
+		func(fp *fleet.HealPolicy) { fp.RestartSource = src.Scaled(cfg.TimeScale) }, nil)
 	// The final mask on record decides whether the brownout fully
-	// lifted; every heal event carries the mask in force after it ran.
-	finalDeny := [qos.NumClasses]bool{}
-	for _, ev := range point.Rehomes {
-		for _, deny := range ev.Deny {
-			point.BrownoutImposed = point.BrownoutImposed || deny
-		}
-		finalDeny = ev.Deny
-	}
-	for _, ev := range point.Heals {
-		if ev.Restarted {
-			point.RestartCycles = ev.RestartCycles
+	// lifted; every event carries the mask in force after it ran.
+	var finalDeny, admitAll [qos.NumClasses]bool
+	for _, ev := range point.Events {
+		if ev.Kind == fleet.Restarted {
+			point.RestartCycles = ev.Took
 			point.RejoinWindow = ev.Window
 		}
 		finalDeny = ev.Deny
+		if finalDeny != admitAll {
+			point.BrownoutImposed = true
+		}
 	}
-	point.BrownoutLifted = finalDeny == [qos.NumClasses]bool{}
+	point.BrownoutLifted = finalDeny == admitAll
 	point.TrueRestartMillis = float64(point.RestartCycles) * cfg.TimeScale / sim.DefaultFreqHz * 1e3
 	point.CapacityCycles, point.CapacityRestored = capacityOf(point.Schedule, cfg.Wire.WindowCycles,
 		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, point.Windows)
@@ -295,11 +286,11 @@ func healGate() GateReport {
 	p := RecoveryPointRun("qos-priority", reconfig.FastICAP, cfg.Wire.saturation(), cfg)
 	v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 	restarts, rebalanced := 0, 0
-	for _, ev := range p.Heals {
-		if ev.Restarted {
+	for _, ev := range p.Events {
+		if ev.Kind == fleet.Restarted {
 			restarts++
+			rebalanced += ev.Moved
 		}
-		rebalanced += ev.Rebalanced
 	}
 	lifted := "lifted"
 	if !p.BrownoutLifted {

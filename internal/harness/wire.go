@@ -8,6 +8,7 @@ import (
 	"mccp/internal/arrivals"
 	"mccp/internal/cluster"
 	"mccp/internal/cryptocore"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/server"
 	"mccp/internal/sim"
@@ -228,7 +229,7 @@ func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 // set, sees the server and the raw load before teardown. Because every
 // wire table goes through here, a fault table's zero-fault row is
 // computed by the very same code as the E14 baseline.
-func runWire(cfg WireConfig, offered, satMbps float64, fp *server.FaultPolicy, drill server.LoadConfig,
+func runWire(cfg WireConfig, offered, satMbps float64, fp *fleet.HealPolicy, drill server.LoadConfig,
 	inspect func(*server.Server, server.LoadResult)) WirePoint {
 	cfg.fill()
 	srv, err := server.New(server.Config{

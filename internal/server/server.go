@@ -11,11 +11,9 @@ import (
 	"mccp/internal/cluster"
 	"mccp/internal/core"
 	"mccp/internal/cryptocore"
-	"mccp/internal/faults"
 	"mccp/internal/fleet"
 	"mccp/internal/obs"
 	"mccp/internal/qos"
-	"mccp/internal/reconfig"
 	"mccp/internal/sim"
 )
 
@@ -67,105 +65,13 @@ type Config struct {
 	// one FLUSH window — the global storm valve behind the per-connection
 	// buckets. Overflow is StatusShed; voice is exempt. 0 = unbounded.
 	OpenWindowCap int
-	// Faults configures the deterministic fault-injection plane: a
-	// seeded shard-fault schedule keyed to FLUSH-frame boundaries plus
-	// the failure detector and brownout controller. nil = no faults, no
-	// detector — the zero-overhead default every existing experiment
-	// runs with.
-	Faults *FaultPolicy
-}
-
-// FaultPolicy wires internal/faults into the server. Shard events in
-// Schedule arm at FLUSH-counted window boundaries: the k-th FLUSH frame
-// the server sees ends window k-1, so events scheduled for window k arm
-// right then and fire mid-window on the victim shard's own virtual
-// timeline. (SessionChurn events are client-side; the server ignores
-// them.)
-type FaultPolicy struct {
-	Schedule faults.Schedule
-	// Detect enables the flush-boundary failure detector: a shard whose
-	// heartbeat froze across a window while its offered bytes kept
-	// growing is declared dead, quarantined, and its sessions re-homed
-	// voice-first onto the survivors.
-	Detect bool
-	// Brownout inputs, used when Detect fires: the offered load, the
-	// per-healthy-shard serving capacity (same unit), and each class's
-	// share of the offered bits. After a fail-over the controller sheds
-	// whole classes (background first, never voice) until the remaining
-	// capacity covers the admitted load. SatMbpsPerShard 0 disables
-	// brownout.
-	OfferedMbps     float64
-	SatMbpsPerShard float64
-	Shares          [qos.NumClasses]float64
-	// Restart closes the loop: a shard the detector quarantines is
-	// scheduled for a rebuild — the base bitstream streamed back in from
-	// RestartSource (zero value: staging RAM) — and rejoined once enough
-	// windows have passed to cover cluster.RestartCycles at that source
-	// speed. After the rejoin the brownout mask is lifted class-by-class
-	// (highest priority first) as the measured offered load fits back
-	// under the restored capacity.
-	Restart       bool
-	RestartSource reconfig.Source
-	// WindowCycles is one FLUSH window's virtual length, used to convert
-	// the restart duration into a rejoin window and to turn per-window
-	// offered-byte deltas into the measured Mbps the brownout lift and
-	// the live autoscaler observe. 0 schedules restarts one window out
-	// and feeds the autoscaler nothing.
-	WindowCycles sim.Time
-	// Autoscale, when non-nil, drives a fleet autoscaler live inside the
-	// serving loop: every window boundary it observes the measured
-	// offered load (from the cluster's offered-byte deltas over
-	// WindowCycles) and the server applies the returned target with
-	// Fleet.Scale. nil = no autoscaler.
-	Autoscale *fleet.AutoscalerConfig
-}
-
-// RehomeEvent records one detector-driven fail-over.
-type RehomeEvent struct {
-	// Window is the FLUSH-counted window at whose boundary the detector
-	// fired; Shard the quarantined victim.
-	Window int
-	Shard  int
-	// Moved/Lost split the victim's sessions; Took is the re-home's
-	// virtual-time cost on the survivors (max over shards).
-	Moved int
-	Lost  int
-	Took  sim.Time
-	// Deny is the brownout mask applied after this fail-over (all-false
-	// when capacity still covers the offered load).
-	Deny [qos.NumClasses]bool
-}
-
-// HealEvent records one recovery action taken at a window boundary — the
-// other half of the fault log RehomeEvent starts.
-type HealEvent struct {
-	// Window is the FLUSH-counted window at whose boundary the action
-	// ran; Shard the shard restarted or unquarantined (-1 for a pure
-	// brownout lift or autoscale step).
-	Window int
-	Shard  int
-	// Restarted marks a bitstream-reload rebuild; RestartCycles is the
-	// rebuilt shard's reload duration on its fresh virtual timeline.
-	// Unfroze marks a stall un-freeze: the quarantine was lifted without
-	// a rebuild because the heartbeat resumed.
-	Restarted     bool
-	RestartCycles sim.Time
-	Unfroze       bool
-	// Rebalanced counts sessions shifted onto the rejoined shard.
-	Rebalanced int
-	// Deny is the brownout mask in force after this event.
-	Deny [qos.NumClasses]bool
-	// Scale is the autoscaler target applied at this boundary (0 when
-	// the fleet size did not change).
-	Scale int
-}
-
-// restartJob is one scheduled shard rebuild: the restart runs at the
-// first window boundary >= ready, modeling the bitstream reload occupying
-// the windows in between at the configured source speed.
-type restartJob struct {
-	shard int
-	ready int
+	// Faults wires the heal controller (internal/fleet) into the serving
+	// loop: its Boundary runs at every FLUSH-counted window boundary — the
+	// k-th FLUSH frame the server sees ends window k-1 — arming the
+	// policy's seeded shard faults and running the failure detector,
+	// fail-over, brownout, restart and lift. nil = no faults, no detector —
+	// the zero-overhead default every fault-free experiment runs with.
+	Faults *fleet.HealPolicy
 }
 
 func (c *Config) fill() {
@@ -269,27 +175,12 @@ type Server struct {
 	digests     []uint64
 	wireSamples [qos.NumClasses][]sim.Time
 
-	// Fault plane (batcher-owned except where noted): windows counts
-	// FLUSH frames; lastHB/lastOffered are the detector's previous
-	// snapshot per shard. rehomes is read by FaultReport from any
-	// goroutine under faultMu.
+	// Window plane (batcher-owned): windows counts FLUSH frames,
+	// opensWindow the non-voice OPENs admitted in the current window, and
+	// heal is the controller Config.Faults asked for (nil without one).
 	windows     int
-	lastHB      []uint64
-	lastOffered []uint64
-	faultMu     sync.Mutex
-	rehomes     []RehomeEvent
-
-	// Recovery plane (batcher-owned; heals shares faultMu with rehomes):
-	// restarts are the scheduled shard rebuilds, denyMask the brownout
-	// mask currently applied, opensWindow the non-voice OPENs admitted in
-	// the current FLUSH window. flt/scaler drive live autoscaling when
-	// FaultPolicy.Autoscale is set.
-	restarts    []restartJob
-	denyMask    [qos.NumClasses]bool
 	opensWindow int
-	flt         *fleet.Fleet
-	scaler      *fleet.Autoscaler
-	heals       []HealEvent
+	heal        *fleet.Controller
 
 	// Observability plane: reg is the metrics registry every exposition
 	// path (STATS frames, the HTTP endpoint, CLI reports) reads; pub is
@@ -320,26 +211,12 @@ func New(cfg Config) (*Server, error) {
 		sessions:    make(map[uint64]*wireSession),
 		nextSess:    1,
 		digests:     make([]uint64, cl.Shards()),
-		lastHB:      make([]uint64, cl.Shards()),
-		lastOffered: make([]uint64, cl.Shards()),
 	}
 	for i := range s.digests {
 		s.digests[i] = digestInit
 	}
-	if p := cfg.Faults; p != nil {
-		if p.Restart && p.RestartSource.BytesPerSec <= 0 {
-			s.cfg.Faults = &FaultPolicy{}
-			*s.cfg.Faults = *p
-			s.cfg.Faults.RestartSource = reconfig.StagingRAM
-		}
-		if p.Autoscale != nil {
-			s.flt = fleet.New(cl)
-			s.scaler, err = fleet.NewAutoscaler(*p.Autoscale, cl.ActiveShards())
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-		}
+	if cfg.Faults != nil {
+		s.heal = fleet.NewController(cl, *cfg.Faults)
 	}
 	s.initObs()
 	go s.batcher()
@@ -664,53 +541,16 @@ func (s *Server) handleReq(req *request) {
 	}
 }
 
-// windowBoundary runs after every FLUSH barrier: it advances the
-// window clock, refills the OPEN-admission buckets, runs the failure
-// detector over the window that just ended, runs the recovery plane
-// (scheduled restarts, brownout lift, live autoscaling), and arms the
-// schedule's shard faults for the window now starting (so they fire
-// mid-window on the victim's own virtual timeline).
+// windowBoundary runs after every FLUSH barrier: it advances the window
+// clock, refills the OPEN-admission buckets and, with a fault policy,
+// runs the heal controller over the window that just ended. Whenever the
+// controller acted, sessions may have moved: the wire bindings are
+// re-read.
 func (s *Server) windowBoundary() {
 	s.windows++
 	s.refillOpenTokens()
-	p := s.cfg.Faults
-	if p == nil {
-		return
-	}
-	// Measure the window that just ended — the sum of per-shard
-	// offered-byte deltas over WindowCycles — before detect overwrites
-	// the baselines. This is the live load signal the brownout lift and
-	// the autoscaler act on.
-	measured := 0.0
-	if p.Detect || p.Autoscale != nil {
-		snap := s.cl.Snapshot()
-		var delta uint64
-		for i := range snap.Shards {
-			if ob := snap.Shards[i].OfferedBytes; ob >= s.lastOffered[i] {
-				delta += ob - s.lastOffered[i]
-			}
-		}
-		if p.WindowCycles > 0 {
-			measured = float64(delta*8) / float64(p.WindowCycles) * sim.DefaultFreqHz / 1e6
-		}
-		if p.Detect {
-			s.detect(&snap)
-		} else {
-			for i := range snap.Shards {
-				s.lastHB[i], s.lastOffered[i] = snap.Shards[i].Heartbeat, snap.Shards[i].OfferedBytes
-			}
-		}
-	}
-	s.heal(measured)
-	for _, e := range p.Schedule.ForWindow(s.windows) {
-		switch e.Kind {
-		case faults.ShardCrash:
-			// Arming can only fail on a shard index the planner already
-			// validated or a shapeless cluster New() accepted anyway.
-			_ = s.cl.ArmShardCrash(e.Shard, s.cl.NextHeartbeat(e.Shard), e.Offset)
-		case faults.ShardStall:
-			_ = s.cl.ArmShardStall(e.Shard, s.cl.NextHeartbeat(e.Shard), e.Offset, e.Dur)
-		}
+	if s.heal != nil && len(s.heal.Boundary()) > 0 {
+		s.rebind()
 	}
 }
 
@@ -735,216 +575,31 @@ func (s *Server) refillOpenTokens() {
 	s.connMu.Unlock()
 }
 
-// detect is the flush-boundary failure detector: a shard whose
-// heartbeat did not advance across the window while its offered bytes
-// kept growing is dead (an idle shard's offered bytes are flat; a
-// stalled shard's heartbeat still advances). Each detection quarantines
-// the corpse, re-homes its sessions voice-first, refreshes the wire
-// session bindings, re-plans the brownout mask for the capacity that
-// remains, and — with FaultPolicy.Restart — schedules the rebuild that
-// will bring the shard back. It also runs the stall un-freeze path: a
-// quarantined shard whose heartbeat resumed never actually died, so the
-// quarantine is lifted in place.
-func (s *Server) detect(snap *cluster.Metrics) {
-	for i := range snap.Shards {
-		sm := &snap.Shards[i]
-		frozen := sm.Heartbeat == s.lastHB[i] && sm.OfferedBytes > s.lastOffered[i]
-		resumed := sm.Quarantined && !sm.Crashed && sm.Heartbeat != s.lastHB[i]
-		s.lastHB[i], s.lastOffered[i] = sm.Heartbeat, sm.OfferedBytes
-		if resumed {
-			s.unfreeze(i)
-			continue
-		}
-		if !frozen || sm.Quarantined {
-			continue
-		}
-		rep, err := s.cl.FailOver(i)
-		if err != nil {
-			continue // last shard standing: nothing left to re-home onto
-		}
-		ev := RehomeEvent{Window: s.windows, Shard: i,
-			Moved: rep.Moved, Lost: rep.Lost, Took: rep.Took}
-		for _, ws := range s.sessions {
-			if ws.closed {
-				continue
-			}
-			if ws.ses.Closed() {
-				// A crash casualty no survivor could take: tombstone it so
-				// its later packets answer session-closed, not a corpse.
-				ws.closed = true
-				s.stats.sessionsOpen--
-				continue
-			}
-			ws.shard = ws.ses.Shard()
-		}
-		p := s.cfg.Faults
-		if p.SatMbpsPerShard > 0 {
-			healthy := 0
-			for _, hm := range s.cl.Snapshot().Shards {
-				if !hm.Quarantined && !hm.Crashed {
-					healthy++
-				}
-			}
-			ev.Deny = faults.BrownoutDeny(p.OfferedMbps, float64(healthy)*p.SatMbpsPerShard, p.Shares)
-			_ = s.cl.ApplyDeny(ev.Deny)
-			s.denyMask = ev.Deny
-		}
-		if p.Restart {
-			wait := 1
-			if p.WindowCycles > 0 {
-				need := cluster.RestartCycles(s.cl.CoresPerShard(), p.RestartSource)
-				wait = int((need + p.WindowCycles - 1) / p.WindowCycles)
-				if wait < 1 {
-					wait = 1
-				}
-			}
-			s.restarts = append(s.restarts, restartJob{shard: i, ready: s.windows + wait})
-		}
-		s.faultMu.Lock()
-		s.rehomes = append(s.rehomes, ev)
-		s.faultMu.Unlock()
-	}
-}
-
-// unfreeze lifts a premature quarantine: the shard's heartbeat resumed,
-// so it stalled rather than crashed. The shard rejoins routing, load
-// shifts back voice-first, and any rebuild scheduled for it is
-// cancelled.
-func (s *Server) unfreeze(shard int) {
-	if err := s.cl.Unquarantine(shard); err != nil {
-		return
-	}
-	moved, _ := s.cl.RebalanceInto(shard)
-	s.refreshBindings()
-	kept := s.restarts[:0]
-	for _, job := range s.restarts {
-		if job.shard != shard {
-			kept = append(kept, job)
-		}
-	}
-	s.restarts = kept
-	s.pushHeal(HealEvent{Window: s.windows, Shard: shard, Unfroze: true,
-		Rebalanced: moved, Deny: s.denyMask})
-}
-
-// heal runs the recovery plane at a window boundary: due restarts
-// rebuild and rejoin their shard, the brownout mask lifts one class per
-// boundary as the measured load fits back under the healthy capacity,
-// and the live autoscaler observes the window's measured offered load.
-// With nothing pending this is a strict no-op on the cluster, so runs
-// without faults keep their virtual timelines bit-identical.
-func (s *Server) heal(measured float64) {
-	p := s.cfg.Faults
-	if len(s.restarts) > 0 {
-		kept := s.restarts[:0]
-		for _, job := range s.restarts {
-			if s.windows < job.ready {
-				kept = append(kept, job)
-				continue
-			}
-			rep, err := s.cl.Restart(job.shard, p.RestartSource)
-			if err != nil {
-				continue // dropped; a still-dead shard is re-detected
-			}
-			moved, _ := s.cl.RebalanceInto(job.shard)
-			s.refreshBindings()
-			// The rebuilt shard's heartbeat restarts from zero: re-base
-			// the detector so the fresh incarnation is watched (and a
-			// second crash of the same slot stays detectable).
-			hs := s.cl.Snapshot()
-			s.lastHB[job.shard] = hs.Shards[job.shard].Heartbeat
-			s.lastOffered[job.shard] = hs.Shards[job.shard].OfferedBytes
-			s.pushHeal(HealEvent{Window: s.windows, Shard: job.shard,
-				Restarted: true, RestartCycles: rep.Took, Rebalanced: moved,
-				Deny: s.denyMask})
-		}
-		s.restarts = kept
-	}
-	if p.SatMbpsPerShard > 0 && s.denyAny() {
-		healthy := s.healthyShards()
-		capacity := float64(healthy) * p.SatMbpsPerShard
-		want := faults.BrownoutDeny(p.OfferedMbps, capacity, p.Shares)
-		lift := -1
-		for class := qos.NumClasses - 1; class >= 0; class-- {
-			if s.denyMask[class] && !want[class] {
-				lift = class
-				break
-			}
-		}
-		if lift >= 0 && measured <= capacity {
-			s.denyMask[lift] = false
-			_ = s.cl.ApplyDeny(s.denyMask)
-			s.pushHeal(HealEvent{Window: s.windows, Shard: -1, Deny: s.denyMask})
-		}
-	}
-	if s.scaler != nil && measured > 0 {
-		target := s.scaler.Observe(measured)
-		if healthy := s.healthyShards(); target > healthy {
-			target = healthy
-		}
-		if target >= 1 && target != s.cl.ActiveShards() {
-			if _, err := s.flt.Scale(target); err == nil {
-				s.refreshBindings()
-				s.pushHeal(HealEvent{Window: s.windows, Shard: -1,
-					Deny: s.denyMask, Scale: target})
-			}
-		}
-	}
-}
-
-// refreshBindings re-reads every live wire session's shard after a
-// rebalance moved cluster sessions around.
-func (s *Server) refreshBindings() {
+// rebind re-reads every live wire session's shard after the heal
+// controller moved cluster sessions around. A crash casualty no survivor
+// could take is tombstoned, so its later packets answer session-closed,
+// not a corpse.
+func (s *Server) rebind() {
 	for _, ws := range s.sessions {
-		if ws.closed || ws.ses.Closed() {
+		if ws.closed {
+			continue
+		}
+		if ws.ses.Closed() {
+			ws.closed = true
+			s.stats.sessionsOpen--
 			continue
 		}
 		ws.shard = ws.ses.Shard()
 	}
 }
 
-// denyAny reports whether any class is currently browned out.
-func (s *Server) denyAny() bool {
-	for _, d := range s.denyMask {
-		if d {
-			return true
-		}
+// Events returns the heal controller's trail so far (nil without a fault
+// policy). Safe from any goroutine.
+func (s *Server) Events() []fleet.Event {
+	if s.heal == nil {
+		return nil
 	}
-	return false
-}
-
-// healthyShards counts shards that are neither quarantined nor crashed.
-func (s *Server) healthyShards() int {
-	n := 0
-	for _, sm := range s.cl.Snapshot().Shards {
-		if !sm.Quarantined && !sm.Crashed {
-			n++
-		}
-	}
-	return n
-}
-
-// pushHeal appends to the heal log under faultMu.
-func (s *Server) pushHeal(ev HealEvent) {
-	s.faultMu.Lock()
-	s.heals = append(s.heals, ev)
-	s.faultMu.Unlock()
-}
-
-// FaultReport returns the detector's fail-over log so far. Safe from
-// any goroutine.
-func (s *Server) FaultReport() []RehomeEvent {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	return append([]RehomeEvent(nil), s.rehomes...)
-}
-
-// HealReport returns the recovery plane's action log so far (restarts,
-// un-freezes, brownout lifts, autoscale steps). Safe from any goroutine.
-func (s *Server) HealReport() []HealEvent {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	return append([]HealEvent(nil), s.heals...)
+	return s.heal.Events()
 }
 
 // respondErr answers a request with an error status in the response
