@@ -3,14 +3,23 @@
 // encryption core the MCCP paper instantiates (P. Chodowiec and K. Gaj,
 // "Very compact FPGA implementation of the AES algorithm", CHES 2003).
 //
-// The structural implementation (S-box lookup + explicit MixColumns)
-// mirrors the hardware the paper describes ("the SubBytes transformation
-// uses look up tables", iterative round architecture) and is easy to audit
-// against FIPS-197; it remains as EncryptRef, the oracle for the FIPS
-// vectors and the differential tests. The hot Encrypt path used by the
-// simulator runs the same rounds through T-tables derived at init from the
-// (itself derived) S-box — bit-identical output, an order of magnitude
-// less host work per simulated block.
+// There are three encrypt implementations, each with one job:
+//
+//   - EncryptRef is the structural one (S-box lookup + explicit ShiftRows
+//     and MixColumns). It mirrors the hardware the paper describes ("the
+//     SubBytes transformation uses look up tables", iterative round
+//     architecture), is easy to audit against FIPS-197, and is held to the
+//     FIPS-197 vectors: the root oracle.
+//   - Cipher.Encrypt runs the same rounds through T-tables derived at init
+//     from the (itself derived) S-box. It is the software reference the
+//     modes package and the tests compute with, held to EncryptRef.
+//   - Core32, the engine inside every Cryptographic Unit and so the only
+//     one a device packet touches, computes the value with the platform's
+//     crypto/aes through a per-key Schedule and charges the paper's
+//     44/52/60 cycles. It is held to both of the above by FuzzCore32.
+//
+// ExpandKey is the one key expansion: it fills the Key Cache model, and
+// Core32.LoadKeys refuses round keys that are not its output.
 package aes
 
 import (
@@ -165,7 +174,8 @@ func (c *Cipher) RoundKeys() []bits.Block { return c.enc }
 func ExpandKey(key []byte) []bits.Block {
 	nk := len(key) / 4
 	nr := KeySize(len(key)).Rounds()
-	w := make([]uint32, 4*(nr+1))
+	var buf [4 * (14 + 1)]uint32 // AES-256's 15 round keys; stays on the stack
+	w := buf[:4*(nr+1)]
 	for i := 0; i < nk; i++ {
 		w[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
 	}
@@ -198,9 +208,9 @@ func subWord(w uint32) uint32 {
 // Encrypt enciphers one block. Only encryption exists in the paper's
 // hardware ("Because AES-CCM and AES-GCM modes only use encryption mode, AES
 // decryption algorithm was not implemented"); Decrypt below is provided for
-// the software reference implementations and tests. This is the simulator's
-// hot path, so it runs the rounds through the derived T-tables; EncryptRef
-// is the structural reference it must match.
+// the software reference implementations and tests. The rounds run through
+// the derived T-tables; EncryptRef is the structural reference it must
+// match. (The device's engine is Core32, which does not come through here.)
 func (c *Cipher) Encrypt(in bits.Block) bits.Block {
 	nr := c.size.Rounds()
 	k := c.enc[0]

@@ -31,7 +31,7 @@ var fipsVectors = []struct {
 	},
 }
 
-func keyFromHex(t *testing.T, s string) []byte {
+func keyFromHex(t testing.TB, s string) []byte {
 	t.Helper()
 	b := make([]byte, len(s)/2)
 	for i := range b {
@@ -58,6 +58,9 @@ func TestFIPS197Vectors(t *testing.T) {
 		got := c.Encrypt(bits.BlockFromHex(v.pt))
 		if got.Hex() != v.ct {
 			t.Errorf("%v encrypt = %s, want %s", c.Size(), got.Hex(), v.ct)
+		}
+		if ref := c.EncryptRef(bits.BlockFromHex(v.pt)); ref.Hex() != v.ct {
+			t.Errorf("%v EncryptRef = %s, want %s", c.Size(), ref.Hex(), v.ct)
 		}
 		back := c.Decrypt(got)
 		if back.Hex() != v.pt {
@@ -178,6 +181,97 @@ func TestCore32Timing(t *testing.T) {
 		t.Error("core should be idle after Collect")
 	}
 }
+
+// TestLoadKeysRejectsNonExpansion: LoadKeys reads the cipher key back from
+// the first Nk words, so anything but that key's own FIPS-197 expansion
+// would silently compute under different round keys — it must panic.
+func TestLoadKeysRejectsNonExpansion(t *testing.T) {
+	key := keyFromHex(t, fipsVectors[0].key)
+	flip := func(round, byt int) []bits.Block {
+		rk := ExpandKey(key)
+		rk[round][byt] ^= 1
+		return rk
+	}
+	for _, tc := range []struct {
+		name string
+		size KeySize
+		keys []bits.Block
+		ok   bool
+	}{
+		{"the expansion itself", Key128, ExpandKey(key), true},
+		{"AES-256 expansion", Key256, ExpandKey(keyFromHex(t, fipsVectors[2].key)), true},
+		{"last round key altered", Key128, flip(10, 15), false},
+		{"middle round key altered", Key128, flip(5, 0), false},
+		{"eleven zero blocks", Key128, make([]bits.Block, 11), false},
+		{"ten blocks", Key128, ExpandKey(key)[:10], false},
+		{"AES-128 expansion loaded as AES-192", Key192, ExpandKey(key), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("panic = %v, want ok = %v", r, tc.ok)
+				}
+			}()
+			NewCore32().LoadKeys(tc.size, tc.keys)
+		})
+	}
+}
+
+// FuzzCore32 is the oracle chain's last link: EncryptRef is held to the
+// FIPS-197 vectors and the T-table Encrypt to EncryptRef above; here the
+// platform block function Core32 runs must agree with both, whether the
+// core was loaded with a Schedule or with bare round keys.
+func FuzzCore32(f *testing.F) {
+	// Seed corpus: FIPS-197 C.1-C.3, in testdata/fuzz/FuzzCore32.
+	f.Fuzz(func(t *testing.T, key, block []byte) {
+		switch {
+		case len(key) >= 32:
+			key = key[:32]
+		case len(key) >= 24:
+			key = key[:24]
+		case len(key) >= 16:
+			key = key[:16]
+		default:
+			t.Skip()
+		}
+		var in bits.Block
+		copy(in[:], block)
+		ref := MustNew(key)
+		want := ref.EncryptRef(in)
+		if got := ref.Encrypt(in); got != want {
+			t.Fatalf("T-table %s != EncryptRef %s", got.Hex(), want.Hex())
+		}
+		bySchedule, byRoundKeys := NewCore32(), NewCore32()
+		bySchedule.Load(MustNewSchedule(key))
+		byRoundKeys.LoadKeys(KeySize(len(key)), ExpandKey(key))
+		for _, c := range []*Core32{bySchedule, byRoundKeys} {
+			if ready := c.Start(7, in); ready != 7+c.Size().CoreCycles() {
+				t.Fatalf("ready at %d", ready)
+			}
+			if got := c.Collect(); got != want {
+				t.Fatalf("key %x in %s: Core32 %s != EncryptRef %s", key, in.Hex(), got.Hex(), want.Hex())
+			}
+		}
+	})
+}
+
+// BenchmarkCore32Block is the aes rung next to the code: one SAES/FAES
+// pair's host cost (bench/ reports the same loop as aes.rung_ns_per_block).
+// It must report 0 allocs/op.
+func BenchmarkCore32Block(b *testing.B) {
+	c := NewCore32()
+	c.Load(MustNewSchedule(make([]byte, 16)))
+	var blk bits.Block
+	b.ReportAllocs()
+	b.SetBytes(bits.BlockBytes)
+	for i := 0; i < b.N; i++ {
+		c.Start(0, blk)
+		blk = c.Collect()
+	}
+	sinkBlock = blk
+}
+
+var sinkBlock bits.Block
 
 func TestInvalidKeyLength(t *testing.T) {
 	if _, err := New(make([]byte, 15)); err == nil {

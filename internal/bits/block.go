@@ -35,32 +35,38 @@ func BlockFromHex(s string) Block {
 // Hex returns the block as 32 lowercase hex digits.
 func (b Block) Hex() string { return hex.EncodeToString(b[:]) }
 
+// halves returns the block as two big-endian 64-bit halves, most
+// significant first. The bitwise operations below work on these: two
+// fixed-offset loads and stores per operand instead of sixteen byte steps.
+func (b *Block) halves() (hi, lo uint64) {
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+func blockFromHalves(hi, lo uint64) Block {
+	var r Block
+	binary.BigEndian.PutUint64(r[:8], hi)
+	binary.BigEndian.PutUint64(r[8:], lo)
+	return r
+}
+
 // XOR returns a ^ o.
 func (b Block) XOR(o Block) Block {
-	var r Block
-	for i := range r {
-		r[i] = b[i] ^ o[i]
-	}
-	return r
+	bh, bl := b.halves()
+	oh, ol := o.halves()
+	return blockFromHalves(bh^oh, bl^ol)
 }
 
 // AND returns a & o.
 func (b Block) AND(o Block) Block {
-	var r Block
-	for i := range r {
-		r[i] = b[i] & o[i]
-	}
-	return r
+	bh, bl := b.halves()
+	oh, ol := o.halves()
+	return blockFromHalves(bh&oh, bl&ol)
 }
 
 // IsZero reports whether every byte is zero.
 func (b Block) IsZero() bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	hi, lo := b.halves()
+	return hi|lo == 0
 }
 
 // Word returns 32-bit sub-word i (0 = most significant), matching the
@@ -76,15 +82,19 @@ func (b *Block) SetWord(i int, w uint32) {
 
 // Words returns the four 32-bit sub-words, most significant first.
 func (b Block) Words() [4]uint32 {
-	return [4]uint32{b.Word(0), b.Word(1), b.Word(2), b.Word(3)}
+	return [4]uint32{
+		binary.BigEndian.Uint32(b[0:4]), binary.BigEndian.Uint32(b[4:8]),
+		binary.BigEndian.Uint32(b[8:12]), binary.BigEndian.Uint32(b[12:16]),
+	}
 }
 
 // BlockFromWords assembles a block from four 32-bit sub-words.
 func BlockFromWords(w [4]uint32) Block {
 	var b Block
-	for i, v := range w {
-		b.SetWord(i, v)
-	}
+	binary.BigEndian.PutUint32(b[0:4], w[0])
+	binary.BigEndian.PutUint32(b[4:8], w[1])
+	binary.BigEndian.PutUint32(b[8:12], w[2])
+	binary.BigEndian.PutUint32(b[12:16], w[3])
 	return b
 }
 

@@ -175,6 +175,7 @@ type pendingOp struct {
 	// Results (set by the shard goroutine).
 	out   []byte
 	chOut int
+	keyID int // openOn: the Key Memory ID installed for the channel (0 = none)
 	took  sim.Time
 	err   error
 
@@ -218,6 +219,7 @@ type Session struct {
 
 	shardID int
 	chID    int // device channel ID on the owning shard
+	keyID   int // Key Memory ID of the session key there (0 for hash sessions)
 	closed  bool
 }
 
@@ -627,14 +629,14 @@ func (c *Cluster) Open(spec OpenSpec) (*Session, error) {
 	}
 	slot := c.openOn(ses, shardID)
 	c.Flush()
-	err, ch := slot.err, slot.chOut
+	err := slot.err
+	ses.chID, ses.keyID = slot.chOut, slot.keyID
 	c.putSlot(slot)
 	if err != nil {
 		return nil, err
 	}
 	c.nextSession++
 	ses.shardID = shardID
-	ses.chID = ch
 	c.sessions[ses.id] = ses
 	c.shardSessions[shardID].Add(1)
 	c.shardWeight[shardID] += ses.weight
@@ -660,12 +662,13 @@ func (c *Cluster) control(shardID int, run func(sh *shard, op *pendingOp, done f
 }
 
 // openOn enqueues the install-key + OPEN composite on a shard (a control
-// op: read the slot after a Flush, then release it).
+// op: read the slot after a Flush, then release it). The slot carries the
+// channel and the installed key's ID; closeOn takes both back.
 func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
 	key := ses.key[:ses.keyLen]
 	suite := ses.suite
 	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
-		keyID := 0
+		op.keyID = 0
 		if len(key) > 0 {
 			id, err := sh.mc.InstallKey(key)
 			if err != nil {
@@ -673,9 +676,12 @@ func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
 				done()
 				return
 			}
-			keyID = id
+			op.keyID = id
 		}
-		sh.cc.OpenChannel(suite, keyID, func(ch int, err error) {
+		sh.cc.OpenChannel(suite, op.keyID, func(ch int, err error) {
+			if err != nil && op.keyID != 0 {
+				sh.mc.RemoveKey(op.keyID) // no channel will ever use it
+			}
 			op.chOut, op.err = ch, err
 			done()
 		})
@@ -820,10 +826,16 @@ func (s *Session) Sum(msg []byte) ([]byte, error) {
 	return out, err
 }
 
-// closeOn enqueues a channel close as a control op.
-func (c *Cluster) closeOn(shardID, ch int) *pendingOp {
+// closeOn enqueues a channel close as a control op, and with it the erasure
+// of the session key openOn installed for that channel. Round keys still in
+// a Key Cache are left to LRU: the ID is never handed out again, so they
+// are unreachable, and evicting them here would change later victim choices.
+func (c *Cluster) closeOn(shardID, ch, keyID int) *pendingOp {
 	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		sh.cc.CloseChannel(ch, func(err error) {
+			if keyID != 0 {
+				sh.mc.RemoveKey(keyID)
+			}
 			op.err = err
 			done()
 		})
@@ -847,7 +859,7 @@ func (s *Session) Close() error {
 	if !c.quarantined[s.shardID] {
 		// On a quarantined shard the channel died with the shard; only
 		// the front-end bookkeeping remains to retire.
-		slot := c.closeOn(s.shardID, s.chID)
+		slot := c.closeOn(s.shardID, s.chID, s.keyID)
 		c.Flush()
 		err = slot.err
 		c.putSlot(slot)
@@ -920,7 +932,7 @@ func (c *Cluster) Rebalance() int {
 			// A quarantined shard's channel state is lost — there is
 			// nothing to close there (and nothing should be enqueued on a
 			// corpse).
-			closes = append(closes, c.closeOn(ses.shardID, ses.chID))
+			closes = append(closes, c.closeOn(ses.shardID, ses.chID, ses.keyID))
 		}
 		moves = append(moves, move{ses: ses, to: to, open: c.openOn(ses, to)})
 	}
@@ -934,7 +946,7 @@ func (c *Cluster) Rebalance() int {
 				m.ses.id, m.to, m.open.err))
 		}
 		m.ses.shardID = m.to
-		m.ses.chID = m.open.chOut
+		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
 		c.putSlot(m.open)
 	}
 	return len(moves)

@@ -369,6 +369,68 @@ func TestRebalanceMovesSessions(t *testing.T) {
 	}
 }
 
+// TestKeyMemoryDoesNotGrow: every session key a shard's Key Memory takes at
+// open or re-home leaves it again when the channel closes there — 1000
+// sessions and a Rebalance later each shard holds as many keys as it
+// started with.
+func TestKeyMemoryDoesNotGrow(t *testing.T) {
+	cl, err := New(Config{Shards: 2, Router: RouterLeastLoaded, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	keys := func() []int {
+		cl.Flush()
+		n := make([]int, len(cl.shards))
+		for i, sh := range cl.shards {
+			n[i] = sh.dev.KeyMem.Len()
+		}
+		return n
+	}
+	open := func(weight int) *Session {
+		ses, err := cl.Open(OpenSpec{Suite: core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16}, KeyLen: 16, Weight: weight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ses
+	}
+	start := keys()
+	nonce, payload := make([]byte, 12), []byte("keyed")
+	moved := 0
+	for round := 0; round < 250; round++ {
+		// The placement of TestRebalanceMovesSessions: closing the heavy
+		// session leaves its shard empty, so Rebalance re-homes a light one.
+		ses := []*Session{open(10), open(1), open(1), open(1)}
+		if _, err := ses[1].Encrypt(nonce, nil, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := ses[0].Close(); err != nil {
+			t.Fatal(err)
+		}
+		if round == 100 {
+			if moved = cl.Rebalance(); moved > 0 {
+				if _, err := ses[1].Encrypt(nonce, nil, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := keys(), 3; got[0]+got[1]-start[0]-start[1] != want {
+				t.Fatalf("3 sessions open: Key Memories hold %v (started at %v)", got, start)
+			}
+		}
+		for _, s := range ses[1:] {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("Rebalance moved nothing: the re-home path was not exercised")
+	}
+	if got := keys(); !reflect.DeepEqual(got, start) {
+		t.Fatalf("Key Memory sizes after 1000 open/close = %v, want %v", got, start)
+	}
+}
+
 // TestWorkloadDeterminism is the acceptance gate: per-shard results must
 // be byte-for-byte identical across runs — virtual cycles, packet counts
 // and the FNV digest of every output byte, per shard.

@@ -206,7 +206,7 @@ func (c *Cluster) RehomeFrom(dead int) (RehomeReport, error) {
 			continue
 		}
 		m.ses.shardID = m.to
-		m.ses.chID = m.open.chOut
+		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
 		c.putSlot(m.open)
 		rep.Moved++
 	}

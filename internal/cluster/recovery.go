@@ -215,7 +215,7 @@ func (c *Cluster) RebalanceInto(target int) (int, error) {
 		}
 		c.lastMoves = append(c.lastMoves, ses.id)
 		if !c.quarantined[ses.shardID] {
-			closes = append(closes, c.closeOn(ses.shardID, ses.chID))
+			closes = append(closes, c.closeOn(ses.shardID, ses.chID, ses.keyID))
 		}
 		moves = append(moves, move{ses: ses, open: c.openOn(ses, target)})
 	}
@@ -229,7 +229,7 @@ func (c *Cluster) RebalanceInto(target int) (int, error) {
 				m.ses.id, target, m.open.err))
 		}
 		m.ses.shardID = target
-		m.ses.chID = m.open.chOut
+		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
 		c.putSlot(m.open)
 	}
 	return len(moves), nil

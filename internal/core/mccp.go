@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"mccp/internal/aes"
-	"mccp/internal/bits"
 	"mccp/internal/crossbar"
 	"mccp/internal/cryptocore"
 	"mccp/internal/keysched"
@@ -378,16 +377,16 @@ func (m *MCCP) stageKeysAndStart(c *channel, tasks []cryptocore.Task, ids []int,
 			stage(i + 1)
 			return
 		}
-		if size, rk, ok := m.Caches[coreID].Get(c.keyID); ok {
+		if sched, ok := m.Caches[coreID].Get(c.keyID); ok {
 			// Cache hit: the engine reads round keys straight from the
 			// core's Key Cache block RAM, no extra latency.
-			m.Cores[coreID].InstallAESKeys(size, rk)
+			m.Cores[coreID].InstallAESKeys(sched)
 			stage(i + 1)
 			return
 		}
-		m.KeySched.Prepare(c.keyID, func(size aes.KeySize, rk []bits.Block) {
-			m.Caches[coreID].Put(c.keyID, size, rk)
-			m.Cores[coreID].InstallAESKeys(size, rk)
+		m.KeySched.Prepare(c.keyID, func(sched *aes.Schedule) {
+			m.Caches[coreID].Put(c.keyID, sched)
+			m.Cores[coreID].InstallAESKeys(sched)
 		}, func(err error) {
 			if err != nil {
 				for _, id := range ids {

@@ -23,9 +23,9 @@ func newCorePair(key []byte) (*sim.Engine, *cryptocore.Core, *cryptocore.Core) {
 	m10 := sim.NewMailbox128(eng) // ctr -> mac
 	macCore.ConnectNeighbors(m10, m01)
 	ctrCore.ConnectNeighbors(m01, m10)
-	ks := aes.KeySize(len(key))
-	macCore.InstallAESKeys(ks, aes.ExpandKey(key))
-	ctrCore.InstallAESKeys(ks, aes.ExpandKey(key))
+	sched := aes.MustNewSchedule(key)
+	macCore.InstallAESKeys(sched)
+	ctrCore.InstallAESKeys(sched)
 	eng.Run()
 	return eng, macCore, ctrCore
 }

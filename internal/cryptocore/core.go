@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"mccp/internal/aes"
-	"mccp/internal/bits"
 	"mccp/internal/cryptounit"
 	"mccp/internal/cuisa"
 	"mccp/internal/firmware"
@@ -107,14 +106,14 @@ func (c *Core) ConnectNeighbors(in, out *sim.Mailbox128) {
 // Busy reports whether a task is in flight.
 func (c *Core) Busy() bool { return c.busy }
 
-// InstallAESKeys loads pre-expanded round keys (the Key Scheduler's output,
+// InstallAESKeys loads a key's schedule (the Key Scheduler's output,
 // normally staged through the core's KeyCache) into the AES engine. Panics
 // if the reconfigurable region does not currently hold the AES engine.
-func (c *Core) InstallAESKeys(size aes.KeySize, keys []bits.Block) {
+func (c *Core) InstallAESKeys(s *aes.Schedule) {
 	if c.AES == nil {
 		panic(fmt.Sprintf("cryptocore %d: AES engine not present (reconfigured?)", c.ID))
 	}
-	c.AES.LoadKeys(size, keys)
+	c.AES.Load(s)
 }
 
 // Start dispatches a task. The scheduler must have loaded the right round

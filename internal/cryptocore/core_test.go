@@ -18,7 +18,7 @@ import (
 func newTestCore(key []byte) (*sim.Engine, *cryptocore.Core) {
 	eng := sim.NewEngine()
 	c := cryptocore.New(eng, 0)
-	c.InstallAESKeys(aes.KeySize(len(key)), aes.ExpandKey(key))
+	c.InstallAESKeys(aes.MustNewSchedule(key))
 	eng.Run() // reach the idle HALT
 	return eng, c
 }

@@ -157,11 +157,8 @@ func New(eng *sim.Engine, in, out *sim.WordFIFO) *Unit {
 	u.effEQU = func() { u.equ = u.bank[u.effA].XOR(u.bank[u.effB]).AND(u.maskBlk).IsZero() }
 	u.effMOV = func() { u.bank[u.effB] = u.bank[u.effA] }
 	u.effSTORE = func() {
-		v := u.bank[u.effA]
-		for i := 0; i < 4; i++ {
-			if !u.Out.TryPush(v.Word(i)) {
-				panic("cryptounit: FIFO overflow after CanPush")
-			}
+		if !u.Out.TryPushBlock(u.bank[u.effA].Words()) {
+			panic("cryptounit: FIFO overflow after CanPush")
 		}
 	}
 	u.stallRetry = func() {
@@ -388,17 +385,10 @@ func (u *Unit) execute(in cuisa.Instr) {
 // loadWhenReady waits for four words in the input FIFO, pops them and
 // signals done SimpleLatency cycles later.
 func (u *Unit) loadWhenReady(a int) {
-	if !u.In.CanPop(4) {
+	w, ok := u.In.TryPopBlock()
+	if !ok {
 		u.In.WhenPoppable(4, func() { u.loadWhenReady(a) })
 		return
-	}
-	var w [4]uint32
-	for i := range w {
-		v, ok := u.In.TryPop()
-		if !ok {
-			panic("cryptounit: FIFO underflow after CanPop")
-		}
-		w[i] = v
 	}
 	u.bank[a] = bits.BlockFromWords(w)
 	u.doneAfter(SimpleLatency, nil)

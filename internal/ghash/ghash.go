@@ -8,7 +8,11 @@
 // x^128 + x^7 + x^2 + x + 1.
 package ghash
 
-import "mccp/internal/bits"
+import (
+	"encoding/binary"
+
+	"mccp/internal/bits"
+)
 
 // Mul returns x*y in GF(2^128) under the GCM bit convention. This is the
 // bit-serial reference used for correctness; MulDigitSerial below models the
@@ -88,20 +92,13 @@ func MulDigitSerial(x, y bits.Block, digitBits int) bits.Block {
 type fieldEl struct{ low, high uint64 }
 
 func blockToEl(b bits.Block) fieldEl {
-	return fieldEl{
-		low: uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-			uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]),
-		high: uint64(b[8])<<56 | uint64(b[9])<<48 | uint64(b[10])<<40 | uint64(b[11])<<32 |
-			uint64(b[12])<<24 | uint64(b[13])<<16 | uint64(b[14])<<8 | uint64(b[15]),
-	}
+	return fieldEl{low: binary.BigEndian.Uint64(b[:8]), high: binary.BigEndian.Uint64(b[8:])}
 }
 
 func elToBlock(e fieldEl) bits.Block {
 	var b bits.Block
-	for i := 0; i < 8; i++ {
-		b[i] = byte(e.low >> uint(56-8*i))
-		b[8+i] = byte(e.high >> uint(56-8*i))
-	}
+	binary.BigEndian.PutUint64(b[:8], e.low)
+	binary.BigEndian.PutUint64(b[8:], e.high)
 	return b
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"mccp/internal/aes"
-	"mccp/internal/bits"
 	"mccp/internal/sim"
 )
 
@@ -34,23 +33,47 @@ func ExpandCycles(size aes.KeySize) sim.Time {
 // port" — accordingly the only read path is the Key Scheduler's expansion,
 // which never exposes raw key bytes to callers.
 type KeyMemory struct {
-	keys map[int][]byte
+	keys map[int]*keyEntry
+}
+
+// keyEntry is one stored session key. sched is the host-side memo of its
+// expansion, filled by the Key Scheduler's first job on the key: the
+// modeled expansion latency is charged on every Key Cache miss, the host
+// expands a key once for as long as the entry lives.
+type keyEntry struct {
+	key   []byte
+	sched *aes.Schedule
 }
 
 // NewKeyMemory returns an empty key memory.
-func NewKeyMemory() *KeyMemory { return &KeyMemory{keys: make(map[int][]byte)} }
+func NewKeyMemory() *KeyMemory { return &KeyMemory{keys: make(map[int]*keyEntry)} }
 
 // Store writes a session key (main-controller write port). The key length
-// must be a valid AES key length.
+// must be a valid AES key length, and the ID must not be live: the per-core
+// Key Caches hold round keys by ID and nothing here reaches them, so an
+// overwrite would leave cores answering with the old key. The main
+// controller mints a fresh ID per key; a caller that re-uses one after
+// Delete must first Invalidate it in every core's cache.
 func (m *KeyMemory) Store(id int, key []byte) error {
 	switch len(key) {
 	case 16, 24, 32:
 	default:
 		return fmt.Errorf("keysched: invalid key length %d", len(key))
 	}
-	m.keys[id] = append([]byte(nil), key...)
+	if _, ok := m.keys[id]; ok {
+		return fmt.Errorf("keysched: key ID %d already stored", id)
+	}
+	m.keys[id] = &keyEntry{key: append([]byte(nil), key...)}
 	return nil
 }
+
+// Delete erases a session key (main-controller write port). Round keys
+// already in a Key Cache stay until evicted; a deleted ID can no longer be
+// opened or expanded.
+func (m *KeyMemory) Delete(id int) { delete(m.keys, id) }
+
+// Len reports the number of stored keys.
+func (m *KeyMemory) Len() int { return len(m.keys) }
 
 // Has reports whether a key ID is provisioned (control-plane metadata; not
 // a data-port read).
@@ -73,23 +96,24 @@ func NewScheduler(eng *sim.Engine, mem *KeyMemory) *Scheduler {
 	return &Scheduler{eng: eng, mem: mem}
 }
 
-// Prepare expands key keyID and delivers the round keys through install
+// Prepare expands key keyID and delivers its schedule through install
 // after the modeled latency, then calls done. Requests are serialized: the
-// paper has one Key Scheduler shared by all cores. install receives the
-// key size and the expanded schedule; it must stage them into the target
-// core's Key Cache.
-func (s *Scheduler) Prepare(keyID int, install func(aes.KeySize, []bits.Block), done func(error)) {
+// paper has one Key Scheduler shared by all cores. install must stage the
+// schedule into the target core's Key Cache.
+func (s *Scheduler) Prepare(keyID int, install func(*aes.Schedule), done func(error)) {
 	job := func() {
-		key, ok := s.mem.keys[keyID]
+		e, ok := s.mem.keys[keyID]
 		if !ok {
 			s.finish(func() { done(fmt.Errorf("keysched: unknown key ID %d", keyID)) })
 			return
 		}
-		size := aes.KeySize(len(key))
-		rk := aes.ExpandKey(key)
-		s.eng.After(ExpandCycles(size), func() {
+		if e.sched == nil {
+			e.sched = aes.MustNewSchedule(e.key) // Store checked the length
+		}
+		sched := e.sched
+		s.eng.After(ExpandCycles(sched.Size()), func() {
 			s.Expansions++
-			install(size, rk)
+			install(sched)
 			s.finish(func() { done(nil) })
 		})
 	}
@@ -119,8 +143,7 @@ const CacheSlots = 4
 // cacheEntry is one cached schedule.
 type cacheEntry struct {
 	keyID int
-	size  aes.KeySize
-	rk    []bits.Block
+	sched *aes.Schedule
 	used  uint64
 }
 
@@ -137,17 +160,17 @@ type Cache struct {
 func NewCache() *Cache { return &Cache{} }
 
 // Get looks up a key ID, returning its schedule on a hit.
-func (c *Cache) Get(keyID int) (aes.KeySize, []bits.Block, bool) {
+func (c *Cache) Get(keyID int) (*aes.Schedule, bool) {
 	for i := range c.entries {
 		if c.entries[i].keyID == keyID {
 			c.clock++
 			c.entries[i].used = c.clock
 			c.Hits++
-			return c.entries[i].size, c.entries[i].rk, true
+			return c.entries[i].sched, true
 		}
 	}
 	c.Misses++
-	return 0, nil, false
+	return nil, false
 }
 
 // Contains reports whether keyID is cached without touching LRU state or
@@ -162,16 +185,17 @@ func (c *Cache) Contains(keyID int) bool {
 }
 
 // Put inserts a schedule, evicting the least recently used entry when full.
-func (c *Cache) Put(keyID int, size aes.KeySize, rk []bits.Block) {
+func (c *Cache) Put(keyID int, sched *aes.Schedule) {
 	c.clock++
+	e := cacheEntry{keyID: keyID, sched: sched, used: c.clock}
 	for i := range c.entries {
 		if c.entries[i].keyID == keyID {
-			c.entries[i] = cacheEntry{keyID: keyID, size: size, rk: rk, used: c.clock}
+			c.entries[i] = e
 			return
 		}
 	}
 	if len(c.entries) < CacheSlots {
-		c.entries = append(c.entries, cacheEntry{keyID: keyID, size: size, rk: rk, used: c.clock})
+		c.entries = append(c.entries, e)
 		return
 	}
 	victim := 0
@@ -180,13 +204,17 @@ func (c *Cache) Put(keyID int, size aes.KeySize, rk []bits.Block) {
 			victim = i
 		}
 	}
-	c.entries[victim] = cacheEntry{keyID: keyID, size: size, rk: rk, used: c.clock}
+	c.entries[victim] = e
 }
 
 // Len reports the number of cached key contexts.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Invalidate drops a key (channel close / rekey).
+// Invalidate drops a key's round keys from this core: the step between
+// KeyMemory.Delete and Store when an ID is re-used. The device never calls
+// it — the main controller mints fresh IDs, so a closed channel's entry is
+// unreachable and leaves by LRU, and dropping it early would change later
+// victim choices.
 func (c *Cache) Invalidate(keyID int) {
 	for i := range c.entries {
 		if c.entries[i].keyID == keyID {

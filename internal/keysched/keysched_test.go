@@ -29,6 +29,61 @@ func TestKeyMemoryValidation(t *testing.T) {
 	if !m.Has(1) || m.Has(2) {
 		t.Error("Has() wrong")
 	}
+	// A live ID cannot be overwritten: the Key Caches would keep answering
+	// with the old round keys.
+	if err := m.Store(1, make([]byte, 32)); err == nil {
+		t.Error("Store over a live key ID accepted")
+	}
+	m.Delete(1)
+	m.Delete(7) // unknown ID: no-op
+	if m.Has(1) || m.Len() != 0 {
+		t.Errorf("after Delete: Has(1)=%v Len=%d", m.Has(1), m.Len())
+	}
+	if err := m.Store(1, make([]byte, 32)); err != nil {
+		t.Errorf("Store after Delete: %v", err)
+	}
+	if m.Len() != 1 {
+		t.Errorf("Len = %d, want 1", m.Len())
+	}
+}
+
+// TestSchedulerExpandsOncePerStoredKey: every Prepare pays the modeled
+// latency and counts an expansion, but the host-side schedule is built once
+// per Key Memory entry and dies with it.
+func TestSchedulerExpandsOncePerStoredKey(t *testing.T) {
+	eng := sim.NewEngine()
+	mem := NewKeyMemory()
+	mem.Store(1, make([]byte, 16))
+	s := NewScheduler(eng, mem)
+	var got []*aes.Schedule
+	prepare := func() {
+		before := eng.Now()
+		s.Prepare(1, func(sched *aes.Schedule) { got = append(got, sched) }, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		eng.Run()
+		if d := eng.Now() - before; d != ExpandCycles(aes.Key128) {
+			t.Errorf("Prepare took %d cycles, want %d", d, ExpandCycles(aes.Key128))
+		}
+	}
+	prepare()
+	prepare()
+	mem.Delete(1)
+	key2 := make([]byte, 16)
+	key2[0] = 1
+	mem.Store(1, key2)
+	prepare()
+	if s.Expansions != 3 {
+		t.Errorf("expansions = %d, want 3", s.Expansions)
+	}
+	if got[0] != got[1] {
+		t.Error("second Prepare on a stored key rebuilt its schedule")
+	}
+	if got[2] == got[0] || got[2].RoundKeys()[0] != bits.BlockFromWords([4]uint32{1 << 24}) {
+		t.Error("schedule survived Delete + Store")
+	}
 }
 
 func TestSchedulerLatencyAndSerialization(t *testing.T) {
@@ -40,11 +95,11 @@ func TestSchedulerLatencyAndSerialization(t *testing.T) {
 
 	var done1, done2 sim.Time
 	var rk1 []bits.Block
-	s.Prepare(1, func(size aes.KeySize, rk []bits.Block) {
-		if size != aes.Key128 || len(rk) != 11 {
-			t.Errorf("install 1: size=%v len=%d", size, len(rk))
+	s.Prepare(1, func(sched *aes.Schedule) {
+		rk1 = sched.RoundKeys()
+		if sched.Size() != aes.Key128 || len(rk1) != 11 {
+			t.Errorf("install 1: size=%v len=%d", sched.Size(), len(rk1))
 		}
-		rk1 = rk
 	}, func(err error) {
 		if err != nil {
 			t.Error(err)
@@ -52,9 +107,9 @@ func TestSchedulerLatencyAndSerialization(t *testing.T) {
 		done1 = eng.Now()
 	})
 	// Second request queues behind the first (one shared Key Scheduler).
-	s.Prepare(2, func(size aes.KeySize, rk []bits.Block) {
-		if size != aes.Key256 || len(rk) != 15 {
-			t.Errorf("install 2: size=%v len=%d", size, len(rk))
+	s.Prepare(2, func(sched *aes.Schedule) {
+		if sched.Size() != aes.Key256 || len(sched.RoundKeys()) != 15 {
+			t.Errorf("install 2: size=%v len=%d", sched.Size(), len(sched.RoundKeys()))
 		}
 	}, func(err error) {
 		if err != nil {
@@ -85,7 +140,7 @@ func TestSchedulerUnknownKey(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewScheduler(eng, NewKeyMemory())
 	gotErr := false
-	s.Prepare(42, func(aes.KeySize, []bits.Block) {
+	s.Prepare(42, func(*aes.Schedule) {
 		t.Error("install called for unknown key")
 	}, func(err error) { gotErr = err != nil })
 	eng.Run()
@@ -99,18 +154,18 @@ func TestSchedulerUnknownKey(t *testing.T) {
 
 func TestCacheLRU(t *testing.T) {
 	c := NewCache()
-	rk := aes.ExpandKey(make([]byte, 16))
+	sched := aes.MustNewSchedule(make([]byte, 16))
 	for id := 1; id <= CacheSlots; id++ {
-		c.Put(id, aes.Key128, rk)
+		c.Put(id, sched)
 	}
 	if c.Len() != CacheSlots {
 		t.Fatalf("len = %d", c.Len())
 	}
 	// Touch key 1 so key 2 becomes LRU, then insert a 5th key.
-	if _, _, ok := c.Get(1); !ok {
+	if _, ok := c.Get(1); !ok {
 		t.Fatal("key 1 missing")
 	}
-	c.Put(5, aes.Key128, rk)
+	c.Put(5, sched)
 	if c.Contains(2) {
 		t.Error("key 2 should have been evicted (LRU)")
 	}
@@ -118,12 +173,12 @@ func TestCacheLRU(t *testing.T) {
 		t.Error("keys 1 and 5 should be cached")
 	}
 	// Re-putting an existing key must not evict.
-	c.Put(5, aes.Key128, rk)
+	c.Put(5, sched)
 	if c.Len() != CacheSlots {
 		t.Errorf("len after re-put = %d", c.Len())
 	}
 	// Hit/miss accounting.
-	if _, _, ok := c.Get(99); ok {
+	if _, ok := c.Get(99); ok {
 		t.Error("phantom hit")
 	}
 	if c.Hits != 1 || c.Misses != 1 {

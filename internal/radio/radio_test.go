@@ -116,6 +116,61 @@ func TestEndToEndGCMAgainstStdlib(t *testing.T) {
 	}
 }
 
+// TestRekeyUsesNewKey: a live key ID cannot be overwritten; re-using an ID
+// is Delete, Invalidate on every core's Key Cache, Store — after which no
+// core (and no memoised schedule) still answers with the old key.
+func TestRekeyUsesNewKey(t *testing.T) {
+	r := newRig(core.Config{})
+	suite := core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16}
+	nonce, aad, pt := make([]byte, 12), []byte("hdr"), []byte("one packet under each key, same key ID")
+	seal := func(key []byte) []byte {
+		blk, _ := stdaes.NewCipher(key)
+		ref, _ := cipher.NewGCM(blk)
+		return ref.Seal(nil, nonce, pt, aad)
+	}
+	open := func(keyID int) int {
+		ch := 0
+		r.cc.OpenChannel(suite, keyID, func(c int, err error) {
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			ch = c
+		})
+		r.eng.Run()
+		return ch
+	}
+
+	oldKey, newKey := bytes.Repeat([]byte{0x11}, 16), bytes.Repeat([]byte{0x22}, 32)
+	id, err := r.mc.InstallKey(oldKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := open(id)
+	if got := r.encrypt(t, ch, nonce, aad, pt); !bytes.Equal(got, seal(oldKey)) {
+		t.Fatal("first key: device output != crypto/cipher GCM")
+	}
+	r.cc.CloseChannel(ch, func(err error) {
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
+	r.eng.Run()
+
+	if err := r.dev.KeyMem.Store(id, newKey); err == nil {
+		t.Fatal("Store over a live key ID accepted")
+	}
+	r.mc.RemoveKey(id)
+	for _, c := range r.dev.Caches {
+		c.Invalidate(id)
+	}
+	if err := r.dev.KeyMem.Store(id, newKey); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.encrypt(t, open(id), nonce, aad, pt); !bytes.Equal(got, seal(newKey)) {
+		t.Fatal("after rekey: device output is not under the new key")
+	}
+}
+
 func TestEndToEndCCMSingleAndSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for _, split := range []bool{false, true} {

@@ -82,13 +82,23 @@ func (f *WordFIFO) occupied() int { return f.n + len(f.coolingSlots()) }
 // CanPush reports whether at least k words of space are free.
 func (f *WordFIFO) CanPush(k int) bool { return f.occupied()+k <= len(f.buf) }
 
+// wrap folds a ring index from [0, 2*Cap) back into [0, Cap). Every index
+// the FIFO forms is head plus at most Cap, so one conditional subtraction
+// replaces the modulo (an integer division per word on a 544-word ring).
+func (f *WordFIFO) wrap(i int) int {
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	return i
+}
+
 // CanPop reports whether at least k words are available (present and past
 // their ready time).
 func (f *WordFIFO) CanPop(k int) bool {
 	if k <= 0 {
 		return true
 	}
-	return f.n >= k && f.readyAt[(f.head+k-1)%len(f.buf)] <= f.eng.Now()
+	return f.n >= k && f.readyAt[f.wrap(f.head+k-1)] <= f.eng.Now()
 }
 
 // CanPopSchedule reports whether k words could be drained on the reference
@@ -98,28 +108,28 @@ func (f *WordFIFO) CanPopSchedule(k int, start, stride Time) bool {
 	if f.n < k {
 		return false
 	}
-	for i := 0; i < k; i++ {
-		if f.readyAt[(f.head+i)%len(f.buf)] > start+Time(i)*stride {
+	for i, due := f.head, start; k > 0; k-- {
+		if f.readyAt[i] > due {
 			return false
+		}
+		due += stride
+		if i++; i == len(f.buf) {
+			i = 0
 		}
 	}
 	return true
 }
 
-// push appends one word with the given ready time.
-func (f *WordFIFO) push(w uint32, ready Time) {
-	i := (f.head + f.n) % len(f.buf)
+// tail returns the slot the next word goes into, after checking that a
+// word ready at the given time keeps readyAt nondecreasing in queue order.
+func (f *WordFIFO) tail(ready Time) int {
 	if f.n > 0 {
-		last := (f.head + f.n - 1) % len(f.buf)
-		if f.readyAt[last] > ready {
+		if last := f.readyAt[f.wrap(f.head+f.n-1)]; last > ready {
 			panic(fmt.Sprintf("sim: FIFO push ready at %d behind in-flight burst word at %d",
-				ready, f.readyAt[last]))
+				ready, last))
 		}
 	}
-	f.buf[i] = w
-	f.readyAt[i] = ready
-	f.n++
-	f.Pushed++
+	return f.wrap(f.head + f.n)
 }
 
 // TryPush appends w if space is available and reports success.
@@ -127,8 +137,27 @@ func (f *WordFIFO) TryPush(w uint32) bool {
 	if f.occupied() == len(f.buf) {
 		return false
 	}
-	f.push(w, f.eng.Now())
+	now := f.eng.Now()
+	i := f.tail(now)
+	f.buf[i], f.readyAt[i] = w, now
+	f.n++
+	f.Pushed++
 	f.notEmpty.Release()
+	return true
+}
+
+// TryPushBlock appends the four words of one 128-bit block, most
+// significant first, if there is space for all four (the Cryptographic
+// Unit's STORE). It is four TryPush calls made in one event: those would
+// wake the parked poppers on the first word and find nobody left to wake on
+// the other three, and nothing runs in between, so waking them once after
+// the fourth word schedules the same callbacks at the same cycle in the
+// same order.
+func (f *WordFIFO) TryPushBlock(w [4]uint32) bool {
+	if !f.CanPush(4) {
+		return false
+	}
+	f.BulkPush(w[:], f.eng.Now(), 0)
 	return true
 }
 
@@ -139,8 +168,19 @@ func (f *WordFIFO) BulkPush(words []uint32, start, stride Time) {
 	if f.occupied()+len(words) > len(f.buf) {
 		panic("sim: BulkPush without space (check CanPush first)")
 	}
-	for i, w := range words {
-		f.push(w, start+Time(i)*stride)
+	if len(words) > 0 {
+		// Times only rise along the burst, so the first word's order
+		// check covers the rest.
+		i, ready := f.tail(start), start
+		for _, w := range words {
+			f.buf[i], f.readyAt[i] = w, ready
+			ready += stride
+			if i++; i == len(f.buf) {
+				i = 0
+			}
+		}
+		f.n += len(words)
+		f.Pushed += uint64(len(words))
 	}
 	f.notEmpty.Release()
 }
@@ -151,9 +191,27 @@ func (f *WordFIFO) TryPop() (uint32, bool) {
 		return 0, false
 	}
 	w := f.buf[f.head]
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = f.wrap(f.head + 1)
 	f.n--
 	f.Popped++
+	f.notFull.Release()
+	return w, true
+}
+
+// TryPopBlock removes the oldest four words as one 128-bit block, most
+// significant first, if all four are present and ready (the Cryptographic
+// Unit's LOAD); otherwise it removes nothing. Like TryPushBlock it is four
+// TryPop calls made in one event, with the one wake-up they amount to.
+func (f *WordFIFO) TryPopBlock() (w [4]uint32, ok bool) {
+	if !f.CanPop(4) {
+		return w, false
+	}
+	for k := range w {
+		w[k] = f.buf[f.head]
+		f.head = f.wrap(f.head + 1)
+	}
+	f.n -= 4
+	f.Popped += 4
 	f.notFull.Release()
 	return w, true
 }
@@ -168,16 +226,17 @@ func (f *WordFIFO) BulkPop(dst []uint32, k int, start, stride Time) []uint32 {
 	}
 	f.coolingSlots() // rewinds a drained list, so it only grows while bursts overlap
 	now := f.eng.Now()
-	for i := 0; i < k; i++ {
+	for i, free := 0, start; i < k; i++ {
 		dst = append(dst, f.buf[f.head])
-		f.head = (f.head + 1) % len(f.buf)
-		f.n--
-		if t := start + Time(i)*stride; t > now {
+		f.head = f.wrap(f.head + 1)
+		if free > now {
 			// Grants are serialized, so successive bursts append ascending
 			// times and the cooling list stays sorted.
-			f.cooling = append(f.cooling, t)
+			f.cooling = append(f.cooling, free)
 		}
+		free += stride
 	}
+	f.n -= k
 	f.Popped += uint64(k)
 	f.notFull.Release()
 	return dst
@@ -232,7 +291,7 @@ func (f *WordFIFO) WhenPoppable(k int, fn func()) {
 		return
 	}
 	if f.n >= k {
-		f.eng.At(f.readyAt[(f.head+k-1)%len(f.buf)], fn)
+		f.eng.At(f.readyAt[f.wrap(f.head+k-1)], fn)
 		return
 	}
 	f.notEmpty.Park(fn)

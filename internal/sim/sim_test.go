@@ -654,3 +654,23 @@ func BenchmarkEngineStep(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkFIFOBlockMove is the block-move rung: one STORE's TryPushBlock
+// and one LOAD's TryPopBlock per iteration on a ring of the device's size,
+// so the head wraps every 136 blocks. (bench/'s sim.rung_fifo_words_per_s
+// times the word-at-a-time TryPush/TryPop pair.)
+func BenchmarkFIFOBlockMove(b *testing.B) {
+	f := NewWordFIFO(NewEngine(), 544)
+	w := [4]uint32{1, 2, 3, 4}
+	b.ReportAllocs()
+	b.SetBytes(16)
+	for k := 0; k < b.N; k++ {
+		if !f.TryPushBlock(w) {
+			b.Fatal("ring full")
+		}
+		var ok bool
+		if w, ok = f.TryPopBlock(); !ok {
+			b.Fatal("ring empty")
+		}
+	}
+}
