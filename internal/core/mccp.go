@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mccp/internal/aes"
 	"mccp/internal/crossbar"
@@ -365,25 +366,25 @@ func (m *MCCP) enqueue(w *waiting) {
 // stageKeysAndStart loads round keys into every engaged core's Key Cache
 // (through the Key Scheduler on a miss) and then starts the firmware.
 func (m *MCCP) stageKeysAndStart(c *channel, tasks []cryptocore.Task, ids []int, cb func(Assignment, error)) {
-	var stage func(i int)
-	stage = func(i int) {
-		if i == len(ids) {
-			m.startCores(c, tasks, ids, cb)
-			return
-		}
-		coreID := ids[i]
+	m.stageFrom(0, c, tasks, ids, cb)
+}
+
+// stageFrom stages ids[i:]. Only a Key Cache miss leaves the loop (and
+// allocates its continuation): the Key Scheduler resumes it at the next core.
+func (m *MCCP) stageFrom(i int, c *channel, tasks []cryptocore.Task, ids []int, cb func(Assignment, error)) {
+	for ; i < len(ids); i++ {
 		if c.suite.Family == cryptocore.FamilyHash {
 			// Hashing needs no key material.
-			stage(i + 1)
-			return
+			break
 		}
+		coreID := ids[i]
 		if sched, ok := m.Caches[coreID].Get(c.keyID); ok {
 			// Cache hit: the engine reads round keys straight from the
 			// core's Key Cache block RAM, no extra latency.
 			m.Cores[coreID].InstallAESKeys(sched)
-			stage(i + 1)
-			return
+			continue
 		}
+		next := i + 1
 		m.KeySched.Prepare(c.keyID, func(sched *aes.Schedule) {
 			m.Caches[coreID].Put(c.keyID, sched)
 			m.Cores[coreID].InstallAESKeys(sched)
@@ -395,10 +396,11 @@ func (m *MCCP) stageKeysAndStart(c *channel, tasks []cryptocore.Task, ids []int,
 				cb(Assignment{}, err)
 				return
 			}
-			stage(i + 1)
+			m.stageFrom(next, c, tasks, ids, cb)
 		})
+		return
 	}
-	stage(0)
+	m.startCores(c, tasks, ids, cb)
 }
 
 // startCores writes task parameters and strobes start on every engaged
@@ -443,7 +445,15 @@ func (m *MCCP) coreFinished(req *request, r cryptocore.Result) {
 	if req.code != 0 {
 		m.Stats.AuthFails++
 	}
-	m.doneQ = append(m.doneQ, req)
+	// Requests whose last result strobe falls in the same cycle enter the
+	// done queue in output-core order, the fixed priority of a hardware
+	// arbiter: the order in which the engine happens to run the cores'
+	// same-cycle events is not part of the model (see package sim).
+	at := len(m.doneQ)
+	for at > 0 && m.doneQ[at-1].doneAt == req.doneAt && m.doneQ[at-1].outCore < req.outCore {
+		at--
+	}
+	m.doneQ = slices.Insert(m.doneQ, at, req)
 	if len(m.doneQ) == 1 && m.OnDataAvailable != nil {
 		m.Eng.After(CostIRQ, m.OnDataAvailable)
 	}

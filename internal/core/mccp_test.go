@@ -5,6 +5,7 @@ import (
 
 	"mccp/internal/core"
 	"mccp/internal/cryptocore"
+	"mccp/internal/cuisa"
 	"mccp/internal/firmware"
 	"mccp/internal/sim"
 )
@@ -262,5 +263,60 @@ func TestPriorityQueueOrdering(t *testing.T) {
 	eng.Run()
 	if len(order) != 3 || order[1] != "high" || order[2] != "low" {
 		t.Fatalf("dispatch order = %v, want [first high low]", order)
+	}
+}
+
+// TestSameCycleResultStrobesQueueByCore: two cores whose firmware strobes
+// its result in the same cycle must enter the done queue the same way
+// whichever core's events the engine happens to run first that cycle — in
+// fixed core priority, highest first.
+func TestSameCycleResultStrobesQueueByCore(t *testing.T) {
+	for _, fedFirst := range []int{0, 1} {
+		eng, dev := newDev(core.Config{})
+		dev.KeyMem.Store(1, make([]byte, 16))
+		var ch int
+		dev.Open(core.Suite{Family: cryptocore.FamilyCTR}, 1, func(c int, _ error) { ch = c })
+		eng.Run()
+		reqOf := map[int]int{} // core -> request
+		for i := 0; i < 2; i++ {
+			dev.Submit(ch, true, 0, 32, func(a core.Assignment, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqOf[a.CoreIDs[0]] = a.ReqID
+			})
+		}
+		eng.Run() // both firmwares now wait on their empty input FIFOs
+		// Feed both FIFOs in one cycle, so the cores run in lock-step from
+		// there; fedFirst's events lead every cycle they share. (A fixed
+		// cycle: where a drained engine's clock stands while a controller
+		// waits mid-task is not the same on the fast path and under Compat.)
+		const at = 1000
+		if eng.Now() >= at {
+			t.Fatalf("cores blocked only at cycle %d", eng.Now())
+		}
+		var lastIssue [2]sim.Time
+		feed := func(c int) func() {
+			dev.Cores[c].Unit.Trace = func(now sim.Time, _ cuisa.Instr) { lastIssue[c] = now }
+			return func() {
+				for k := 0; k < 12; k++ { // ICB + 2 data blocks
+					dev.Cores[c].In.TryPush(0)
+				}
+			}
+		}
+		eng.At(at, feed(fedFirst))
+		eng.At(at, feed(1-fedFirst))
+		eng.Run()
+		if len(reqOf) != 2 || lastIssue[0] != lastIssue[1] || lastIssue[0] <= at {
+			t.Fatalf("fed %d first: requests %v, last unit instructions at %v: cores not in lock-step", fedFirst, reqOf, lastIssue)
+		}
+		for _, wantCore := range []int{1, 0} {
+			dev.RetrieveData(func(r core.Retrieval, err error) {
+				if err != nil || r.OutCore != wantCore || r.ReqID != reqOf[wantCore] {
+					t.Errorf("fed %d first: retrieved %+v (err %v), want core %d's request %d", fedFirst, r, err, wantCore, reqOf[wantCore])
+				}
+			})
+			eng.Run()
+		}
 	}
 }

@@ -190,6 +190,19 @@ func (b *coreBus) Out(port uint8, val uint8, done func()) {
 	done()
 }
 
+// OutAt takes a unit instruction ahead of its cycle while the unit is busy:
+// the unit latches it when it falls idle, or at cycle at if that comes later
+// (picoblaze.EarlyBus). An idle unit would only hold it until at, so the
+// controller presents that one itself; the mask, result and flush strobes
+// act at once on state others read, and are never taken early.
+func (b *coreBus) OutAt(port uint8, val uint8, at sim.Time, done func()) bool {
+	if port != firmware.PortCU || !b.c.Unit.Busy() {
+		return false
+	}
+	b.c.Unit.IssueAt(cuisa.Instr(val), at, done)
+	return true
+}
+
 func (c *Core) finishTask(code uint8) {
 	if !c.busy {
 		// Result strobe with no task (e.g. unknown mode after a spurious

@@ -84,19 +84,21 @@ type Unit struct {
 	maskBlk bits.Block // cached bits.ByteMask(mask)
 	equ     bool
 
-	busy        bool
-	idleWaiters *sim.Waiters
+	busy bool
 
-	// Single-slot stalled issue. The controller blocks on the start/ack
-	// handshake, so at most one instruction is ever waiting to be latched;
-	// holding it in fields with a prebuilt retry callback keeps the
-	// (extremely hot) stall path allocation-free. A second concurrent
-	// issue — only possible from tests driving the port directly — falls
-	// back to a closure.
+	// The instruction port's single waiting slot. The controller blocks on
+	// the start/ack handshake, so at most one instruction is ever waiting to
+	// be latched: stallIn, presented for cycle stallAt or later, with its
+	// acknowledge. complete latches it at the done edge; latch fires at
+	// stallAt when the unit went idle before that cycle. stallRetry is the
+	// one prebuilt callback that does the latching, so the (extremely hot)
+	// stall path is allocation-free.
 	stalled     bool
 	stallIn     cuisa.Instr
+	stallAt     sim.Time
 	stallAccept func()
 	stallRetry  func()
+	latch       *sim.Ticker
 
 	// Completion plumbing. One foreground instruction executes at a time,
 	// so a single pending-effect slot suffices: tick fires the completion
@@ -116,6 +118,11 @@ type Unit struct {
 	effMOV     func()
 	effSTORE   func()
 
+	// cur is the instruction in execution. LOAD, STORE, SHIN and SHOUT wait
+	// for their FIFO or mailbox by parking reexec, which executes cur again.
+	cur    cuisa.Instr
+	reexec func()
+
 	// Trace, when non-nil, receives every accepted instruction with its
 	// acceptance cycle (used by the disassembling tracer and tests).
 	Trace func(now sim.Time, in cuisa.Instr)
@@ -133,13 +140,12 @@ type Unit struct {
 // Core.
 func New(eng *sim.Engine, in, out *sim.WordFIFO) *Unit {
 	u := &Unit{
-		eng:         eng,
-		In:          in,
-		Out:         out,
-		GHash:       ghash.NewCore(),
-		mask:        0xFFFF,
-		maskBlk:     bits.ByteMask(0xFFFF),
-		idleWaiters: sim.NewWaiters(eng),
+		eng:     eng,
+		In:      in,
+		Out:     out,
+		GHash:   ghash.NewCore(),
+		mask:    0xFFFF,
+		maskBlk: bits.ByteMask(0xFFFF),
 	}
 	u.tick = eng.NewTicker(func() {
 		if fn := u.pendingFn; fn != nil {
@@ -161,11 +167,19 @@ func New(eng *sim.Engine, in, out *sim.WordFIFO) *Unit {
 			panic("cryptounit: FIFO overflow after CanPush")
 		}
 	}
+	u.reexec = func() { u.execute(u.cur) }
 	u.stallRetry = func() {
+		if u.busy || !u.stalled {
+			// An instruction issued from OnDone got in first (only tests and
+			// bench rungs do that): the next done edge retries, and a latch
+			// event left over from before finds the slot empty.
+			return
+		}
 		in, acc := u.stallIn, u.stallAccept
 		u.stalled, u.stallAccept = false, nil
-		u.Issue(in, acc)
+		u.accept(in, acc)
 	}
+	u.latch = eng.NewTicker(u.stallRetry)
 	return u
 }
 
@@ -206,75 +220,85 @@ func (u *Unit) Reset() {
 	u.maskBlk = bits.ByteMask(0xFFFF)
 }
 
-// WhenIdle parks fn until no foreground instruction is executing. The
-// controller's HALT instruction and the issue path both use it.
-func (u *Unit) WhenIdle(fn func()) {
-	if !u.busy {
-		u.eng.After(0, fn)
-		return
-	}
-	u.idleWaiters.Park(fn)
-}
+// Issue presents an instruction on the instruction port at the current
+// cycle: IssueAt with no wait of the controller's own.
+func (u *Unit) Issue(in cuisa.Instr, onAccept func()) { u.IssueAt(in, u.eng.Now(), onAccept) }
 
-// Issue presents an instruction on the instruction port. If the unit is
-// still executing, the issue stalls (the start/ack handshake of §V.B);
-// onAccept runs at the cycle the unit latches the instruction.
+// IssueAt presents an instruction that the controller strobes at cycle
+// notBefore, which may lie ahead of the clock: the unit latches it at the
+// first cycle from notBefore on at which it is idle (the start/ack handshake
+// of paper section V.B, where the controller holds its OUTPUT strobe until
+// the unit acknowledges), and onAccept runs at that cycle. Presenting early
+// is what lets a controller that knows its next strobe cycle skip the event
+// that would only find the unit busy — the FIFO's readyAt, on the
+// instruction port. One instruction can wait; presenting a second is a
+// model bug and panics.
 //
 // The reference handshake is three engine events per instruction: the
-// completion tick, the stalled issue's retry and onAccept, the last two
-// zero-delay. Issue and complete fuse them into the tick whenever the engine
-// is Quiet at the point the zero-delay event would have been scheduled: that
-// event would be the next one popped, so calling it as the last act of the
-// running event is the same execution order. Issue must therefore be its
-// caller's last act in the current event (the controller's OUTPUT is), since
-// onAccept may have run by the time it returns.
-func (u *Unit) Issue(in cuisa.Instr, onAccept func()) {
-	if u.busy {
-		if !u.stalled {
-			u.stalled = true
-			u.stallIn, u.stallAccept = in, onAccept
-			u.idleWaiters.Park(u.stallRetry)
-		} else {
-			u.idleWaiters.Park(func() { u.Issue(in, onAccept) })
-		}
+// completion tick, the waiting instruction's retry and onAccept, the last
+// two zero-delay. Unless the engine is in Compat, accept and complete run
+// both inline instead, so an instruction costs the one tick (plus a latch
+// event when the unit fell idle before notBefore). That moves this core's
+// continuation ahead of other cores' events of the same cycle and nothing
+// else (see package sim for why that order is free). Issue and IssueAt must
+// be their caller's last act in the current event (the controller's OUTPUT
+// is), since onAccept may have run by the time they return.
+func (u *Unit) IssueAt(in cuisa.Instr, notBefore sim.Time, onAccept func()) {
+	if !u.busy && notBefore <= u.eng.Now() {
+		// The slot may be taken all the same: OnDone issuing from inside
+		// complete overtakes the waiting instruction, as on the reference
+		// path, where the released retry is still queued at that point.
+		u.accept(in, onAccept)
 		return
 	}
+	if u.stalled {
+		panic(fmt.Sprintf("cryptounit: %v presented at cycle %d while %v waits on the instruction port", in, u.eng.Now(), u.stallIn))
+	}
+	u.stalled = true
+	u.stallIn, u.stallAt, u.stallAccept = in, notBefore, onAccept
+	if !u.busy {
+		u.latch.At(notBefore)
+	}
+}
+
+// accept latches an instruction into the idle unit and acknowledges it.
+func (u *Unit) accept(in cuisa.Instr, onAccept func()) {
 	u.busy = true
-	now := u.eng.Now()
+	u.cur = in
 	u.IssueCount[in.Op()&0xF]++
 	if u.Trace != nil {
-		u.Trace(now, in)
+		u.Trace(u.eng.Now(), in)
 	}
-	// An idle unit with the stall slot still taken means OnDone issued from
-	// inside complete: the released retry is pending at this cycle (possibly
-	// held for complete's tail, where Quiet cannot see it) and goes first.
-	fuse := onAccept != nil && !u.stalled && u.eng.Quiet()
-	if onAccept != nil && !fuse {
+	if onAccept != nil && u.eng.Compat {
 		u.eng.After(0, onAccept)
+		onAccept = nil
 	}
 	u.execute(in)
-	if fuse {
+	if onAccept != nil {
 		onAccept()
 	}
 }
 
-// complete idles the unit, wakes stalled issues and strobes the done line.
-// When the stalled issue is the only waiter and the engine is Quiet, its
-// retry is run after the done strobe instead of being scheduled (see Issue).
+// complete idles the unit, strobes the done line, then latches the waiting
+// instruction if its cycle has come (through a retry event under Compat).
 func (u *Unit) complete() {
 	u.busy = false
-	var retry func()
-	if u.stalled && u.eng.Quiet() {
-		retry = u.idleWaiters.TakeSole()
-	}
-	if retry == nil {
-		u.idleWaiters.Release()
+	inline := false
+	if u.stalled {
+		switch {
+		case u.stallAt > u.eng.Now():
+			u.latch.At(u.stallAt)
+		case u.eng.Compat:
+			u.eng.After(0, u.stallRetry)
+		default:
+			inline = true
+		}
 	}
 	if u.OnDone != nil {
 		u.OnDone()
 	}
-	if retry != nil {
-		retry()
+	if inline {
+		u.stallRetry()
 	}
 }
 
@@ -387,7 +411,7 @@ func (u *Unit) execute(in cuisa.Instr) {
 func (u *Unit) loadWhenReady(a int) {
 	w, ok := u.In.TryPopBlock()
 	if !ok {
-		u.In.WhenPoppable(4, func() { u.loadWhenReady(a) })
+		u.In.WhenPoppable(4, u.reexec)
 		return
 	}
 	u.bank[a] = bits.BlockFromWords(w)
@@ -400,7 +424,7 @@ func (u *Unit) loadWhenReady(a int) {
 // effect reads it at the done edge.)
 func (u *Unit) storeWhenReady(a int) {
 	if !u.Out.CanPush(4) {
-		u.Out.WhenPushable(4, func() { u.storeWhenReady(a) })
+		u.Out.WhenPushable(4, u.reexec)
 		return
 	}
 	u.effA = a
@@ -413,7 +437,7 @@ func (u *Unit) shiftInWhenReady(a int) {
 	}
 	w, ok := u.MboxIn.TryTake()
 	if !ok {
-		u.MboxIn.WhenTakeable(func() { u.shiftInWhenReady(a) })
+		u.MboxIn.WhenTakeable(u.reexec)
 		return
 	}
 	u.bank[a] = bits.BlockFromWords(w)
@@ -425,7 +449,7 @@ func (u *Unit) shiftOutWhenReady(a int) {
 		panic("cryptounit: SHOUT with no inter-core output port")
 	}
 	if !u.MboxOut.TryPut(u.bank[a].Words()) {
-		u.MboxOut.WhenPuttable(func() { u.shiftOutWhenReady(a) })
+		u.MboxOut.WhenPuttable(u.reexec)
 		return
 	}
 	u.doneAfter(ShiftOutLatency, nil)

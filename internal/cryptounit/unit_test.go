@@ -11,22 +11,21 @@ import (
 	"mccp/internal/sim"
 )
 
-// seq issues instructions back-to-back: each is issued as soon as the unit
-// accepts it (modeling a controller with zero fetch overhead), and done is
-// awaited before the next issue. It returns the total cycle count.
+// seq issues instructions back-to-back, each from the done strobe of the one
+// before (modeling a controller with zero fetch overhead). It returns the
+// total cycle count.
 func seq(t *testing.T, eng *sim.Engine, u *Unit, ins ...cuisa.Instr) sim.Time {
 	t.Helper()
 	start := eng.Now()
-	var step func(i int)
-	step = func(i int) {
-		if i == len(ins) {
-			return
+	i := 0
+	u.OnDone = func() {
+		if i++; i < len(ins) {
+			u.Issue(ins[i], nil)
 		}
-		u.Issue(ins[i], nil)
-		u.WhenIdle(func() { step(i + 1) })
 	}
-	step(0)
+	u.Issue(ins[0], nil)
 	eng.Run()
+	u.OnDone = nil
 	return eng.Now() - start
 }
 
@@ -78,8 +77,8 @@ func TestLoadBlocksUntilDataArrives(t *testing.T) {
 	eng, u := newUnit()
 	want := bits.BlockFromHex("000102030405060708090a0b0c0d0e0f")
 	done := sim.Time(0)
+	u.OnDone = func() { done = eng.Now() }
 	u.Issue(cuisa.Load(0), nil)
-	u.WhenIdle(func() { done = eng.Now() })
 	// Words trickle in one per 10 cycles starting at t=5.
 	for i := 0; i < 4; i++ {
 		w := want.Word(i)
@@ -237,8 +236,8 @@ func TestSAESWhileBusyPanics(t *testing.T) {
 			t.Error("expected panic on SAES while engine busy")
 		}
 	}()
+	u.OnDone = func() { u.Issue(cuisa.SAES(1), nil) }
 	u.Issue(cuisa.SAES(0), nil)
-	u.WhenIdle(func() { u.Issue(cuisa.SAES(1), nil) })
 	eng.Run()
 }
 
@@ -270,8 +269,8 @@ func TestInterCoreShiftRegister(t *testing.T) {
 	us.SetBank(0, mac)
 	// Receiver blocks on SHIN first; sender SHOUTs 20 cycles later.
 	var got bits.Block
+	ur.OnDone = func() { got = ur.Bank(1) }
 	ur.Issue(cuisa.ShIn(1), nil)
-	ur.WhenIdle(func() { got = ur.Bank(1) })
 	eng.At(20, func() { us.Issue(cuisa.ShOut(0), nil) })
 	eng.Run()
 	if got != mac {
@@ -293,8 +292,8 @@ func TestStoreBlocksOnFullOutput(t *testing.T) {
 		u.Out.TryPush(uint32(i))
 	}
 	var done sim.Time
+	u.OnDone = func() { done = eng.Now() }
 	u.Issue(cuisa.Store(0), nil)
-	u.WhenIdle(func() { done = eng.Now() })
 	// Drain one word at t=30: still not enough. Drain the rest at t=50.
 	eng.At(30, func() { u.Out.TryPop() })
 	eng.At(50, func() {
@@ -330,10 +329,9 @@ func TestIssueCountAndTrace(t *testing.T) {
 // onAccept in execution order, the issue counts and the engine events run.
 //
 // Re-entrancy is where fusion could go wrong: the instruction OnDone issues
-// is accepted while the stalled issue's retry is released but has not run,
-// so its onAccept must queue behind that retry. The chain4 onAccept makes
-// the order visible: it issues a second concurrent instruction, which parks
-// behind the re-stalled one only if the retry ran first.
+// finds the unit idle with the waiting slot still taken, overtakes the
+// waiting instruction as it does on the reference path, and that one must
+// stay in its slot until the chain ends.
 func handshakeLog(compat bool) (log []string, counts [16]uint64, events int) {
 	eng := sim.NewEngine()
 	eng.Compat = compat
@@ -349,13 +347,7 @@ func handshakeLog(compat bool) (log []string, counts [16]uint64, events int) {
 			return
 		}
 		left--
-		n := left
-		u.Issue(instr[n&1], func() {
-			note(fmt.Sprintf("onAccept chain%d", n))()
-			if n == 4 {
-				u.Issue(cuisa.Mov(0, 1), note("onAccept concurrent"))
-			}
-		})
+		u.Issue(instr[left&1], note(fmt.Sprintf("onAccept chain%d", left)))
 	}
 	u.Issue(cuisa.Xor(2, 3), note("onAccept first"))
 	u.Issue(cuisa.Mov(2, 3), note("onAccept stalled"))
@@ -374,11 +366,81 @@ func TestOnDoneIssueWhileStalledMatchesCompat(t *testing.T) {
 	if fastCounts != refCounts {
 		t.Errorf("IssueCount %v != reference %v", fastCounts, refCounts)
 	}
-	if len(ref) != 2*9 {
-		t.Errorf("reference log has %d entries, want 9 acceptances and 9 onAccepts: %q", len(ref), ref)
+	if last := "42 onAccept stalled"; len(ref) != 2*8 || ref[len(ref)-1] != last {
+		t.Errorf("reference log: want 8 acceptances and 8 onAccepts ending in %q, got %q", last, ref)
 	}
 	if fastEvents >= refEvents {
 		t.Errorf("fast path ran %d engine events, reference %d: nothing was fused", fastEvents, refEvents)
+	}
+}
+
+func TestSecondWaitingInstructionPanics(t *testing.T) {
+	_, u := newUnit()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected a panic: the instruction port holds one waiting instruction")
+		}
+	}()
+	u.Issue(cuisa.Inc(0, 1), nil)
+	u.Issue(cuisa.Inc(0, 1), nil)
+	u.Issue(cuisa.Inc(0, 1), nil)
+}
+
+// TestIssueAtMatchesStrobeAtItsCycle presents an instruction ahead of its
+// cycle, right after the one before it was accepted, and requires what a
+// controller event at that cycle would have produced on the reference path:
+// the same done strobes, acceptances and acknowledges at the same cycles in
+// the same order — done before the acceptance it makes room for, the
+// controller's wake input before its next instruction.
+func TestIssueAtMatchesStrobeAtItsCycle(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		first      cuisa.Instr
+		dataAt     sim.Time // when the input FIFO gets the block a LOAD waits for
+		stamp      sim.Time
+		wantAccept sim.Time
+		wantEvents int // fast path, beyond the FIFO push: ticks, plus a latch event when the unit idles first
+	}{
+		{"done after the stamp", cuisa.Xor(0, 1), 0, 4, SimpleLatency, 2},
+		{"done at the stamp", cuisa.Xor(0, 1), 0, SimpleLatency, SimpleLatency, 2},
+		{"done before the stamp", cuisa.Xor(0, 1), 0, 9, 9, 3},
+		{"behind a blocked LOAD", cuisa.Load(2), 20, 2, 20 + SimpleLatency, 3},
+		{"blocked LOAD done before the stamp", cuisa.Load(2), 20, 40, 40, 4},
+	} {
+		run := func(compat bool) (log []string, events int) {
+			eng, u := newUnit()
+			eng.Compat = compat
+			note := func(what string) func() {
+				return func() { log = append(log, fmt.Sprintf("%d %s", eng.Now(), what)) }
+			}
+			u.Trace = func(now sim.Time, in cuisa.Instr) { log = append(log, fmt.Sprintf("%d accept %v", now, in)) }
+			u.OnDone = note("done")
+			if tc.first.Op() == cuisa.OpLOAD {
+				eng.At(tc.dataAt, func() { u.In.TryPushBlock([4]uint32{1, 2, 3, 4}) })
+				events--
+			}
+			u.Issue(tc.first, nil)
+			if compat {
+				eng.At(tc.stamp, func() { u.Issue(cuisa.Inc(1, 1), note("ack")) })
+			} else {
+				u.IssueAt(cuisa.Inc(1, 1), tc.stamp, note("ack"))
+			}
+			for eng.Step() {
+				events++
+			}
+			return log, events
+		}
+		fast, events := run(false)
+		ref, _ := run(true)
+		if !reflect.DeepEqual(fast, ref) {
+			t.Errorf("%s:\nfast:   %q\ncompat: %q", tc.name, fast, ref)
+		}
+		if want := fmt.Sprintf("%d accept %v", tc.wantAccept, cuisa.Inc(1, 1)); len(ref) != 5 || ref[2] != want {
+			t.Errorf("%s: reference log %q, want %q third of five", tc.name, ref, want)
+		}
+		if events != tc.wantEvents {
+			t.Errorf("%s: fast path ran %d engine events, want %d", tc.name, events, tc.wantEvents)
+		}
 	}
 }
 

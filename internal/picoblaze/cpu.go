@@ -20,31 +20,54 @@ type Bus interface {
 	Out(port uint8, val uint8, done func())
 }
 
+// EarlyBus is an optional extension of Bus for a port that can take a write
+// before its cycle has come. New asserts it once; a bus without it sees
+// every OUTPUT at its retire cycle.
+type EarlyBus interface {
+	Bus
+	// OutAt offers the OUTPUT that retires at cycle at, ahead of the engine
+	// clock. A bus that accepts it returns true and owes done exactly as Out
+	// does, at a cycle not before at (the Cryptographic Core accepts unit
+	// instructions while the unit is busy: the unit latches them when it
+	// falls idle, so the controller need not come back to find it busy). A
+	// bus that returns false has done nothing, and the controller presents
+	// the write through Out at its cycle.
+	OutAt(port uint8, val uint8, at sim.Time, done func()) bool
+}
+
 // CPU is one PicoBlaze-style controller instance.
 //
 // The controller retires one instruction every CyclesPerInstr cycles. The
-// reference model schedules one engine event per instruction; this
-// implementation instead batches straight-line runs inside a single event,
-// advancing the clock arithmetically via Engine.TryAdvance. The batch
-// yields back to the event queue exactly when the reference model's
-// interleaving could differ: when a pending engine event would fire at or
-// before the next retire cycle, at an OUTPUT whose handshake defers the
-// done strobe, at HALT, at Stop, and at the RunUntil horizon. Cross-
-// component state only changes through engine events, so between yields
-// the batch is invisible — every instruction still executes at its exact
-// retire cycle (Engine.Now advances through the batch) and virtual-time
-// results are bit-identical to the reference model, which remains
-// available via Engine.Compat and is pinned by the differential
-// determinism tests.
+// reference model (Engine.Compat) schedules one engine event per
+// instruction. This implementation keeps the retire cycle in a clock of its
+// own: instructions that touch only registers, flags, the stack and the
+// program counter retire against it without touching the engine, whatever
+// else is pending there, because nothing outside the controller can observe
+// them. The local clock meets the engine's (Engine.TryAdvance, else one
+// scheduled step) exactly where the controller and the rest of the model
+// can see each other: at INPUT, at HALT, at every OUTPUT the bus does not
+// take early (see EarlyBus), and at the RunUntil horizon, past which nothing
+// is retired. Those run at their exact cycle and in engine order; virtual-
+// time results are bit-identical to the reference model, which the
+// differential determinism tests pin.
 //
-// A deferred done strobe need not arrive as an event of its own: the
-// Cryptographic Unit calls it from inside its completion event when the
-// engine is Quiet (see cryptounit.Unit.Issue), and the batch then resumes
-// there. That relies on OUTPUT being the last thing step does before it
-// returns — nothing may be added after the bus.Out call.
+// Between those points Executed, the program counter and the registers may
+// therefore lead the engine clock, by the register-only instructions already
+// retired and the one OUTPUT already presented, and the engine's clock is
+// not moved on their account (it can drain at an earlier cycle than the
+// reference model's while the controller waits on a presented OUTPUT). Stop
+// likewise takes effect where the local clock next meets the engine's.
+// Trace is told the local retire cycle.
+//
+// A deferred done strobe arrives from inside the event that completed the
+// handshake (the Cryptographic Unit's completion event, see
+// cryptounit.Unit.IssueAt), and the controller goes on from there. That
+// relies on OUTPUT being the last thing run does before it returns — nothing
+// may be added after the bus call.
 type CPU struct {
-	eng *sim.Engine
-	bus Bus
+	eng   *sim.Engine
+	bus   Bus
+	early EarlyBus // bus, when it implements the extension
 
 	imem  []Word
 	pc    uint16
@@ -68,7 +91,7 @@ type CPU struct {
 
 	// Executed counts retired instructions (including stalled OUTPUT as one).
 	Executed uint64
-	// Trace, if non-nil, sees every retired instruction.
+	// Trace, if non-nil, sees every retired instruction with its retire cycle.
 	Trace func(now sim.Time, pc uint16, w Word)
 }
 
@@ -82,8 +105,9 @@ func New(eng *sim.Engine, bus Bus, program []Word) *CPU {
 	imem := make([]Word, IMemWords)
 	copy(imem, program)
 	c := &CPU{eng: eng, bus: bus, imem: imem, stack: make([]uint16, 0, StackDepth)}
+	c.early, _ = bus.(EarlyBus)
 	c.tick = eng.NewTicker(c.step)
-	c.outDone = func() { c.next(true) }
+	c.outDone = c.next
 	return c
 }
 
@@ -156,44 +180,54 @@ func (c *CPU) PC() uint16 { return c.pc }
 // Flags returns (zero, carry).
 func (c *CPU) Flags() (bool, bool) { return c.zero, c.carry }
 
-// next resumes execution after an OUTPUT handshake completes: inline when
-// no pending event would interleave before the next retire cycle, through
-// the event queue otherwise (exactly the reference model's behaviour). It
-// runs in whichever event completed the handshake — the OUTPUT's own for an
-// immediate write, the unit's acceptance or completion event otherwise.
-func (c *CPU) next(advance bool) {
-	if advance {
-		c.pc = (c.pc + 1) & (IMemWords - 1)
-	}
+// next resumes execution after an OUTPUT handshake completes, in whichever
+// event completed it — the OUTPUT's own for an immediate write, the unit's
+// completion or latch event otherwise. The next instruction retires
+// CyclesPerInstr later.
+func (c *CPU) next() {
+	c.pc = (c.pc + 1) & (IMemWords - 1)
 	if c.stopped {
 		c.running = false
 		return
 	}
-	retire := c.eng.Now() + CyclesPerInstr
-	if c.eng.Compat || !c.eng.TryAdvance(retire) {
-		c.tick.At(retire)
-		return
-	}
-	c.step()
+	c.run(c.eng.Now() + CyclesPerInstr)
 }
 
-// step retires instructions. The two-cycle cost is charged after execution
-// (fetch+execute), matching the controller's fixed rate: the loop entry
-// time is the retire cycle of the instruction about to execute. Straight-
-// line runs stay inside the loop (see the CPU type comment for the exact
-// yield conditions).
+// step is the scheduled entry: the instruction at pc retires now.
 func (c *CPU) step() {
+	if c.stopped || c.halted {
+		c.running = false
+		return
+	}
+	c.run(c.eng.Now())
+}
+
+// run retires instructions from cycle t on, t being the retire cycle of the
+// instruction at pc (the two-cycle cost is charged after execution, fetch
+// plus execute, matching the controller's fixed rate). See the CPU type
+// comment for where the local clock t is brought back to the engine's.
+func (c *CPU) run(t sim.Time) {
+	compat, horizon := c.eng.Compat, c.eng.Horizon()
 	for {
-		if c.stopped || c.halted {
-			c.running = false
-			return
-		}
 		w := c.imem[c.pc]
-		c.Executed++
-		if c.Trace != nil {
-			c.Trace(c.eng.Now(), c.pc, w)
-		}
 		op := w.op()
+		if t != c.eng.Now() {
+			// The local clock leads the engine's. It runs on through
+			// anything the bus cannot see, and through an OUTPUT the bus
+			// takes early; otherwise the engine catches up first.
+			ahead := !compat && t <= horizon
+			if out := op == opOUTPUTp || op == opOUTPUTr; ahead && out && c.early != nil &&
+				c.early.OutAt(c.port(w), c.regs[w.x()], t, c.outDone) {
+				c.retired(t, w)
+				return
+			}
+			bus := op >= opINPUTp && op <= opOUTPUTr || op == opHALT
+			if (bus || !ahead) && (compat || !c.eng.TryAdvance(t)) {
+				c.tick.At(t)
+				return
+			}
+		}
+		c.retired(t, w)
 		x, y, kk := w.x(), w.y(), w.kk()
 		advance := true
 
@@ -268,19 +302,13 @@ func (c *CPU) step() {
 			}
 			c.zero = c.regs[x] == v
 			c.carry = c.regs[x] < v
-		case opINPUTp:
-			c.regs[x] = c.bus.In(kk)
-		case opINPUTr:
-			c.regs[x] = c.bus.In(c.regs[y])
+		case opINPUTp, opINPUTr:
+			c.regs[x] = c.bus.In(c.port(w))
 		case opOUTPUTp, opOUTPUTr:
-			port := kk
-			if op == opOUTPUTr {
-				port = c.regs[y]
-			}
 			// The write may stall (Cryptographic Unit handshake); execution
 			// resumes CyclesPerInstr after the bus accepts it. Tail call:
 			// the bus may run outDone before returning.
-			c.bus.Out(port, c.regs[x], c.outDone)
+			c.bus.Out(c.port(w), c.regs[x], c.outDone)
 			return
 		case opSHIFTR:
 			v := c.regs[x]
@@ -374,15 +402,24 @@ func (c *CPU) step() {
 		if advance {
 			c.pc = (c.pc + 1) & (IMemWords - 1)
 		}
-		if c.stopped {
-			c.running = false
-			return
-		}
-		retire := c.eng.Now() + CyclesPerInstr
-		if c.eng.Compat || !c.eng.TryAdvance(retire) {
-			c.tick.At(retire)
-			return
-		}
+		t += CyclesPerInstr
+	}
+}
+
+// port returns the port an INPUT or OUTPUT addresses: the constant pp, or
+// the contents of sY in the indirect form.
+func (c *CPU) port(w Word) uint8 {
+	if op := w.op(); op == opINPUTr || op == opOUTPUTr {
+		return c.regs[w.y()]
+	}
+	return w.kk()
+}
+
+// retired counts and traces the instruction at pc, retiring at cycle t.
+func (c *CPU) retired(t sim.Time, w Word) {
+	c.Executed++
+	if c.Trace != nil {
+		c.Trace(t, c.pc, w)
 	}
 }
 

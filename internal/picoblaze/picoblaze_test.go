@@ -1,6 +1,7 @@
 package picoblaze
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,4 +290,155 @@ func TestStackOverflowPanics(t *testing.T) {
 		}
 	}()
 	run(t, "boom: CALL boom", nil)
+}
+
+// recBus records every bus access with its cycle. INPUT values depend on the
+// cycle, so an INPUT served early or late changes what the program writes.
+// Port 0xFD is a device that stays busy 6 cycles after taking a write, holds
+// the controller until it is idle, and takes a write ahead of its cycle
+// while busy (EarlyBus) — the Cryptographic Unit's instruction port in
+// miniature. Port 0xFE completes 10 cycles late, with no early path.
+type recBus struct {
+	eng       *sim.Engine
+	log       []busAccess
+	busyUntil sim.Time
+	early     int
+}
+
+type busAccess struct {
+	at        sim.Time
+	in        bool
+	port, val uint8
+}
+
+func (b *recBus) In(port uint8) uint8 {
+	v := uint8(b.eng.Now()) ^ port
+	b.log = append(b.log, busAccess{b.eng.Now(), true, port, v})
+	return v
+}
+
+func (b *recBus) Out(port uint8, val uint8, done func()) {
+	switch port {
+	case 0xFD:
+		b.eng.At(max(b.eng.Now(), b.busyUntil), func() { b.take(port, val, done) })
+	case 0xFE:
+		b.log = append(b.log, busAccess{b.eng.Now(), false, port, val})
+		b.eng.After(10, done)
+	default:
+		b.log = append(b.log, busAccess{b.eng.Now(), false, port, val})
+		done()
+	}
+}
+
+func (b *recBus) OutAt(port uint8, val uint8, at sim.Time, done func()) bool {
+	if port != 0xFD || b.eng.Now() >= b.busyUntil {
+		return false
+	}
+	b.early++
+	b.eng.At(max(at, b.busyUntil), func() { b.take(port, val, done) })
+	return true
+}
+
+func (b *recBus) take(port, val uint8, done func()) {
+	b.log = append(b.log, busAccess{b.eng.Now(), false, port, val})
+	b.busyUntil = b.eng.Now() + 6
+	done()
+}
+
+// TestLazyClockMatchesCompat runs a program that mixes register-only runs
+// with every kind of bus access beside a ticker that fires every cycle — so
+// Engine.TryAdvance never succeeds and every synchronisation takes the
+// scheduled path — and requires the bus to see the reference model's
+// accesses at the reference model's cycles, whole and cut into RunUntil
+// slices that end in the middle of register-only runs.
+func TestLazyClockMatchesCompat(t *testing.T) {
+	prog := MustAssemble(`
+		LOAD s0, 00
+	loop: ADD s0, 01
+		INPUT s1, 07
+		XOR s2, s1
+		OUTPUT s2, 10
+		OUTPUT s0, FD      ; idle device
+		SL0 s3
+		OUTPUT s0, FD      ; busy: presented early, taken at the done edge
+		ADD s3, 01
+		ADD s3, 01
+		ADD s3, 01
+		ADD s3, 01
+		OUTPUT s3, FD      ; busy now, idle before this retires
+		OUTPUT s0, FE
+		COMPARE s0, 05
+		JUMP NZ, loop
+		HALT
+		INPUT s4, 08
+		OUTPUT s4, 11
+		HALT
+	`)
+	const wakeAt, end = 301, 400
+	run := func(compat, noise bool, slice sim.Time) ([]busAccess, uint64, int) {
+		eng := sim.NewEngine()
+		eng.Compat = compat
+		bus := &recBus{eng: eng}
+		cpu := New(eng, bus, prog)
+		cpu.Start()
+		eng.At(wakeAt, cpu.Wake)
+		if noise {
+			var tk *sim.Ticker
+			tk = eng.NewTicker(func() {
+				if eng.Now() < end {
+					tk.After(1)
+				}
+			})
+			tk.After(1)
+		}
+		if slice == 0 {
+			eng.Run()
+		}
+		for slice > 0 && eng.Now() < end {
+			eng.RunUntil(eng.Now() + slice)
+		}
+		if !cpu.Halted() {
+			t.Fatalf("compat=%v noise=%v slice=%d: program did not reach its last HALT", compat, noise, slice)
+		}
+		return bus.log, cpu.Executed, bus.early
+	}
+	ref, refExecuted, _ := run(true, false, 0)
+	if len(ref) != 5*6+2 {
+		t.Fatalf("reference run made %d bus accesses, want %d", len(ref), 5*6+2)
+	}
+	for _, noise := range []bool{false, true} {
+		for _, slice := range []sim.Time{0, 7} {
+			got, executed, early := run(false, noise, slice)
+			if !reflect.DeepEqual(got, ref) || executed != refExecuted {
+				t.Errorf("noise=%v slice=%d: %d instructions, bus saw\n%v\nreference: %d instructions,\n%v", noise, slice, executed, got, refExecuted, ref)
+			}
+			if early == 0 {
+				t.Errorf("noise=%v slice=%d: no OUTPUT was presented early", noise, slice)
+			}
+			if c, n, _ := run(true, noise, slice); !reflect.DeepEqual(c, ref) || n != refExecuted {
+				t.Errorf("noise=%v slice=%d: the reference path disagrees with itself", noise, slice)
+			}
+		}
+	}
+}
+
+// TestLazyClockStopsAtHorizon: a register-only loop never meets the engine,
+// so the RunUntil horizon is what bounds it, and bounds it exactly.
+func TestLazyClockStopsAtHorizon(t *testing.T) {
+	prog := MustAssemble(`
+	loop: ADD s0, 01
+		JUMP loop
+	`)
+	for _, compat := range []bool{false, true} {
+		eng := sim.NewEngine()
+		eng.Compat = compat
+		cpu := New(eng, &testBus{eng: eng}, prog)
+		cpu.Start()
+		for _, until := range []sim.Time{101, 102, 1000} {
+			eng.RunUntil(until)
+			if want := uint64(until / CyclesPerInstr); cpu.Executed != want || eng.Now() != until {
+				t.Errorf("compat=%v: %d instructions retired at cycle %d after RunUntil(%d), want %d", compat, cpu.Executed, eng.Now(), until, want)
+			}
+		}
+	}
 }

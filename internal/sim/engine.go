@@ -19,20 +19,37 @@
 // slides with it), so wheel entries carry no sequence number: a bucket is a
 // plain FIFO and "heap first on a tie" is the exact insertion order.
 //
-// Hot components additionally fold work into the running event wherever the
-// fold is provably invisible, and the engine supplies the two legality tests:
+// Hot components additionally fold work into the running event: the
+// PicoBlaze controller retires register-only instructions against a clock of
+// its own and meets the engine only where it touches its bus, and the
+// Cryptographic Unit latches a waiting instruction and acknowledges it from
+// inside its completion event. What the kernel promises about order is
+// therefore stated here, and the folds are held to it:
 //
-//   - TryAdvance(t) moves the clock arithmetically inside an event, legal
-//     exactly when no pending event at or before t would interleave (the
-//     PicoBlaze instruction batch).
-//   - Quiet() reports that nothing is pending at the current cycle. A
-//     zero-delay event scheduled into a quiet cycle is by construction the
-//     next event popped, so a component may instead call the continuation
-//     directly as the last act of the running event (the Cryptographic
-//     Unit's start/ack handshake). Execution order, every same-cycle
-//     tie-break and every virtual-time figure are unchanged.
+//   - Contractual: every virtual-time figure (cycle counts, what a FIFO
+//     holds at a cycle, latencies, digests), and the order of the events of
+//     one Cryptographic Core — its controller's bus accesses, its unit's
+//     (cycle, instruction) acceptance sequence, its done strobes.
+//   - Not contractual: how events of different cores interleave inside one
+//     cycle. A fold may run one core's continuation ahead of another core's
+//     same-cycle event, so a trace of several cores is canonical only once
+//     the per-core sequences are merged by (cycle, core).
+//   - It follows that a resource several cores reach (the crossbar's grant
+//     queue, the Key Scheduler's queue, a mailbox, the Task Scheduler's done
+//     queue) must settle a same-cycle tie as a function of (cycle, core id),
+//     as a hardware arbiter does, never by arrival order. The done queue is
+//     the one the cores' own events reach directly (core.MCCP.coreFinished
+//     takes same-cycle result strobes in fixed core priority); the others
+//     are fed by the communication controller's single sequence of events.
 //
-// Both are refused under Compat, which keeps the event-per-step reference.
+// TestConcurrentPathMix (repo root) holds the fast paths to this contract
+// against Compat, which keeps the event-per-step reference. The engine
+// supplies what a folding component needs to stay inside it: TryAdvance(t)
+// moves the clock arithmetically inside an event, legal exactly when no
+// pending event at or before t would interleave, and Horizon() is the cycle
+// past which nothing may be worked ahead. Work done ahead never moves the
+// clock: an engine that drains while a controller waits mid-task for input
+// that never came can stand at an earlier cycle than the reference would.
 package sim
 
 import (
@@ -199,15 +216,10 @@ func (e *Engine) TryAdvance(t Time) bool {
 	return true
 }
 
-// Quiet reports whether no event is pending at the current cycle. A
-// zero-delay event scheduled while Quiet holds would be the very next event
-// popped, so its callback may instead be called directly, provided the call
-// is the last thing the running event does (anything after it would
-// otherwise run ahead of the continuation). Always false under Compat.
-func (e *Engine) Quiet() bool {
-	_, wheel, heap := e.dueNow()
-	return !e.Compat && !wheel && !heap
-}
+// Horizon returns the active RunUntil deadline, the end of time outside
+// RunUntil. A component that works ahead of the clock (the PicoBlaze
+// controller's local retire cycle) must not work past it.
+func (e *Engine) Horizon() Time { return e.horizon }
 
 // dueNow reports whether the wheel (in bucket i) and the heap hold an event
 // at the current cycle.
@@ -448,20 +460,6 @@ func (w *Waiters) Release() {
 		fns[i] = nil // release the closures for GC
 	}
 	w.spare = fns[:0]
-}
-
-// TakeSole removes and returns the parked callback when exactly one is
-// parked, without scheduling it: the caller runs it itself (see
-// Engine.Quiet for when that is legal). Otherwise it returns nil and leaves
-// the lot untouched.
-func (w *Waiters) TakeSole() func() {
-	if len(w.fns) != 1 {
-		return nil
-	}
-	fn := w.fns[0]
-	w.fns[0] = nil
-	w.fns = w.fns[:0]
-	return fn
 }
 
 // Len reports the number of parked callbacks.

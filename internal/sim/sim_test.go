@@ -295,63 +295,6 @@ func TestWheelHeapSameCycleOrdering(t *testing.T) {
 	}
 }
 
-func TestQuiet(t *testing.T) {
-	e := NewEngine()
-	if !e.Quiet() {
-		t.Error("empty engine not quiet")
-	}
-	got := map[string]bool{}
-	see := func(name string) func() { return func() { got[name] = e.Quiet() } }
-	e.At(5, see("alone")) // later events exist in wheel and heap, none at 5
-	e.At(6, func() {
-		e.After(0, func() {})
-		see("wheel event pending")()
-	})
-	e.At(1000, see("heap event due")) // a second heap entry for 1000 is still queued
-	e.At(1000, see("last of its cycle"))
-	if !e.Quiet() {
-		t.Error("only later events pending: want quiet")
-	}
-	e.Run()
-	want := map[string]bool{"alone": true, "wheel event pending": false, "heap event due": false, "last of its cycle": true}
-	for name, w := range want {
-		if g, ok := got[name]; !ok || g != w {
-			t.Errorf("%s: Quiet = %v (ran %v), want %v", name, g, ok, w)
-		}
-	}
-
-	c := NewEngine()
-	c.Compat = true
-	if c.Quiet() {
-		t.Error("Compat engine reported quiet")
-	}
-}
-
-func TestWaitersTakeSole(t *testing.T) {
-	e := NewEngine()
-	w := NewWaiters(e)
-	if w.TakeSole() != nil {
-		t.Error("TakeSole on an empty lot returned a callback")
-	}
-	ran := 0
-	w.Park(func() { ran++ })
-	fn := w.TakeSole()
-	if fn == nil || w.Len() != 0 || e.Pending() != 0 {
-		t.Fatalf("TakeSole: fn=%v len=%d pending=%d, want the callback, 0, 0", fn != nil, w.Len(), e.Pending())
-	}
-	fn()
-	w.Park(func() { ran += 10 })
-	w.Park(func() { ran += 100 })
-	if w.TakeSole() != nil || w.Len() != 2 {
-		t.Error("TakeSole with two parked must leave the lot untouched")
-	}
-	w.Release()
-	e.Run()
-	if ran != 111 {
-		t.Errorf("ran = %d, want 111", ran)
-	}
-}
-
 func TestFarFutureScheduling(t *testing.T) {
 	e := NewEngine()
 	var at []Time
@@ -402,6 +345,9 @@ func TestTryAdvanceHonorsRunUntilHorizon(t *testing.T) {
 	reached := Time(0)
 	var batch func()
 	batch = func() {
+		if e.Horizon() != 10 {
+			t.Errorf("Horizon inside RunUntil(10) = %d", e.Horizon())
+		}
 		for e.TryAdvance(e.Now() + 2) {
 			reached = e.Now()
 			if reached > 1000 {
@@ -416,6 +362,9 @@ func TestTryAdvanceHonorsRunUntilHorizon(t *testing.T) {
 	e.RunUntil(10)
 	if reached != 10 {
 		t.Errorf("batch reached %d, want exactly the deadline 10", reached)
+	}
+	if e.Horizon() != maxTime {
+		t.Errorf("Horizon outside RunUntil = %d, want no horizon", e.Horizon())
 	}
 }
 
