@@ -155,7 +155,10 @@ type MCCP struct {
 	nextCh    int
 	nextReq   int
 	allocated []bool // core allocation (held until TRANSFER_DONE)
-	doneQ     []*request
+	// doneQ is the done queue; doneHead its retrieved prefix (as with waitQ,
+	// the backing array is reused, so queueing a result does not allocate).
+	doneQ    []*request
+	doneHead int
 	// waitQ is the QoS request queue; waitHead its consumed prefix (the
 	// backing array is reused instead of re-sliced away, keeping the
 	// queue-cycle allocation-free).
@@ -449,31 +452,39 @@ func (m *MCCP) coreFinished(req *request, r cryptocore.Result) {
 	// done queue in output-core order, the fixed priority of a hardware
 	// arbiter: the order in which the engine happens to run the cores'
 	// same-cycle events is not part of the model (see package sim).
+	if m.doneHead > 0 && len(m.doneQ) == cap(m.doneQ) {
+		n := copy(m.doneQ, m.doneQ[m.doneHead:])
+		clear(m.doneQ[n:])
+		m.doneQ, m.doneHead = m.doneQ[:n], 0
+	}
 	at := len(m.doneQ)
-	for at > 0 && m.doneQ[at-1].doneAt == req.doneAt && m.doneQ[at-1].outCore < req.outCore {
+	for at > m.doneHead && m.doneQ[at-1].doneAt == req.doneAt && m.doneQ[at-1].outCore < req.outCore {
 		at--
 	}
 	m.doneQ = slices.Insert(m.doneQ, at, req)
-	if len(m.doneQ) == 1 && m.OnDataAvailable != nil {
+	if len(m.doneQ)-m.doneHead == 1 && m.OnDataAvailable != nil {
 		m.Eng.After(CostIRQ, m.OnDataAvailable)
 	}
 }
 
 // DataAvailable reports whether RETRIEVE_DATA would succeed (the level of
 // the interrupt line).
-func (m *MCCP) DataAvailable() bool { return len(m.doneQ) > 0 }
+func (m *MCCP) DataAvailable() bool { return len(m.doneQ) > m.doneHead }
 
 // RetrieveData executes the RETRIEVE_DATA instruction: it pops the oldest
 // completed request, returns OK or AUTH_FAIL plus the request ID, and (on
 // OK) configures the Cross Bar for reading that core's output FIFO.
 func (m *MCCP) RetrieveData(cb func(Retrieval, error)) {
 	m.Eng.After(CostRetrieve, func() {
-		if len(m.doneQ) == 0 {
+		if !m.DataAvailable() {
 			cb(Retrieval{}, ErrNoData)
 			return
 		}
-		req := m.doneQ[0]
-		m.doneQ = m.doneQ[1:]
+		req := m.doneQ[m.doneHead]
+		m.doneQ[m.doneHead] = nil
+		if m.doneHead++; m.doneHead == len(m.doneQ) {
+			m.doneQ, m.doneHead = m.doneQ[:0], 0
+		}
 		req.state = reqRetrieved
 		m.Stats.Retrieves++
 		out := 0

@@ -203,6 +203,16 @@ func (b *coreBus) OutAt(port uint8, val uint8, at sim.Time, done func()) bool {
 	return true
 }
 
+// OutLoop hands a counted loop of unit instructions to the unit, which runs
+// as much of it as it can ahead of the clock (cryptounit.Unit.RunAhead).
+// Loops writing other ports are left to the controller.
+func (b *coreBus) OutLoop(port uint8, body []uint8, iters int, at, step, edge sim.Time) (int, sim.Time) {
+	if port != firmware.PortCU {
+		return 0, 0
+	}
+	return b.c.Unit.RunAhead(body, iters, at, step, edge)
+}
+
 func (c *Core) finishTask(code uint8) {
 	if !c.busy {
 		// Result strobe with no task (e.g. unknown mode after a spurious

@@ -358,16 +358,45 @@ func TestCCMLoopSteadyState(t *testing.T) {
 	t.Logf("CCM 1-core loop: %.2f cycles/block (paper theoretical 104, 2KB-implied ~113.7)", perBlock)
 }
 
+// TestStarvedTaskDrainsWhereCompatDoes gives a 64-block GCM task only its
+// first few input blocks, so the controller ends up waiting mid-task on a
+// LOAD that never gets its data. The engine must drain at the cycle the
+// reference path does: the last thing either path does is the controller
+// strobing its next OUTPUT behind the parked LOAD.
+func TestStarvedTaskDrainsWhereCompatDoes(t *testing.T) {
+	f, err := radio.FrameGCMEnc(make([]byte, 12), nil, make([]byte, 16*64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blocks := range []int{1, 3, 5, 9, 17, 40} {
+		var end [2]sim.Time
+		for i, compat := range []bool{false, true} {
+			eng, c := newTestCore(make([]byte, 16))
+			eng.Compat = compat
+			pushFrame(c, radio.Frame{In: f.In[:blocks]})
+			c.Start(f.Task, nil)
+			end[i] = eng.Run()
+			if c.CPU.Halted() || !c.Busy() {
+				t.Fatalf("%d blocks, compat=%v: the task did not stall on its input", blocks, compat)
+			}
+		}
+		if end[0] != end[1] {
+			t.Errorf("%d input blocks: engine drained at cycle %d, reference path at %d", blocks, end[0], end[1])
+		}
+	}
+}
+
 // BenchmarkGCMLoop is the single-core rung of the host-cost ladder: one
 // 128-block GCM encryption per iteration on a lone core, the T_GCMloop = 49
 // steady state with nothing else on the engine. ns/block and events/block
-// are the figures to watch (events/block counts Engine.Step calls: one per
-// Cryptographic Unit instruction, seven a block, plus the prologue's).
+// are the figures to watch (events/block counts Engine.Step calls: the unit
+// runs the loop ahead of the clock, so it is the prologue's and epilogue's
+// events, one per unit instruction, plus two for the run, over 128 blocks).
 func BenchmarkGCMLoop(b *testing.B) { benchGCMLoop(b, 1) }
 
 // BenchmarkGCMLoop4 is the same rung with four cores in lock-step on one
-// engine, each always finding the other three's events pending: the cost of
-// an instruction must not depend on that (within 0.3 events/block).
+// engine, each always finding the other three's events pending: the run
+// ahead must not depend on that (within 0.3 events/block).
 func BenchmarkGCMLoop4(b *testing.B) { benchGCMLoop(b, 4) }
 
 func benchGCMLoop(b *testing.B, cores int) {

@@ -102,10 +102,15 @@ type Unit struct {
 
 	// Completion plumbing. One foreground instruction executes at a time,
 	// so a single pending-effect slot suffices: tick fires the completion
-	// event, applying pendingFn (a prebuilt per-opcode callback bound to
-	// effA/effB) and idling the unit. Keeping the callbacks prebuilt makes
-	// the per-instruction hot path allocation-free.
+	// event at doneAt, applying pendingFn (a prebuilt per-opcode callback
+	// bound to effA/effB) and idling the unit. Keeping the callbacks prebuilt
+	// makes the per-instruction hot path allocation-free. A tick whose cycle
+	// is not doneAt belongs to an instruction RunAhead has since retired, and
+	// does nothing. parked marks an accepted instruction still waiting for
+	// its FIFO or mailbox: no completion is scheduled for it yet.
 	tick       *sim.Ticker
+	doneAt     sim.Time
+	parked     bool
 	pendingFn  func()
 	effA, effB int
 	effLoadH   func()
@@ -119,7 +124,7 @@ type Unit struct {
 	effSTORE   func()
 
 	// cur is the instruction in execution. LOAD, STORE, SHIN and SHOUT wait
-	// for their FIFO or mailbox by parking reexec, which executes cur again.
+	// for their FIFO or mailbox by parking reexec, which starts cur again.
 	cur    cuisa.Instr
 	reexec func()
 
@@ -148,10 +153,10 @@ func New(eng *sim.Engine, in, out *sim.WordFIFO) *Unit {
 		maskBlk: bits.ByteMask(0xFFFF),
 	}
 	u.tick = eng.NewTicker(func() {
-		if fn := u.pendingFn; fn != nil {
-			u.pendingFn = nil
-			fn()
+		if !u.busy || u.parked || u.doneAt != u.eng.Now() {
+			return // superseded by a run ahead
 		}
+		u.retire()
 		u.complete()
 	})
 	u.effLoadH = func() { u.GHash.LoadH(u.bank[u.effA]) }
@@ -163,11 +168,12 @@ func New(eng *sim.Engine, in, out *sim.WordFIFO) *Unit {
 	u.effEQU = func() { u.equ = u.bank[u.effA].XOR(u.bank[u.effB]).AND(u.maskBlk).IsZero() }
 	u.effMOV = func() { u.bank[u.effB] = u.bank[u.effA] }
 	u.effSTORE = func() {
-		if !u.Out.TryPushBlock(u.bank[u.effA].Words()) {
-			panic("cryptounit: FIFO overflow after CanPush")
-		}
+		// The words become visible at the done edge, which a run ahead
+		// applies before the clock gets there.
+		w := u.bank[u.effA].Words()
+		u.Out.BulkPush(w[:], u.doneAt, 0)
 	}
-	u.reexec = func() { u.execute(u.cur) }
+	u.reexec = u.start
 	u.stallRetry = func() {
 		if u.busy || !u.stalled {
 			// An instruction issued from OnDone got in first (only tests and
@@ -238,11 +244,14 @@ func (u *Unit) Issue(in cuisa.Instr, onAccept func()) { u.IssueAt(in, u.eng.Now(
 // completion tick, the waiting instruction's retry and onAccept, the last
 // two zero-delay. Unless the engine is in Compat, accept and complete run
 // both inline instead, so an instruction costs the one tick (plus a latch
-// event when the unit fell idle before notBefore). That moves this core's
+// event at notBefore when nothing else is scheduled by then: the unit fell
+// idle before it, or waits for a FIFO or mailbox). That moves this core's
 // continuation ahead of other cores' events of the same cycle and nothing
-// else (see package sim for why that order is free). Issue and IssueAt must
-// be their caller's last act in the current event (the controller's OUTPUT
-// is), since onAccept may have run by the time they return.
+// else (see package sim for why that order is free). Inside a counted loop
+// the controller does not come here for every instruction: RunAhead takes
+// whole stretches of the loop at one tick. Issue and IssueAt must be their
+// caller's last act in the current event (the controller's OUTPUT is),
+// since onAccept may have run by the time they return.
 func (u *Unit) IssueAt(in cuisa.Instr, notBefore sim.Time, onAccept func()) {
 	if !u.busy && notBefore <= u.eng.Now() {
 		// The slot may be taken all the same: OnDone issuing from inside
@@ -256,27 +265,123 @@ func (u *Unit) IssueAt(in cuisa.Instr, notBefore sim.Time, onAccept func()) {
 	}
 	u.stalled = true
 	u.stallIn, u.stallAt, u.stallAccept = in, notBefore, onAccept
-	if !u.busy {
+	if !u.busy || u.parked {
+		// Nothing is scheduled that would bring the clock to notBefore: an
+		// idle unit latches there, and behind a parked one the event only
+		// marks the strobe's cycle, as the reference controller's own event
+		// would (an engine that drains while the unit waits for input then
+		// stands where the reference one does).
 		u.latch.At(notBefore)
 	}
 }
 
 // accept latches an instruction into the idle unit and acknowledges it.
 func (u *Unit) accept(in cuisa.Instr, onAccept func()) {
-	u.busy = true
-	u.cur = in
-	u.IssueCount[in.Op()&0xF]++
-	if u.Trace != nil {
-		u.Trace(u.eng.Now(), in)
-	}
+	u.take(in, u.eng.Now())
 	if onAccept != nil && u.eng.Compat {
 		u.eng.After(0, onAccept)
 		onAccept = nil
 	}
-	u.execute(in)
+	u.start()
 	if onAccept != nil {
 		onAccept()
 	}
+}
+
+// take latches in at cycle at: the unit is busy with it, and it is counted
+// and traced.
+func (u *Unit) take(in cuisa.Instr, at sim.Time) {
+	u.busy = true
+	u.cur = in
+	u.IssueCount[in.Op()&0xF]++
+	if u.Trace != nil {
+		u.Trace(at, in)
+	}
+}
+
+// start executes the latched instruction at the current cycle and schedules
+// its completion, or parks it until its FIFO or mailbox is ready.
+func (u *Unit) start() {
+	done, eff, ok := u.execute(u.cur, u.eng.Now(), true)
+	u.parked = !ok
+	if ok {
+		u.pendingFn, u.doneAt = eff, done
+		u.tick.At(done)
+	}
+}
+
+// retire applies the in-flight instruction's effect, due at doneAt.
+func (u *Unit) retire() {
+	if fn := u.pendingFn; fn != nil {
+		u.pendingFn = nil
+		fn()
+	}
+}
+
+// RunAhead runs a counted firmware loop ahead of the clock: iters
+// iterations of body, each byte a unit instruction, whose first strobe
+// comes at cycle at, every later strobe step cycles after the unit took the
+// one before, and each iteration's first strobe edge cycles after the unit
+// took the previous iteration's last (the controller's loop bookkeeping).
+// It returns how many strobes the unit took and the cycle it took the last;
+// the controller goes on from there.
+//
+// Each instruction is accepted at max(strobe, done of the one before) and
+// executed by the same execute as on the event path, at that cycle; the
+// effect of the one before is applied first. Only the last one taken is
+// left in flight, with its completion scheduled; the completion already
+// scheduled for the instruction in flight on entry is superseded. The done
+// strobes in between go undelivered: OnDone is the controller's wake input,
+// and the controller is not halted while it hands the unit a loop. What
+// others can see stays cycle-exact: a LOAD pops its block at its start
+// cycle (sim.WordFIFO.PopBlockAt), a STORE's block becomes poppable at its
+// done cycle.
+//
+// The run takes nothing under Engine.Compat, while an instruction waits on
+// the port or the unit waits for a FIFO or mailbox, nor when body shifts
+// through the inter-core mailbox (a neighbour core shares it) or finalizes
+// on a ChunkReader engine. It stops before the first instruction that would
+// be accepted past Engine.Horizon, a LOAD whose block is not stored and
+// ready by its start, and a STORE without space.
+func (u *Unit) RunAhead(body []uint8, iters int, at, step, edge sim.Time) (n int, last sim.Time) {
+	if u.eng.Compat || u.stalled || u.parked {
+		return 0, 0
+	}
+	_, chunk := u.Cipher.(ChunkReader)
+	for _, v := range body {
+		if op := cuisa.Instr(v).Op(); op == cuisa.OpSHIN || op == cuisa.OpSHOUT || op == cuisa.OpFAES && chunk {
+			return 0, 0
+		}
+	}
+	horizon, idle := u.eng.Horizon(), u.eng.Now()
+	if u.busy {
+		idle = u.doneAt
+	}
+	strobe, pos := at, 0
+	for total := iters * len(body); n < total; n++ {
+		in := cuisa.Instr(body[pos])
+		acc := max(strobe, idle)
+		if acc > horizon {
+			break
+		}
+		u.retire()
+		done, eff, ok := u.execute(in, acc, false)
+		if !ok {
+			break
+		}
+		u.take(in, acc)
+		u.pendingFn, u.doneAt = eff, done
+		idle, last = done, acc
+		if pos++; pos == len(body) {
+			pos, strobe = 0, acc+edge
+		} else {
+			strobe = acc + step
+		}
+	}
+	if n > 0 {
+		u.tick.At(u.doneAt)
+	}
+	return n, last
 }
 
 // complete idles the unit, strobes the done line, then latches the waiting
@@ -302,31 +407,49 @@ func (u *Unit) complete() {
 	}
 }
 
-// doneAfter schedules the instruction's completion d cycles out; fn (nil,
-// or one of the prebuilt effect callbacks) applies the architectural effect
-// at the done edge. Only one instruction is in flight, so the single
-// pending slot cannot be overwritten.
-func (u *Unit) doneAfter(d sim.Time, fn func()) {
-	u.pendingFn = fn
-	u.tick.After(d)
-}
-
-func (u *Unit) execute(in cuisa.Instr) {
+// execute starts in at cycle at: the cycle it was accepted, or on the event
+// path the later one at which its FIFO or mailbox became ready. It returns
+// the cycle of its done strobe and the effect due then (nil, or one of the
+// prebuilt effect callbacks). The event path schedules the effect, a run
+// ahead applies it before the next instruction starts; either way effects
+// land in instruction order, each before the next instruction starts. ok is
+// false when a LOAD finds no block stored and ready, a STORE no space, a
+// SHIN or SHOUT its mailbox not ready: nothing has changed then, and with
+// park set a retry of cur is parked until the state changes.
+func (u *Unit) execute(in cuisa.Instr, at sim.Time, park bool) (done sim.Time, eff func(), ok bool) {
 	a, b := int(in.A()), int(in.B())
-	now := uint64(u.eng.Now())
+	now := uint64(at)
 	switch in.Op() {
 	case cuisa.OpNOP, cuisa.OpRSV1, cuisa.OpRSV2:
-		u.doneAfter(SimpleLatency, nil)
+		return at + SimpleLatency, nil, true
 
 	case cuisa.OpLOAD:
-		u.loadWhenReady(a)
+		w, ok := u.In.PopBlockAt(at)
+		if !ok {
+			if park {
+				u.In.WhenPoppable(4, u.reexec)
+			}
+			return 0, nil, false
+		}
+		u.bank[a] = bits.BlockFromWords(w)
+		return at + SimpleLatency, nil, true
 
 	case cuisa.OpSTORE:
-		u.storeWhenReady(a)
+		// The block is pushed at the done edge, so downstream consumers
+		// observe it when the instruction retires. (The bank cannot change
+		// in between — the unit stays busy — so the effect reads it then.)
+		if !u.Out.CanPush(4) {
+			if park {
+				u.Out.WhenPushable(4, u.reexec)
+			}
+			return 0, nil, false
+		}
+		u.effA = a
+		return at + SimpleLatency, u.effSTORE, true
 
 	case cuisa.OpLOADH:
 		u.effA = a
-		u.doneAfter(SimpleLatency, u.effLoadH)
+		return at + SimpleLatency, u.effLoadH, true
 
 	case cuisa.OpSGFM:
 		start := now
@@ -334,7 +457,7 @@ func (u *Unit) execute(in cuisa.Instr) {
 			start = u.GHash.ReadyAt() // stall until the running iteration ends
 		}
 		u.GHash.Start(start, u.bank[a])
-		u.doneAfter(sim.Time(start-now)+StartLatency, nil)
+		return sim.Time(start) + StartLatency, nil, true
 
 	case cuisa.OpFGFM:
 		ready := now
@@ -342,7 +465,7 @@ func (u *Unit) execute(in cuisa.Instr) {
 			ready = u.GHash.ReadyAt()
 		}
 		u.effA = a
-		u.doneAfter(sim.Time(ready-now)+FinalizeLatency, u.effFGFM)
+		return sim.Time(ready) + FinalizeLatency, u.effFGFM, true
 
 	case cuisa.OpSAES:
 		if u.Cipher == nil {
@@ -352,105 +475,65 @@ func (u *Unit) execute(in cuisa.Instr) {
 			panic(fmt.Sprintf("cryptounit: SAES at cycle %d while engine busy (firmware must FAES first)", now))
 		}
 		u.Cipher.Start(now, u.bank[a])
-		u.doneAfter(StartLatency, nil)
+		return at + StartLatency, nil, true
 
 	case cuisa.OpFAES:
 		if u.Cipher == nil {
 			panic("cryptounit: FAES with no cipher engine configured")
 		}
+		ready := max(u.Cipher.ReadyAt(), now)
+		u.effA = a
 		if !u.Cipher.Busy() {
 			// Hash engines expose their wide result through the finalize
 			// path: FAES on an idle ChunkReader reads the next digest chunk.
 			if _, ok := u.Cipher.(ChunkReader); !ok {
 				panic("cryptounit: FAES with no computation in flight")
 			}
-			ready := now
-			if ra := u.Cipher.ReadyAt(); ra > now {
-				ready = ra
-			}
-			u.effA = a
-			u.doneAfter(sim.Time(ready-now)+FinalizeLatency, u.effChunk)
-			return
+			return sim.Time(ready) + FinalizeLatency, u.effChunk, true
 		}
-		ready := u.Cipher.ReadyAt()
-		if ready < now {
-			ready = now
-		}
-		u.effA = a
-		u.doneAfter(sim.Time(ready-now)+FinalizeLatency, u.effFAES)
+		return sim.Time(ready) + FinalizeLatency, u.effFAES, true
 
 	case cuisa.OpINC:
-		u.effA, u.effB = a, int(in.B())
-		u.doneAfter(SimpleLatency, u.effINC)
+		u.effA, u.effB = a, b
+		return at + SimpleLatency, u.effINC, true
 
 	case cuisa.OpXOR:
 		u.effA, u.effB = a, b
-		u.doneAfter(SimpleLatency, u.effXOR)
+		return at + SimpleLatency, u.effXOR, true
 
 	case cuisa.OpEQU:
 		u.effA, u.effB = a, b
-		u.doneAfter(SimpleLatency, u.effEQU)
+		return at + SimpleLatency, u.effEQU, true
 
 	case cuisa.OpSHIN:
-		u.shiftInWhenReady(a)
+		if u.MboxIn == nil {
+			panic("cryptounit: SHIN with no inter-core input port")
+		}
+		w, ok := u.MboxIn.TryTake()
+		if !ok {
+			if park {
+				u.MboxIn.WhenTakeable(u.reexec)
+			}
+			return 0, nil, false
+		}
+		u.bank[a] = bits.BlockFromWords(w)
+		return at + ShiftInLatency, nil, true
 
 	case cuisa.OpSHOUT:
-		u.shiftOutWhenReady(a)
+		if u.MboxOut == nil {
+			panic("cryptounit: SHOUT with no inter-core output port")
+		}
+		if !u.MboxOut.TryPut(u.bank[a].Words()) {
+			if park {
+				u.MboxOut.WhenPuttable(u.reexec)
+			}
+			return 0, nil, false
+		}
+		return at + ShiftOutLatency, nil, true
 
 	case cuisa.OpMOV:
 		u.effA, u.effB = a, b
-		u.doneAfter(SimpleLatency, u.effMOV)
-
-	default:
-		panic(fmt.Sprintf("cryptounit: invalid instruction %#02x", uint8(in)))
+		return at + SimpleLatency, u.effMOV, true
 	}
-}
-
-// loadWhenReady waits for four words in the input FIFO, pops them and
-// signals done SimpleLatency cycles later.
-func (u *Unit) loadWhenReady(a int) {
-	w, ok := u.In.TryPopBlock()
-	if !ok {
-		u.In.WhenPoppable(4, u.reexec)
-		return
-	}
-	u.bank[a] = bits.BlockFromWords(w)
-	u.doneAfter(SimpleLatency, nil)
-}
-
-// storeWhenReady waits for space, then pushes the register at completion so
-// downstream consumers observe the data when the instruction retires. (The
-// bank cannot change in between — the unit stays busy — so the prebuilt
-// effect reads it at the done edge.)
-func (u *Unit) storeWhenReady(a int) {
-	if !u.Out.CanPush(4) {
-		u.Out.WhenPushable(4, u.reexec)
-		return
-	}
-	u.effA = a
-	u.doneAfter(SimpleLatency, u.effSTORE)
-}
-
-func (u *Unit) shiftInWhenReady(a int) {
-	if u.MboxIn == nil {
-		panic("cryptounit: SHIN with no inter-core input port")
-	}
-	w, ok := u.MboxIn.TryTake()
-	if !ok {
-		u.MboxIn.WhenTakeable(u.reexec)
-		return
-	}
-	u.bank[a] = bits.BlockFromWords(w)
-	u.doneAfter(ShiftInLatency, nil)
-}
-
-func (u *Unit) shiftOutWhenReady(a int) {
-	if u.MboxOut == nil {
-		panic("cryptounit: SHOUT with no inter-core output port")
-	}
-	if !u.MboxOut.TryPut(u.bank[a].Words()) {
-		u.MboxOut.WhenPuttable(u.reexec)
-		return
-	}
-	u.doneAfter(ShiftOutLatency, nil)
+	panic(fmt.Sprintf("cryptounit: invalid instruction %#02x", uint8(in)))
 }

@@ -9,6 +9,7 @@ import (
 	"mccp/internal/bits"
 	"mccp/internal/cuisa"
 	"mccp/internal/sim"
+	"mccp/internal/whirlpool"
 )
 
 // seq issues instructions back-to-back, each from the done strobe of the one
@@ -399,13 +400,16 @@ func TestIssueAtMatchesStrobeAtItsCycle(t *testing.T) {
 		dataAt     sim.Time // when the input FIFO gets the block a LOAD waits for
 		stamp      sim.Time
 		wantAccept sim.Time
-		wantEvents int // fast path, beyond the FIFO push: ticks, plus a latch event when the unit idles first
+		// Fast path, beyond the FIFO push: ticks, plus a latch event when the
+		// unit idles first, plus one at the stamp behind a LOAD parked on its
+		// FIFO (nothing else would bring the clock to the strobe's cycle).
+		wantEvents int
 	}{
 		{"done after the stamp", cuisa.Xor(0, 1), 0, 4, SimpleLatency, 2},
 		{"done at the stamp", cuisa.Xor(0, 1), 0, SimpleLatency, SimpleLatency, 2},
 		{"done before the stamp", cuisa.Xor(0, 1), 0, 9, 9, 3},
-		{"behind a blocked LOAD", cuisa.Load(2), 20, 2, 20 + SimpleLatency, 3},
-		{"blocked LOAD done before the stamp", cuisa.Load(2), 20, 40, 40, 4},
+		{"behind a blocked LOAD", cuisa.Load(2), 20, 2, 20 + SimpleLatency, 4},
+		{"blocked LOAD done before the stamp", cuisa.Load(2), 20, 40, 40, 5},
 	} {
 		run := func(compat bool) (log []string, events int) {
 			eng, u := newUnit()
@@ -506,5 +510,136 @@ func BenchmarkIssueStalled(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	if got := u.IssueCount[cuisa.OpXOR] + u.IssueCount[cuisa.OpINC]; got != uint64(b.N) {
 		b.Fatalf("%d instructions accepted, want %d", got, b.N)
+	}
+}
+
+// driveLoop plays the controller of a counted loop: iters iterations of
+// body, each instruction strobed 2 cycles after the one before was accepted
+// and 6 after an iteration's last (its SUB and JUMP NZ). With runAhead it
+// offers the rest of the loop to RunAhead at every iteration head, as the
+// controller does, and strobes whatever that leaves itself.
+func driveLoop(eng *sim.Engine, u *Unit, body []uint8, iters int, runAhead bool) {
+	total, k := iters*len(body), 0
+	next := func(last sim.Time) sim.Time {
+		if k%len(body) == 0 {
+			return last + 6
+		}
+		return last + 2
+	}
+	var present func(strobe sim.Time)
+	acked := func() { present(next(eng.Now())) }
+	present = func(strobe sim.Time) {
+		for k < total {
+			if runAhead && k%len(body) == 0 {
+				if n, last := u.RunAhead(body, (total-k)/len(body), strobe, 2, 6); n > 0 {
+					k += n
+					strobe = next(last)
+					continue
+				}
+			}
+			in := cuisa.Instr(body[k%len(body)])
+			k++
+			eng.At(strobe, func() { u.Issue(in, acked) })
+			return
+		}
+	}
+	present(eng.Now())
+}
+
+// TestRunAheadIntoFillingOutputFIFO runs a LOAD/XOR/STORE loop into a
+// two-block output FIFO that a consumer drains one word every 7 cycles, so
+// runs ahead stop at a STORE without space and resume. The acceptances and
+// the words the consumer sees, with their cycles, must match the reference
+// path, whole and in RunUntil slices.
+func TestRunAheadIntoFillingOutputFIFO(t *testing.T) {
+	const blocks = 12
+	body := []uint8{uint8(cuisa.Load(0)), uint8(cuisa.Xor(0, 1)), uint8(cuisa.Store(1))}
+	type popped struct {
+		at sim.Time
+		w  uint32
+	}
+	run := func(compat, runAhead bool, slice sim.Time) (log []string, got []popped, ahead int) {
+		eng := sim.NewEngine()
+		eng.Compat = compat
+		u := New(eng, sim.NewWordFIFO(eng, 4*blocks), sim.NewWordFIFO(eng, 8))
+		for i := 0; i < blocks; i++ {
+			pushBlock(u.In, bits.BlockFromWords([4]uint32{uint32(i), 1, 2, 3}))
+		}
+		u.Trace = func(now sim.Time, in cuisa.Instr) {
+			log = append(log, fmt.Sprintf("%d %v", now, in))
+			if now > eng.Now() {
+				ahead++
+			}
+		}
+		var drain *sim.Ticker
+		drain = eng.NewTicker(func() {
+			if w, ok := u.Out.TryPop(); ok {
+				got = append(got, popped{eng.Now(), w})
+			}
+			if len(got) < 4*blocks {
+				drain.After(7)
+			}
+		})
+		drain.After(7)
+		driveLoop(eng, u, body, blocks, runAhead)
+		if slice == 0 {
+			eng.Run()
+		}
+		for slice > 0 && eng.Pending() > 0 {
+			eng.RunUntil(eng.Now() + slice)
+		}
+		return log, got, ahead
+	}
+	ref, refOut, _ := run(true, false, 0)
+	if len(ref) != 3*blocks || len(refOut) != 4*blocks {
+		t.Fatalf("reference run: %d acceptances, %d words out", len(ref), len(refOut))
+	}
+	for _, slice := range []sim.Time{0, 5, 29} {
+		log, out, ahead := run(false, true, slice)
+		if !reflect.DeepEqual(log, ref) || !reflect.DeepEqual(out, refOut) {
+			t.Errorf("slice %d: run ahead differs from the reference path:\n%q\n%v\nreference:\n%q\n%v", slice, log, out, ref, refOut)
+		}
+		if ahead == 0 || ahead > 3*blocks-4 {
+			t.Errorf("slice %d: %d of %d acceptances ran ahead; want some, and some STOREs left to the event path", slice, ahead, 3*blocks)
+		}
+	}
+}
+
+// TestRunAheadRefusesSharedAndChunkBodies: a body that shifts through the
+// inter-core mailbox (shared with a neighbour core) or finalizes on a
+// ChunkReader engine is never run ahead, and neither is any body under
+// Compat; a ChunkReader engine alone does not refuse a body without FAES.
+func TestRunAheadRefusesSharedAndChunkBodies(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		body    []cuisa.Instr
+		whirl   bool
+		compat  bool
+		refused bool
+	}{
+		{"SHOUT", []cuisa.Instr{cuisa.Xor(0, 1), cuisa.ShOut(1)}, false, false, true},
+		{"SHIN", []cuisa.Instr{cuisa.ShIn(2), cuisa.Xor(2, 3)}, false, false, true},
+		{"FAES on a ChunkReader", []cuisa.Instr{cuisa.Xor(0, 1), cuisa.FAES(0)}, true, false, true},
+		{"Compat", []cuisa.Instr{cuisa.Xor(0, 1), cuisa.Inc(1, 1)}, false, true, true},
+		{"SAES on a ChunkReader", []cuisa.Instr{cuisa.Xor(0, 1), cuisa.SAES(1)}, true, false, false},
+	} {
+		eng, u := newUnit()
+		eng.Compat = tc.compat
+		if tc.whirl {
+			u.Cipher = whirlpool.NewEngine()
+		}
+		body := make([]uint8, len(tc.body))
+		for i, in := range tc.body {
+			body[i] = uint8(in)
+		}
+		n, _ := u.RunAhead(body, 3, 0, 2, 6)
+		var issued uint64
+		for _, c := range u.IssueCount {
+			issued += c
+		}
+		if refused := n == 0 && issued == 0 && !u.Busy(); refused != tc.refused {
+			t.Errorf("%s: RunAhead took %d strobes (refusal wanted: %v)", tc.name, n, tc.refused)
+		}
+		eng.Run()
 	}
 }

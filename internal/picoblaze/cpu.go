@@ -21,8 +21,9 @@ type Bus interface {
 }
 
 // EarlyBus is an optional extension of Bus for a port that can take a write
-// before its cycle has come. New asserts it once; a bus without it sees
-// every OUTPUT at its retire cycle.
+// before its cycle has come, one OUTPUT at a time or a counted loop's worth
+// at once. New asserts it once; a bus without it sees every OUTPUT at its
+// retire cycle.
 type EarlyBus interface {
 	Bus
 	// OutAt offers the OUTPUT that retires at cycle at, ahead of the engine
@@ -33,6 +34,33 @@ type EarlyBus interface {
 	// bus that returns false has done nothing, and the controller presents
 	// the write through Out at its cycle.
 	OutAt(port uint8, val uint8, at sim.Time, done func()) bool
+	// OutLoop offers a counted loop at its head (see CPU): iters iterations,
+	// the current one included, of OUTPUTs of body's values to port, the
+	// first retiring at cycle at. Within an iteration each OUTPUT retires
+	// step cycles after the bus took the one before; the first of the next
+	// iteration edge cycles after the bus took the last (the SUB and JUMP NZ
+	// in between). A bus that takes the first n strobes, in order, returns n
+	// and the cycle it took the last; it owes no done for them, and the
+	// controller goes on step cycles after that. A bus that returns 0 has
+	// done nothing.
+	OutLoop(port uint8, body []uint8, iters int, at, step, edge sim.Time) (n int, last sim.Time)
+}
+
+// maxLoopOuts bounds the OUTPUTs of a counted loop the controller hands to
+// its bus, so the values fit a buffer of the CPU's own.
+const maxLoopOuts = 16
+
+// noLoop is a loop head no program counter can hold.
+const noLoop = ^uint16(0)
+
+// countedLoop is the last loop a taken backward JUMP NZ closed: head is its
+// target, outs the number of OUTPUTs to port from head on when the loop is
+// counted (0 when it is not), reg the counter the SUB decrements.
+type countedLoop struct {
+	head      uint16
+	outs, reg int
+	port      uint8
+	vals      [maxLoopOuts]uint8
 }
 
 // CPU is one PicoBlaze-style controller instance.
@@ -53,11 +81,17 @@ type EarlyBus interface {
 //
 // Between those points Executed, the program counter and the registers may
 // therefore lead the engine clock, by the register-only instructions already
-// retired and the one OUTPUT already presented, and the engine's clock is
-// not moved on their account (it can drain at an earlier cycle than the
-// reference model's while the controller waits on a presented OUTPUT). Stop
+// retired and the OUTPUTs the bus took early (one, or a counted loop's worth,
+// see below), and the engine's clock is not moved on their account. Stop
 // likewise takes effect where the local clock next meets the engine's.
-// Trace is told the local retire cycle.
+//
+// A counted loop goes further. When a taken backward JUMP NZ closes a loop
+// whose body is OUTPUTs to one constant port followed by SUB r,01 — r never
+// output — the controller remembers it, read from its instruction memory.
+// Whenever it then reaches that loop's head, it offers the whole remaining
+// loop to its bus (EarlyBus.OutLoop); what the bus takes retires at once —
+// OUTPUTs, SUBs and JUMPs, counter and flags — and the controller goes on
+// after the last OUTPUT taken, ahead of the clock as above.
 //
 // A deferred done strobe arrives from inside the event that completed the
 // handshake (the Cryptographic Unit's completion event, see
@@ -89,10 +123,10 @@ type CPU struct {
 	tick    *sim.Ticker
 	outDone func()
 
+	loop countedLoop
+
 	// Executed counts retired instructions (including stalled OUTPUT as one).
 	Executed uint64
-	// Trace, if non-nil, sees every retired instruction with its retire cycle.
-	Trace func(now sim.Time, pc uint16, w Word)
 }
 
 // New builds a CPU around the program image. Programs shorter than
@@ -105,6 +139,7 @@ func New(eng *sim.Engine, bus Bus, program []Word) *CPU {
 	imem := make([]Word, IMemWords)
 	copy(imem, program)
 	c := &CPU{eng: eng, bus: bus, imem: imem, stack: make([]uint16, 0, StackDepth)}
+	c.loop.head = noLoop
 	c.early, _ = bus.(EarlyBus)
 	c.tick = eng.NewTicker(c.step)
 	c.outDone = c.next
@@ -124,6 +159,7 @@ func (c *CPU) LoadProgram(program []Word) {
 			c.imem[i] = 0
 		}
 	}
+	c.loop.head = noLoop
 }
 
 // Reset rewinds the program counter and architectural state.
@@ -209,16 +245,22 @@ func (c *CPU) step() {
 func (c *CPU) run(t sim.Time) {
 	compat, horizon := c.eng.Compat, c.eng.Horizon()
 	for {
+		ahead := !compat && t <= horizon
+		if c.pc == c.loop.head && c.loop.outs > 0 && ahead && c.early != nil {
+			if last, ok := c.offerLoop(t); ok {
+				t = last + CyclesPerInstr
+				continue
+			}
+		}
 		w := c.imem[c.pc]
 		op := w.op()
 		if t != c.eng.Now() {
 			// The local clock leads the engine's. It runs on through
 			// anything the bus cannot see, and through an OUTPUT the bus
 			// takes early; otherwise the engine catches up first.
-			ahead := !compat && t <= horizon
 			if out := op == opOUTPUTp || op == opOUTPUTr; ahead && out && c.early != nil &&
 				c.early.OutAt(c.port(w), c.regs[w.x()], t, c.outDone) {
-				c.retired(t, w)
+				c.Executed++
 				return
 			}
 			bus := op >= opINPUTp && op <= opOUTPUTr || op == opHALT
@@ -227,7 +269,7 @@ func (c *CPU) run(t sim.Time) {
 				return
 			}
 		}
-		c.retired(t, w)
+		c.Executed++
 		x, y, kk := w.x(), w.y(), w.kk()
 		advance := true
 
@@ -352,6 +394,9 @@ func (c *CPU) run(t sim.Time) {
 			c.zero = c.regs[x] == 0
 		case opJUMP, opJUMPZ, opJUMPNZ, opJUMPC, opJUMPNC:
 			if c.cond(op - opJUMP) {
+				if op == opJUMPNZ && w.addr() < c.pc && w.addr() != c.loop.head {
+					c.noteLoop(w.addr())
+				}
 				c.pc = w.addr()
 				advance = false
 			}
@@ -415,12 +460,53 @@ func (c *CPU) port(w Word) uint8 {
 	return w.kk()
 }
 
-// retired counts and traces the instruction at pc, retiring at cycle t.
-func (c *CPU) retired(t sim.Time, w Word) {
-	c.Executed++
-	if c.Trace != nil {
-		c.Trace(t, c.pc, w)
+// noteLoop remembers the loop from head to the JUMP NZ at pc, and whether it
+// is counted: OUTPUTs to one constant port from head on, then SUB r,01 with
+// r none of theirs.
+func (c *CPU) noteLoop(head uint16) {
+	c.loop.head, c.loop.outs = head, 0
+	outs := int(c.pc-head) - 1
+	sub := c.imem[c.pc-1]
+	if outs < 1 || outs > maxLoopOuts || sub.op() != opSUBk || sub.kk() != 1 {
+		return
 	}
+	port := c.imem[head].kk()
+	for _, w := range c.imem[head : c.pc-1] {
+		if w.op() != opOUTPUTp || w.kk() != port || w.x() == sub.x() {
+			return
+		}
+	}
+	c.loop.outs, c.loop.reg, c.loop.port = outs, sub.x(), port
+}
+
+// offerLoop offers the counted loop at pc, its first OUTPUT retiring at t,
+// to the bus. If the bus takes n > 0 OUTPUTs it retires them and the SUB and
+// JUMP NZ of every iteration the bus went past, leaves pc after the last
+// OUTPUT taken and returns the cycle that was taken at.
+func (c *CPU) offerLoop(t sim.Time) (last sim.Time, ok bool) {
+	l := &c.loop
+	vals := l.vals[:l.outs]
+	for i := range vals {
+		vals[i] = c.regs[c.imem[int(l.head)+i].x()]
+	}
+	iters := int(c.regs[l.reg])
+	if iters == 0 {
+		iters = 256 // SUB wraps the counter round
+	}
+	n, last := c.early.OutLoop(l.port, vals, iters, t, CyclesPerInstr, 3*CyclesPerInstr)
+	if n == 0 {
+		return 0, false
+	}
+	crossed := (n - 1) / l.outs
+	c.Executed += uint64(n + 2*crossed)
+	if crossed > 0 {
+		// The flags are the last SUB's (its JUMP NZ was taken).
+		prev := c.regs[l.reg] - uint8(crossed-1)
+		c.regs[l.reg] = prev - 1
+		c.zero, c.carry = false, prev == 0
+	}
+	c.pc = l.head + uint16((n-1)%l.outs) + 1
+	return last, true
 }
 
 // cond evaluates a 0..4 condition index: always, Z, NZ, C, NC.

@@ -297,12 +297,14 @@ func TestStackOverflowPanics(t *testing.T) {
 // Port 0xFD is a device that stays busy 6 cycles after taking a write, holds
 // the controller until it is idle, and takes a write ahead of its cycle
 // while busy (EarlyBus) — the Cryptographic Unit's instruction port in
-// miniature. Port 0xFE completes 10 cycles late, with no early path.
+// miniature, and takes counted loops whole. Port 0xFE completes 10 cycles
+// late, with no early path.
 type recBus struct {
 	eng       *sim.Engine
 	log       []busAccess
 	busyUntil sim.Time
 	early     int
+	looped    int // strobes taken through OutLoop
 }
 
 type busAccess struct {
@@ -337,6 +339,27 @@ func (b *recBus) OutAt(port uint8, val uint8, at sim.Time, done func()) bool {
 	b.early++
 	b.eng.At(max(at, b.busyUntil), func() { b.take(port, val, done) })
 	return true
+}
+
+// OutLoop takes a loop's strobes to port 0xFD on the same rules, up to the
+// RunUntil horizon.
+func (b *recBus) OutLoop(port uint8, body []uint8, iters int, at, step, edge sim.Time) (n int, last sim.Time) {
+	if port != 0xFD {
+		return 0, 0
+	}
+	for strobe := at; n < iters*len(body); n++ {
+		acc := max(strobe, b.busyUntil)
+		if acc > b.eng.Horizon() {
+			break
+		}
+		b.log = append(b.log, busAccess{acc, false, port, body[n%len(body)]})
+		b.busyUntil, last = acc+6, acc
+		if strobe = acc + step; (n+1)%len(body) == 0 {
+			strobe = acc + edge
+		}
+	}
+	b.looped += n
+	return n, last
 }
 
 func (b *recBus) take(port, val uint8, done func()) {
@@ -417,6 +440,85 @@ func TestLazyClockMatchesCompat(t *testing.T) {
 			}
 			if c, n, _ := run(true, noise, slice); !reflect.DeepEqual(c, ref) || n != refExecuted {
 				t.Errorf("noise=%v slice=%d: the reference path disagrees with itself", noise, slice)
+			}
+		}
+	}
+}
+
+// TestCountedLoopMatchesCompat runs counted loops — one re-entered from an
+// outer loop, one whose counter starts at 0 and so runs 256 times, one
+// that writes its own counter and must not be offered — and requires the
+// bus accesses, the instruction count, the registers and the flags of the
+// reference model, whole and in RunUntil slices that cut loops apart.
+func TestCountedLoopMatchesCompat(t *testing.T) {
+	prog := MustAssemble(`
+		LOAD s5, 03
+	outer: LOAD sB, 05
+		ADD s0, 01
+	body: OUTPUT s0, FD
+		OUTPUT s5, FD
+		OUTPUT s0, FD
+		SUB sB, 01
+		JUMP NZ, body
+		INPUT s1, 07
+		SUB s5, 01
+		JUMP NZ, outer
+		LOAD sC, 00
+	wrap: OUTPUT s1, FD
+		SUB sC, 01
+		JUMP NZ, wrap
+		LOAD sD, 04
+	self: OUTPUT sD, FD
+		SUB sD, 01
+		JUMP NZ, self
+		HALT
+	`)
+	type result struct {
+		log         []busAccess
+		executed    uint64
+		regs        [16]uint8
+		zero, carry bool
+	}
+	run := func(compat, noise bool, slice sim.Time) (result, int) {
+		eng := sim.NewEngine()
+		eng.Compat = compat
+		bus := &recBus{eng: eng}
+		cpu := New(eng, bus, prog)
+		cpu.Start()
+		if noise {
+			var tk *sim.Ticker
+			tk = eng.NewTicker(func() {
+				if eng.Now() < 3000 {
+					tk.After(1)
+				}
+			})
+			tk.After(1)
+		}
+		if slice == 0 {
+			eng.Run()
+		}
+		for slice > 0 && !cpu.Halted() {
+			eng.RunUntil(eng.Now() + slice)
+		}
+		r := result{log: bus.log, executed: cpu.Executed}
+		for i := range r.regs {
+			r.regs[i] = cpu.Reg(i)
+		}
+		r.zero, r.carry = cpu.Flags()
+		return r, bus.looped
+	}
+	ref, _ := run(true, false, 0)
+	if want := 3*5*3 + 3 + 256 + 4; len(ref.log) != want {
+		t.Fatalf("reference run made %d bus accesses, want %d", len(ref.log), want)
+	}
+	for _, noise := range []bool{false, true} {
+		for _, slice := range []sim.Time{0, 7, 50} {
+			got, looped := run(false, noise, slice)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("noise=%v slice=%d: differs from the reference model\ngot  %+v\nwant %+v", noise, slice, got, ref)
+			}
+			if looped == 0 || looped > 3*5*3+256 {
+				t.Errorf("noise=%v slice=%d: the bus took %d strobes through OutLoop", noise, slice, looped)
 			}
 		}
 	}

@@ -21,9 +21,12 @@
 //
 // Hot components additionally fold work into the running event: the
 // PicoBlaze controller retires register-only instructions against a clock of
-// its own and meets the engine only where it touches its bus, and the
+// its own and meets the engine only where it touches its bus; the
 // Cryptographic Unit latches a waiting instruction and acknowledges it from
-// inside its completion event. What the kernel promises about order is
+// inside its completion event; and a controller that reaches the head of a
+// counted firmware loop hands the loop to its unit, which runs as many
+// instructions of it as it can ahead of the clock, each at the cycle the
+// event path would accept it. What the kernel promises about order is
 // therefore stated here, and the folds are held to it:
 //
 //   - Contractual: every virtual-time figure (cycle counts, what a FIFO
@@ -43,13 +46,20 @@
 //     are fed by the communication controller's single sequence of events.
 //
 // TestConcurrentPathMix (repo root) holds the fast paths to this contract
-// against Compat, which keeps the event-per-step reference. The engine
-// supplies what a folding component needs to stay inside it: TryAdvance(t)
-// moves the clock arithmetically inside an event, legal exactly when no
-// pending event at or before t would interleave, and Horizon() is the cycle
-// past which nothing may be worked ahead. Work done ahead never moves the
-// clock: an engine that drains while a controller waits mid-task for input
-// that never came can stand at an earlier cycle than the reference would.
+// against Compat, which keeps the event-per-step reference and never works
+// ahead. The engine supplies what a folding component needs to stay inside
+// it: TryAdvance(t) moves the clock arithmetically inside an event, legal
+// exactly when no pending event at or before t would interleave, and
+// Horizon() is the cycle past which nothing may be worked ahead — nothing
+// is accepted past it, so a RunUntil caller finds no state from beyond its
+// deadline. Work done ahead never moves the clock, and whatever of it others
+// can see carries its cycle: a FIFO word pushed ahead becomes poppable at its
+// ready time, a block popped ahead keeps its slots occupied until the pop's
+// cycle (WordFIFO.PopBlockAt), so every observer sees each cycle's state.
+// Where work ahead leaves a component waiting with no event of its own at
+// the cycle the reference would act (a controller strobe behind a unit
+// parked on an empty FIFO), it schedules one there, so a drained engine
+// stands where the reference one does.
 package sim
 
 import (
@@ -108,8 +118,9 @@ type Engine struct {
 	FreqHz float64
 
 	// Compat disables the fast paths layered on this kernel (PicoBlaze
-	// instruction batching, Cryptographic Unit handshake fusion, crossbar
-	// burst transfers, bulk FIFO moves) and forces the cycle-by-cycle
+	// instruction batching, Cryptographic Unit handshake fusion and loop
+	// run-ahead, crossbar burst transfers, bulk FIFO moves) and forces the
+	// cycle-by-cycle
 	// reference behaviour. Virtual-time results are identical either way —
 	// the differential determinism tests assert it — so Compat exists as
 	// the reference oracle, not as a mode users should need.
@@ -218,7 +229,8 @@ func (e *Engine) TryAdvance(t Time) bool {
 
 // Horizon returns the active RunUntil deadline, the end of time outside
 // RunUntil. A component that works ahead of the clock (the PicoBlaze
-// controller's local retire cycle) must not work past it.
+// controller's local retire cycle, a Cryptographic Unit running a loop
+// ahead) must not work past it.
 func (e *Engine) Horizon() Time { return e.horizon }
 
 // dueNow reports whether the wheel (in bucket i) and the heap hold an event

@@ -202,9 +202,21 @@ func (f *WordFIFO) TryPop() (uint32, bool) {
 // significant first, if all four are present and ready (the Cryptographic
 // Unit's LOAD); otherwise it removes nothing. Like TryPushBlock it is four
 // TryPop calls made in one event, with the one wake-up they amount to.
-func (f *WordFIFO) TryPopBlock() (w [4]uint32, ok bool) {
-	if !f.CanPop(4) {
+func (f *WordFIFO) TryPopBlock() (w [4]uint32, ok bool) { return f.PopBlockAt(f.eng.Now()) }
+
+// PopBlockAt is TryPopBlock for a LOAD that starts at cycle at, which may lie
+// ahead of the clock (a Cryptographic Unit running its loop ahead): the four
+// words must be stored now and ready by at, and their slots stay occupied
+// until at, through the cooling list BulkPop uses, so pushers see the space
+// free up at the cycle the LOAD takes it.
+func (f *WordFIFO) PopBlockAt(at Time) (w [4]uint32, ok bool) {
+	if f.n < 4 || f.readyAt[f.wrap(f.head+3)] > at {
 		return w, false
+	}
+	if at > f.eng.Now() {
+		// A LOAD's start cycles only rise, so the list stays sorted.
+		f.coolingSlots()
+		f.cooling = append(f.cooling, at, at, at, at)
 	}
 	for k := range w {
 		w[k] = f.buf[f.head]

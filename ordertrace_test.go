@@ -26,6 +26,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -48,9 +49,13 @@ type orderRig struct {
 	out    []uint64   // per packet: FNV-64a of the bytes it returned
 
 	// flip, when set, makes run alternate the engine between its fast
-	// paths and the Compat reference at cycles drawn from it.
-	flip  *rand.Rand
-	flips int
+	// paths and the Compat reference at cycles drawn from it. lastAt is each
+	// core's latest acceptance; aheadFlips counts the switches made while
+	// some core had accepted an instruction ahead of the clock (a unit
+	// running its loop ahead).
+	flip       *rand.Rand
+	lastAt     [4]sim.Time
+	aheadFlips int
 }
 
 // issueRec is one acceptance: (cycle, core, unit instruction).
@@ -70,6 +75,7 @@ func newOrderRig(flip *rand.Rand) *orderRig {
 		id := c.ID
 		c.Unit.Trace = func(now sim.Time, in cuisa.Instr) {
 			r.issues = append(r.issues, issueRec{now, id, in})
+			r.lastAt[id] = now
 		}
 	}
 	r.run()
@@ -91,8 +97,10 @@ func (r *orderRig) run() {
 	}
 	for due := r.eng.Now(); r.eng.Step(); {
 		if r.eng.Now() >= due {
+			if slices.ContainsFunc(r.lastAt[:], func(at sim.Time) bool { return at > r.eng.Now() }) {
+				r.aheadFlips++
+			}
 			r.eng.Compat = !r.eng.Compat
-			r.flips++
 			due = r.eng.Now() + sim.Time(1+r.flip.Intn(24))
 		}
 	}
@@ -291,26 +299,29 @@ var orderCases = []struct {
 	// digest with that many.
 	slots  int
 	pinned uint64
+	// runsAhead: with four in flight, every seed of TestConcurrentPathMix
+	// must switch paths while a unit has run its loop ahead of the clock.
+	runsAhead bool
 }{
 	{"GCM/4x1", func(t *testing.T, r *orderRig, n int) pathWitness {
 		return orderMapping(t, r, cryptocore.FamilyGCM, n, false)
-	}, 4, 0x0d2429029c5c60db},
+	}, 4, 0x0d2429029c5c60db, true},
 	{"CCM/4x1", func(t *testing.T, r *orderRig, n int) pathWitness {
 		return orderMapping(t, r, cryptocore.FamilyCCM, n, false)
-	}, 4, 0x642f8c6fb27bb62f},
+	}, 4, 0x642f8c6fb27bb62f, true},
 	{"CCM/2x2", func(t *testing.T, r *orderRig, n int) pathWitness {
 		return orderMapping(t, r, cryptocore.FamilyCCM, n, true)
-	}, 2, 0xd218833d908998cf},
+	}, 2, 0xd218833d908998cf, false},
 	{"mix", func(t *testing.T, r *orderRig, n int) pathWitness {
 		return orderRandomMix(t, r, mixSpec{seed: 12, packets: 24, maxPayload: 2048, badTags: []int{11}}, n)
-	}, 4, 0x83e018b3cc3145ea},
+	}, 4, 0x83e018b3cc3145ea, false},
 	// Short packets on nine channels, two-core CCM among them: with four in
 	// flight, two cores strobe their results in one cycle in this run, and
 	// the fast path runs those two events in the other order than Compat
 	// (the run diverges if the done queue takes them in arrival order).
 	{"short mix", func(t *testing.T, r *orderRig, n int) pathWitness {
 		return orderRandomMix(t, r, mixSpec{seed: 43, packets: 40, maxPayload: 400, split: true, badTags: []int{3, 8, 13, 21, 34}}, n)
-	}, 4, 0x87c03f4f539a274c},
+	}, 4, 0x87c03f4f539a274c, false},
 }
 
 func TestUnitIssueOrderPinned(t *testing.T) {
@@ -337,7 +348,10 @@ func TestUnitIssueOrderPinned(t *testing.T) {
 // and keep doing so while the engine is switched between the two paths every
 // few cycles, over a hundred seeds of switching points. Everything is
 // compared per packet and per core, so a same-cycle tie at a shared resource
-// that arrival order decided would show as a moved completion cycle.
+// that arrival order decided would show as a moved completion cycle. On the
+// one-core mappings every seed must switch at least once while a unit has
+// accepted instructions ahead of the clock, so leaving a run ahead half-way
+// is exercised too.
 func TestConcurrentPathMix(t *testing.T) {
 	const inFlight, seeds = 4, 100
 	for _, c := range orderCases {
@@ -346,16 +360,14 @@ func TestConcurrentPathMix(t *testing.T) {
 		if fast := c.run(t, newOrderRig(nil), inFlight); !reflect.DeepEqual(fast, ref) {
 			t.Errorf("%s: fast path differs from the reference path:\nfast:   %+v\ncompat: %+v", c.name, fast, ref)
 		}
-		flips := 0
 		for seed := int64(1); seed <= seeds; seed++ {
 			r := newOrderRig(rand.New(rand.NewSource(seed)))
 			if got := c.run(t, r, inFlight); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: switching paths with seed %d differs from the reference path:\nmixed:  %+v\ncompat: %+v", c.name, seed, got, ref)
 			}
-			flips += r.flips
-		}
-		if flips < 1000*seeds {
-			t.Errorf("%s: only %d path switches over %d seeds", c.name, flips, seeds)
+			if c.runsAhead && r.aheadFlips == 0 {
+				t.Errorf("%s: seed %d never switched paths while a unit ran ahead of the clock", c.name, seed)
+			}
 		}
 	}
 }
