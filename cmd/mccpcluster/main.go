@@ -548,12 +548,12 @@ func runWithReconfig(cfg cluster.WorkloadConfig, shardID int) {
 		log.Fatal(err)
 	}
 	defer cl.Close()
-	took, moved, err := cl.Reconfigure(shardID, 0, reconfig.EngineWhirlpool, reconfig.StagingRAM)
+	took, moves, err := cl.Reconfigure(shardID, 0, reconfig.EngineWhirlpool, reconfig.StagingRAM)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("shard %d core 0 -> Whirlpool in %d cycles (%.0f ms); %d sessions re-homed\n",
-		shardID, took, float64(took)/190e6*1e3, moved)
+		shardID, took, float64(took)/190e6*1e3, moves.Moved)
 	ses, err := cl.Open(cluster.OpenSpec{Suite: trafficgen.SuiteFor(trafficgen.WiMaxGCM), KeyLen: 16})
 	if err != nil {
 		log.Fatal(err)

@@ -61,12 +61,12 @@ func main() {
 	// from staging RAM, as in the paper's Table IV). family-affinity now
 	// prefers other shards for AES work, so GCM sessions homed on shard 3
 	// are transparently re-opened elsewhere.
-	took, moved, err := cl.Reconfigure(3, 0, mccp.EngineWhirlpool, mccp.FromRAM)
+	took, moves, err := cl.Reconfigure(3, 0, mccp.EngineWhirlpool, mccp.FromRAM)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nshard 3 core 0 -> Whirlpool in %d cycles (~%.0f ms); %d sessions re-homed\n",
-		took, float64(took)/190e6*1e3, moved)
+		took, float64(took)/190e6*1e3, moves.Moved)
 	for _, ses := range sessions {
 		fmt.Printf("session %d now on shard %d\n", ses.ID(), ses.Shard())
 	}

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -255,8 +254,8 @@ type Cluster struct {
 	// re-home anywhere else stay where they are and stay served.
 	inactive []bool
 	// quarantined marks shards a fail-over has declared dead: inactive
-	// for routing, and with channel state treated as lost (Rebalance and
-	// RehomeFrom never enqueue closes there). See faults.go.
+	// for routing, and with channel state treated as lost (migrations
+	// never enqueue closes there). See faults.go.
 	quarantined []bool
 
 	// Pipeline state: perShard accumulates the next batch per shard,
@@ -273,9 +272,8 @@ type Cluster struct {
 
 	keys *radio.Keystream
 
-	// lastMoves records the session IDs the most recent Rebalance moved,
-	// in re-homing order (voice first) — observability for tests and the
-	// migration report.
+	// lastMoves records the session IDs the most recent migration moved,
+	// in re-homing order (voice first) — observability for tests.
 	lastMoves []int
 
 	flushes atomic.Uint64
@@ -638,11 +636,7 @@ func (c *Cluster) Open(spec OpenSpec) (*Session, error) {
 	c.nextSession++
 	ses.shardID = shardID
 	c.sessions[ses.id] = ses
-	c.shardSessions[shardID].Add(1)
-	c.shardWeight[shardID] += ses.weight
-	if ses.hp {
-		c.shardHPWeight[shardID] += ses.weight
-	}
+	c.place(ses, shardID, 1)
 	return ses, nil
 }
 
@@ -842,8 +836,8 @@ func (c *Cluster) closeOn(shardID, ch, keyID int) *pendingOp {
 	})
 }
 
-// Closed reports whether the session is gone — explicitly closed, or a
-// crash casualty RehomeFrom could not place on any survivor.
+// Closed reports whether the session is gone — explicitly closed, or lost
+// by a migration (see MoveReport).
 func (s *Session) Closed() bool { return s.closed }
 
 // Close drains outstanding work, closes the device channel and retires
@@ -865,91 +859,8 @@ func (s *Session) Close() error {
 		c.putSlot(slot)
 	}
 	delete(c.sessions, s.id)
-	c.shardSessions[s.shardID].Add(-1)
-	c.shardWeight[s.shardID] -= s.weight
-	if s.hp {
-		c.shardHPWeight[s.shardID] -= s.weight
-	}
+	c.place(s, s.shardID, -1)
 	return err
-}
-
-// Rebalance re-routes every session under the current policy and load
-// view, transparently re-opening moved sessions on their new shard (the
-// session key is re-installed there; in-flight work is flushed first so
-// no packet straddles the move). It returns the number of sessions moved.
-//
-// Re-homing is class-prioritized: voice sessions are routed first (they
-// claim the best placements before anyone else), then video, data and
-// background in that order, with session IDs breaking ties inside a
-// class. Because the migration operations (key re-install + OPEN) are
-// enqueued in the same order, a moving voice session's crossbar transfers
-// also run ahead of any bulk session's — bulk migrations yield the
-// crossbar to voice during the shuffle.
-func (c *Cluster) Rebalance() int {
-	c.Flush()
-	ids := make([]int, 0, len(c.sessions))
-	for id := range c.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := c.sessions[ids[i]], c.sessions[ids[j]]
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		return a.id < b.id
-	})
-	c.lastMoves = c.lastMoves[:0]
-	type move struct {
-		ses  *Session
-		to   int
-		open *pendingOp
-	}
-	var moves []move
-	var closes []*pendingOp
-	for _, id := range ids {
-		ses := c.sessions[id]
-		// Withdraw the session's own load while deciding, so a heavy
-		// session is free to stay put.
-		c.shardSessions[ses.shardID].Add(-1)
-		c.shardWeight[ses.shardID] -= ses.weight
-		if ses.hp {
-			c.shardHPWeight[ses.shardID] -= ses.weight
-		}
-		to := c.router.Route(ses.info(), c.views())
-		if to < 0 {
-			to = ses.shardID
-		}
-		c.shardSessions[to].Add(1)
-		c.shardWeight[to] += ses.weight
-		if ses.hp {
-			c.shardHPWeight[to] += ses.weight
-		}
-		if to == ses.shardID {
-			continue
-		}
-		c.lastMoves = append(c.lastMoves, ses.id)
-		if !c.quarantined[ses.shardID] {
-			// A quarantined shard's channel state is lost — there is
-			// nothing to close there (and nothing should be enqueued on a
-			// corpse).
-			closes = append(closes, c.closeOn(ses.shardID, ses.chID, ses.keyID))
-		}
-		moves = append(moves, move{ses: ses, to: to, open: c.openOn(ses, to)})
-	}
-	c.Flush()
-	for _, slot := range closes {
-		c.putSlot(slot) // the close verdict is irrelevant on a move
-	}
-	for _, m := range moves {
-		if m.open.err != nil {
-			panic(fmt.Sprintf("cluster: rebalance could not re-open session %d on shard %d: %v",
-				m.ses.id, m.to, m.open.err))
-		}
-		m.ses.shardID = m.to
-		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
-		c.putSlot(m.open)
-	}
-	return len(moves)
 }
 
 // Reconfigure rewrites one core's reconfigurable region on one shard
@@ -957,23 +868,22 @@ func (c *Cluster) Rebalance() int {
 // and then rebalances: sessions whose preferred shard changed — hash
 // sessions gaining a Whirlpool home, AES sessions fleeing a shard that
 // just lost a core — are re-homed transparently. It returns the swap's
-// virtual duration and the number of sessions moved.
-func (c *Cluster) Reconfigure(shardID, coreID int, target reconfig.Engine, src reconfig.Source) (sim.Time, int, error) {
+// virtual duration and the rebalance's report.
+func (c *Cluster) Reconfigure(shardID, coreID int, target reconfig.Engine, src reconfig.Source) (sim.Time, MoveReport, error) {
 	op, err := c.BeginReconfigure(shardID, coreID, target, src)
 	if err != nil {
-		return 0, 0, err
+		return 0, MoveReport{}, err
 	}
 	took, err := op.Wait()
 	if err != nil {
-		return 0, 0, err
+		return 0, MoveReport{}, err
 	}
-	moved := c.Rebalance()
-	return took, moved, nil
+	return took, c.Rebalance(), nil
 }
 
-// LastMoves returns the session IDs the most recent Rebalance moved, in
-// re-homing order (voice sessions first). The slice is reused by the next
-// Rebalance.
+// LastMoves returns the session IDs the most recent migration (Rebalance,
+// FailOver, RebalanceInto) moved, in re-homing order (voice sessions
+// first). The slice is reused by the next migration.
 func (c *Cluster) LastMoves() []int { return c.lastMoves }
 
 // Shaped reports whether the cluster runs per-shard QoS shapers.

@@ -169,7 +169,7 @@ func TestFamilyAffinityAndReconfigure(t *testing.T) {
 		aes = append(aes, ses)
 	}
 	// Reconfigure both cores... no: swap two cores of shard 1 to Whirlpool.
-	took, moved, err := cl.Reconfigure(1, 0, reconfig.EngineWhirlpool, reconfig.StagingRAM)
+	took, moves, err := cl.Reconfigure(1, 0, reconfig.EngineWhirlpool, reconfig.StagingRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFamilyAffinityAndReconfigure(t *testing.T) {
 	}
 	// family-affinity now prefers shard 0 for AES traffic: the sessions
 	// homed on shard 1 must have been transparently re-opened on shard 0.
-	if moved == 0 {
+	if moves.Moved == 0 {
 		t.Fatal("no AES session fled the reconfigured shard")
 	}
 	for _, ses := range aes {
@@ -260,7 +260,7 @@ func TestRouterQoSAware(t *testing.T) {
 	// With voice now on both shards, the bulk pair concentrated on shard 1
 	// is no longer optimal: Rebalance moves exactly one background session
 	// next to the lighter voice shard, evening out the bulk load too.
-	if moved := cl.Rebalance(); moved != 1 {
+	if moved := cl.Rebalance().Moved; moved != 1 {
 		t.Fatalf("rebalance moved %d sessions, want 1", moved)
 	}
 	if bg1.Shard() == bg2.Shard() {
@@ -344,14 +344,14 @@ func TestRebalanceMovesSessions(t *testing.T) {
 	if heavy.Shard() != 0 || a.Shard() != 1 || b.Shard() != 1 {
 		t.Fatalf("unexpected placement: %d/%d/%d", heavy.Shard(), a.Shard(), b.Shard())
 	}
-	if moved := cl.Rebalance(); moved != 0 {
+	if moved := cl.Rebalance().Moved; moved != 0 {
 		t.Fatalf("rebalance moved %d sessions from an optimal placement", moved)
 	}
 	if err := heavy.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Shard 0 is now empty; exactly one of the light sessions must move.
-	if moved := cl.Rebalance(); moved != 1 {
+	if moved := cl.Rebalance().Moved; moved != 1 {
 		t.Fatalf("rebalance moved %d sessions, want 1", moved)
 	}
 	if a.Shard() == b.Shard() {
@@ -408,7 +408,7 @@ func TestKeyMemoryDoesNotGrow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if round == 100 {
-			if moved = cl.Rebalance(); moved > 0 {
+			if moved = cl.Rebalance().Moved; moved > 0 {
 				if _, err := ses[1].Encrypt(nonce, nil, payload); err != nil {
 					t.Fatal(err)
 				}
@@ -654,7 +654,7 @@ func TestRebalanceVoiceFirst(t *testing.T) {
 	}
 	// Shard 0 is empty: the voice session must be re-homed before any
 	// background session gets to pick.
-	moved := cl.Rebalance()
+	moved := cl.Rebalance().Moved
 	if moved != 2 {
 		t.Fatalf("rebalance moved %d sessions, want 2 (order %v)", moved, cl.LastMoves())
 	}

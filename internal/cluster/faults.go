@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mccp/internal/obs"
@@ -75,10 +74,11 @@ func (c *Cluster) armFault(id int, when uint64, offset, stall sim.Time) error {
 }
 
 // Quarantine withdraws a dead shard from routing, like SetShardActive,
-// and additionally marks it quarantined: Rebalance and RehomeFrom treat
-// its channel state as lost and never enqueue close operations there.
-// The last active shard cannot be quarantined (the cluster would serve
-// nothing); the error leaves the shard serving whatever still works.
+// and additionally marks it quarantined: migrations treat its channel
+// state as lost and never enqueue close operations there, and the next
+// migration that picks a session still homed on it moves it or reports
+// it Lost. The last active shard cannot be quarantined (the cluster would
+// serve nothing); the error leaves the shard serving whatever still works.
 func (c *Cluster) Quarantine(id int) error {
 	if err := c.SetShardActive(id, false); err != nil {
 		return err
@@ -99,126 +99,6 @@ func (c *Cluster) Quarantine(id int) error {
 // QuarantinedShard reports whether a shard has been quarantined.
 func (c *Cluster) QuarantinedShard(id int) bool {
 	return id >= 0 && id < c.cfg.Shards && c.quarantined[id]
-}
-
-// RehomeReport summarizes a crash fail-over.
-type RehomeReport struct {
-	// Shard is the failed shard; Moved the sessions re-opened on
-	// survivors (voice first); Lost the sessions no surviving shard could
-	// serve (closed and dropped — their next packet would have failed
-	// anyway).
-	Shard int
-	Moved int
-	Lost  int
-	// Took is the largest virtual-time advance any surviving shard spent
-	// on the re-home (key re-installs + channel opens), the re-home
-	// latency the E16 table reports.
-	Took sim.Time
-}
-
-// FailOver is the full crash response: quarantine the dead shard, then
-// re-home every session it held onto the survivors, voice first. It is
-// what a failure detector calls once a frozen heartbeat has betrayed a
-// crash.
-func (c *Cluster) FailOver(dead int) (RehomeReport, error) {
-	if !c.quarantined[dead] {
-		if err := c.Quarantine(dead); err != nil {
-			return RehomeReport{Shard: dead}, err
-		}
-	}
-	return c.RehomeFrom(dead)
-}
-
-// RehomeFrom migrates every session homed on a quarantined shard onto
-// the active shards, in the same voice-first order as Rebalance (class
-// descending, then session ID). Unlike Rebalance it never enqueues a
-// close on the source shard — a crashed shard's channel state is gone —
-// and a session the router cannot place anywhere is dropped as Lost
-// rather than panicking: under a crash, losing a session beats wedging
-// the control plane.
-func (c *Cluster) RehomeFrom(dead int) (RehomeReport, error) {
-	rep := RehomeReport{Shard: dead}
-	if dead < 0 || dead >= c.cfg.Shards {
-		return rep, fmt.Errorf("cluster: no shard %d", dead)
-	}
-	if !c.quarantined[dead] {
-		return rep, fmt.Errorf("cluster: shard %d is not quarantined (call Quarantine or FailOver)", dead)
-	}
-	c.Flush()
-	before := make([]sim.Time, c.cfg.Shards)
-	for i, sh := range c.shards {
-		before[i] = sh.eng.Now() // safe: the flush barrier idled every shard
-	}
-	ids := make([]int, 0, 8)
-	for id, ses := range c.sessions {
-		if ses.shardID == dead {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := c.sessions[ids[i]], c.sessions[ids[j]]
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		return a.id < b.id
-	})
-	type move struct {
-		ses  *Session
-		to   int
-		open *pendingOp
-	}
-	var moves []move
-	for _, id := range ids {
-		ses := c.sessions[id]
-		c.shardSessions[dead].Add(-1)
-		c.shardWeight[dead] -= ses.weight
-		if ses.hp {
-			c.shardHPWeight[dead] -= ses.weight
-		}
-		to := c.router.Route(ses.info(), c.views())
-		if to < 0 {
-			ses.closed = true
-			delete(c.sessions, id)
-			rep.Lost++
-			continue
-		}
-		c.shardSessions[to].Add(1)
-		c.shardWeight[to] += ses.weight
-		if ses.hp {
-			c.shardHPWeight[to] += ses.weight
-		}
-		moves = append(moves, move{ses: ses, to: to, open: c.openOn(ses, to)})
-	}
-	c.Flush()
-	for _, m := range moves {
-		if m.open.err != nil {
-			// The survivor refused the channel (e.g. device channel
-			// exhaustion): the session is lost, not the cluster.
-			c.shardSessions[m.to].Add(-1)
-			c.shardWeight[m.to] -= m.ses.weight
-			if m.ses.hp {
-				c.shardHPWeight[m.to] -= m.ses.weight
-			}
-			m.ses.closed = true
-			delete(c.sessions, m.ses.id)
-			rep.Lost++
-			c.putSlot(m.open)
-			continue
-		}
-		m.ses.shardID = m.to
-		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
-		c.putSlot(m.open)
-		rep.Moved++
-	}
-	for i, sh := range c.shards {
-		if i == dead {
-			continue
-		}
-		if d := sh.eng.Now() - before[i]; d > rep.Took {
-			rep.Took = d
-		}
-	}
-	return rep, nil
 }
 
 // ApplyDeny installs a brownout admission mask on every live shard's

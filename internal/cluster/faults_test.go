@@ -165,7 +165,7 @@ func TestStallRecoversWithoutQuarantine(t *testing.T) {
 // the crashed shard's final snapshot.
 type faultScenarioResult struct {
 	Windows []OpenLoopWindow
-	Report  RehomeReport
+	Report  MoveReport
 	Shard   ShardMetrics
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"mccp/internal/firmware"
 	"mccp/internal/obs"
@@ -25,8 +24,9 @@ import (
 //   - Unquarantine lifts a quarantine that turned out to be premature (a
 //     stall the detector or an operator mistook for a crash): the shard
 //     never died, its heartbeat resumed, and it only needs re-admitting.
-//   - RebalanceInto shifts load back onto one just-rejoined shard,
-//     voice-first, without disturbing placements that would not land there.
+//   - RebalanceInto (migrate.go) shifts load back onto one just-rejoined
+//     shard, voice-first, without disturbing placements that would not
+//     land there.
 
 // RestartReport summarizes one shard restart.
 type RestartReport struct {
@@ -156,81 +156,4 @@ func (c *Cluster) Unquarantine(id int) error {
 	c.quarantined[id] = false
 	c.shards[id].quarantinedA.Store(false)
 	return c.SetShardActive(id, true)
-}
-
-// RebalanceInto re-routes sessions toward one just-rejoined shard,
-// voice-first: every session is offered to the router under the current
-// view, but only moves that land on the target shard are applied —
-// placements the router would shuffle between other shards stay put, so
-// rejoining one shard never triggers a cluster-wide migration storm. It
-// returns the number of sessions moved onto the target.
-func (c *Cluster) RebalanceInto(target int) (int, error) {
-	if target < 0 || target >= c.cfg.Shards {
-		return 0, fmt.Errorf("cluster: no shard %d", target)
-	}
-	if c.quarantined[target] || c.inactive[target] {
-		return 0, fmt.Errorf("cluster: shard %d is not serving (rejoin it first)", target)
-	}
-	c.Flush()
-	ids := make([]int, 0, len(c.sessions))
-	for id := range c.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := c.sessions[ids[i]], c.sessions[ids[j]]
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		return a.id < b.id
-	})
-	c.lastMoves = c.lastMoves[:0]
-	type move struct {
-		ses  *Session
-		open *pendingOp
-	}
-	var moves []move
-	var closes []*pendingOp
-	for _, id := range ids {
-		ses := c.sessions[id]
-		if ses.shardID == target {
-			continue
-		}
-		// Withdraw the session's load while deciding, like Rebalance.
-		c.shardSessions[ses.shardID].Add(-1)
-		c.shardWeight[ses.shardID] -= ses.weight
-		if ses.hp {
-			c.shardHPWeight[ses.shardID] -= ses.weight
-		}
-		to := c.router.Route(ses.info(), c.views())
-		if to != target {
-			to = ses.shardID // anywhere but the target: stay put
-		}
-		c.shardSessions[to].Add(1)
-		c.shardWeight[to] += ses.weight
-		if ses.hp {
-			c.shardHPWeight[to] += ses.weight
-		}
-		if to == ses.shardID {
-			continue
-		}
-		c.lastMoves = append(c.lastMoves, ses.id)
-		if !c.quarantined[ses.shardID] {
-			closes = append(closes, c.closeOn(ses.shardID, ses.chID, ses.keyID))
-		}
-		moves = append(moves, move{ses: ses, open: c.openOn(ses, target)})
-	}
-	c.Flush()
-	for _, slot := range closes {
-		c.putSlot(slot)
-	}
-	for _, m := range moves {
-		if m.open.err != nil {
-			panic(fmt.Sprintf("cluster: rebalance-into could not re-open session %d on shard %d: %v",
-				m.ses.id, target, m.open.err))
-		}
-		m.ses.shardID = target
-		m.ses.chID, m.ses.keyID = m.open.chOut, m.open.keyID
-		c.putSlot(m.open)
-	}
-	return len(moves), nil
 }

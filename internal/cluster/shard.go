@@ -287,6 +287,11 @@ func (sh *shard) exec(op *pendingOp) {
 		}
 		sh.cc.Decrypt(op.ch, op.nonce, op.aad, op.data, op.tag, op.finish)
 	case opHash:
+		// Hashes bypass the shaper, so its Kill does not reach them.
+		if sh.crashed.Load() {
+			op.finish(nil, ErrShardDown)
+			return
+		}
 		sh.cc.Hash(op.ch, op.data, op.finish)
 	default:
 		op.run(sh, op, sh.doneFn)

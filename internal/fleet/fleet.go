@@ -1,13 +1,11 @@
 // Package fleet is the elastic control plane over a cluster: rolling
 // per-shard algorithm swaps (drain voice-first, rewrite the
 // reconfigurable region while the remaining shards keep serving, then
-// re-admit) and a hysteresis autoscaler that grows or shrinks the
-// serving shard set from the arrivals offered-load signal versus the
-// E13-calibrated saturation knee. It is the paper's §VII.B runtime
-// agility lifted from a single device to the cluster — the machinery
-// behind the E15 "agility cost under traffic" experiment. heal.go adds
-// the heal controller: the failure detector and the fail-over → brownout
-// → restart → rejoin → lift loop behind E16/E17.
+// re-admit) and scale-in/scale-out of the serving shard set. It is the
+// paper's §VII.B runtime agility lifted from a single device to the
+// cluster — the machinery behind the E15 "agility cost under traffic"
+// experiment. heal.go adds the heal controller: the failure detector and
+// the fail-over → brownout → restart → rejoin → lift loop behind E16/E17.
 package fleet
 
 import (
@@ -40,16 +38,17 @@ func (f *Fleet) Active() int { return f.cl.ActiveShards() }
 // every session it held onto the survivors, voice first. See
 // cluster.FailOver; a quarantined shard stays out of every later Scale
 // and RollingSwap rotation.
-func (f *Fleet) FailOver(dead int) (cluster.RehomeReport, error) {
+func (f *Fleet) FailOver(dead int) (cluster.MoveReport, error) {
 	return f.cl.FailOver(dead)
 }
 
 // ScaleReport describes one Scale call.
 type ScaleReport struct {
-	// Active is the serving shard count after the call; Moved the number
-	// of sessions re-homed by the rebalance.
+	// Active is the serving shard count after the call; Moved and Lost
+	// are the rebalance's (see cluster.MoveReport).
 	Active int
 	Moved  int
+	Lost   int
 }
 
 // Scale sets the serving shard set to shards 0..n-1 and rebalances:
@@ -83,8 +82,8 @@ func (f *Fleet) Scale(n int) (ScaleReport, error) {
 			return ScaleReport{}, err
 		}
 	}
-	moved := f.cl.Rebalance()
-	return ScaleReport{Active: n, Moved: moved}, nil
+	moves := f.cl.Rebalance()
+	return ScaleReport{Active: n, Moved: moves.Moved, Lost: moves.Lost}, nil
 }
 
 // SwapReport describes one shard's leg of a rolling swap.
@@ -94,9 +93,11 @@ type SwapReport struct {
 	// 1024-word controller image rewrite) at the source speed used.
 	Took sim.Time
 	// Drained counts sessions re-homed off the shard before the swap;
-	// Readmitted counts sessions re-homed after it was reactivated.
+	// Readmitted counts sessions re-homed after it was reactivated; Lost
+	// counts sessions either rebalance lost (see cluster.MoveReport).
 	Drained    int
 	Readmitted int
+	Lost       int
 }
 
 // SwapWindow returns the expected virtual duration of one swap: the
@@ -126,12 +127,12 @@ func (f *Fleet) RollingSwap(coreID int, target reconfig.Engine, src reconfig.Sou
 		// the paper's single-device story holds: the other cores keep
 		// serving while one region is rewritten.
 		solo := f.cl.ActiveShards() == 1
-		var drained int
+		var drain, readmit cluster.MoveReport
 		if !solo {
 			if err := f.cl.SetShardActive(id, false); err != nil {
 				return reports, err
 			}
-			drained = f.cl.Rebalance()
+			drain = f.cl.Rebalance()
 		}
 		op, err := f.cl.BeginReconfigure(id, coreID, target, src)
 		if err != nil {
@@ -146,12 +147,11 @@ func (f *Fleet) RollingSwap(coreID int, target reconfig.Engine, src reconfig.Sou
 			duringErr = during(id, window)
 		}
 		took, swapErr := op.Wait()
-		var readmitted int
 		if !solo {
 			if err := f.cl.SetShardActive(id, true); err != nil {
 				return reports, err
 			}
-			readmitted = f.cl.Rebalance()
+			readmit = f.cl.Rebalance()
 		}
 		if swapErr != nil {
 			return reports, fmt.Errorf("fleet: shard %d swap: %w", id, swapErr)
@@ -162,8 +162,9 @@ func (f *Fleet) RollingSwap(coreID int, target reconfig.Engine, src reconfig.Sou
 		reports = append(reports, SwapReport{
 			Shard:      id,
 			Took:       took,
-			Drained:    drained,
-			Readmitted: readmitted,
+			Drained:    drain.Moved,
+			Readmitted: readmit.Moved,
+			Lost:       drain.Lost + readmit.Lost,
 		})
 	}
 	return reports, nil
@@ -171,6 +172,6 @@ func (f *Fleet) RollingSwap(coreID int, target reconfig.Engine, src reconfig.Sou
 
 // Reconfigure swaps one core on one shard and rebalances — the
 // single-shard form of RollingSwap, delegating to the cluster.
-func (f *Fleet) Reconfigure(shardID, coreID int, target reconfig.Engine, src reconfig.Source) (sim.Time, int, error) {
+func (f *Fleet) Reconfigure(shardID, coreID int, target reconfig.Engine, src reconfig.Source) (sim.Time, cluster.MoveReport, error) {
 	return f.cl.Reconfigure(shardID, coreID, target, src)
 }

@@ -80,9 +80,9 @@ type Event struct {
 	Window int
 	Shard  int
 	// FailedOver: Moved/Lost split the corpse's sessions and Took is the
-	// re-home's virtual-time cost on the survivors. Restarted: Moved
-	// counts sessions rebalanced onto the rejoined shard and Took is the
-	// bitstream reload on its fresh timeline.
+	// re-home's virtual-time cost on the survivors. Restarted: Moved/Lost
+	// are the rebalance onto the rejoined shard and Took is the bitstream
+	// reload on its fresh timeline.
 	Moved int
 	Lost  int
 	Took  sim.Time
@@ -112,7 +112,11 @@ func (e Event) String() string {
 		}
 		return s
 	case Restarted:
-		return fmt.Sprintf("shard %d restarted in %d cycles: rejoined, %d sessions back", e.Shard, e.Took, e.Moved)
+		s := fmt.Sprintf("shard %d restarted in %d cycles: rejoined, %d sessions back", e.Shard, e.Took, e.Moved)
+		if e.Lost > 0 {
+			s += fmt.Sprintf(", lost %d", e.Lost)
+		}
+		return s
 	default:
 		return fmt.Sprintf("brownout: %v re-admitted (measured %.0f <= capacity %.0f Mbps)", e.Class, e.MeasuredMbps, e.CapacityMbps)
 	}
@@ -281,12 +285,12 @@ func (c *Controller) runRestarts(measured float64) {
 			continue
 		}
 		// Cannot fail: Restart just re-admitted the shard to routing.
-		moved, _ := c.cl.RebalanceInto(job.shard)
+		moves, _ := c.cl.RebalanceInto(job.shard)
 		// The rebuilt shard's heartbeat restarts from zero: re-base the
 		// detector so the fresh incarnation is watched (and a second crash
 		// of the same slot stays detectable).
 		c.det.rebase(c.cl.Snapshot().Shards[job.shard])
-		c.log(Event{Kind: Restarted, Shard: job.shard, Moved: moved, Took: rep.Took}, measured)
+		c.log(Event{Kind: Restarted, Shard: job.shard, Moved: moves.Moved, Lost: moves.Lost, Took: rep.Took}, measured)
 	}
 	c.restarts = kept
 }

@@ -415,10 +415,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 // later submission (classified VerdictFailed).
 var ErrShardDown = cluster.ErrShardDown
 
-// RehomeReport summarizes a crash fail-over: the failed shard, the
-// sessions re-opened on survivors (voice first), the sessions no
-// survivor could serve, and the virtual re-home latency.
-type RehomeReport = cluster.RehomeReport
+// MoveReport summarizes a session migration (Rebalance, FailOver,
+// RebalanceInto): the sessions re-opened on a new shard (voice first),
+// the sessions lost, and the virtual re-home latency.
+type MoveReport = cluster.MoveReport
 
 // FaultKind is a fault-schedule event type.
 type FaultKind = faults.Kind
@@ -456,8 +456,8 @@ func BrownoutDeny(offeredMbps, capacityMbps float64, share [qos.NumClasses]float
 
 // Fleet is the elastic control plane over a Cluster: rolling per-shard
 // algorithm swaps (drain voice-first, rewrite the reconfigurable region
-// while the remaining shards keep serving, re-admit) and load-driven
-// scale-out/scale-in. See internal/fleet for the full documentation.
+// while the remaining shards keep serving, re-admit) and scale-out/in.
+// See internal/fleet for the full documentation.
 type Fleet = fleet.Fleet
 
 // FleetSwapReport describes one shard's leg of a rolling swap.
@@ -465,19 +465,6 @@ type FleetSwapReport = fleet.SwapReport
 
 // FleetScaleReport describes one Fleet.Scale call.
 type FleetScaleReport = fleet.ScaleReport
-
-// Autoscaler is the hysteresis fleet-size controller: feed it one
-// offered-load observation per control interval and apply the returned
-// target with Fleet.Scale.
-type Autoscaler = fleet.Autoscaler
-
-// AutoscalerConfig tunes the autoscaler's watermarks and damping.
-type AutoscalerConfig = fleet.AutoscalerConfig
-
-// NewAutoscaler builds an autoscaler starting at active shards.
-func NewAutoscaler(cfg AutoscalerConfig, active int) (*Autoscaler, error) {
-	return fleet.NewAutoscaler(cfg, active)
-}
 
 // NewFleet builds a sharded cluster and binds the elastic control plane
 // to it, through the same validating option set as NewPlatform. Close
