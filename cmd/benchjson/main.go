@@ -8,11 +8,10 @@
 //
 // Only deterministic virtual-time throughput metrics (*_Mbps at the
 // modeled 190 MHz, voice_retention) participate in the baseline gate;
-// ns/op, host_Mbps and allocs/op describe the host machine and are
-// recorded — -hostout writes them to a separate informational trajectory
-// file — but never gated against the baseline. Three targeted host-side
-// checks exist instead: -hostbudget, -clusterscale and -allocspacket
-// (each documented at its check function). -gates runs the simulation
+// ns/op and allocs/op describe the host machine and are recorded but
+// never gated against the baseline (host numbers live in bench/). One
+// targeted host-side check exists instead: -hostbudget (documented at
+// checkHostBudget). -gates runs the simulation
 // directly and needs no bench input; it composes with the other checks
 // when input is given. Exit status: 0 clean, 1 regression/budget/gate
 // violation, 2 usage/IO error.
@@ -60,14 +59,11 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "-", "bench output to read (- = stdin)")
 	out := fs.String("out", "", "write trajectory JSON here (empty = skip)")
-	hostOut := fs.String("hostout", "", "write host-speed metrics (ns/op, host_Mbps, allocs/op) here (empty = skip)")
 	benchExpr := fs.String("bench", "", "provenance note: the -bench expression the run used")
 	baselinePath := fs.String("baseline", "", "baseline JSON to gate against (empty = no gate)")
 	match := fs.String("match", "Table2", "regexp of benchmark names the gate covers")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional throughput drop before the gate fails")
 	hostBudget := fs.String("hostbudget", "", "host-speed smoke check, 'BenchName=seconds': fail if that benchmark's wall clock exceeded the budget")
-	clusterScale := fs.String("clusterscale", "", "cluster host-scaling gate, 'Top:Base=ratio' (e.g. 'Cluster/shards=8:Cluster/shards=1=1.5'): fail if Top's host_Mbps is below ratio x Base's; derated to 0.6 x GOMAXPROCS and skipped on single-CPU runs, where host-parallel speedup is impossible")
-	allocsBudget := fs.String("allocspacket", "", "allocation ceiling, 'BenchName=allocs': fail if the benchmark's allocs_op per packet exceeds the ceiling")
 	gates := fs.String("gates", "", "run the harness registry's CI gates in-process and fail on any violation: 'all' or a comma-separated subset of "+strings.Join(gateNames(), ","))
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +80,7 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		// A gates-only invocation reads no bench input; any flag that
 		// consumes input means the caller piped some in.
-		if *in == "-" && *out+*hostOut+*baselinePath+*hostBudget+*clusterScale+*allocsBudget == "" {
+		if *in == "-" && *out+*baselinePath+*hostBudget == "" {
 			return nil
 		}
 	}
@@ -110,23 +106,9 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *hostOut != "" {
-		host := benchfmt.HostOnly(results)
-		if len(host) == 0 {
-			return fmt.Errorf("no host metrics found for -hostout")
-		}
-		if err := writeResults(stdout, *hostOut, *benchExpr, host); err != nil {
+	if *hostBudget != "" {
+		if err := checkHostBudget(stdout, *hostBudget, results); err != nil {
 			return err
-		}
-	}
-	for _, check := range []struct {
-		spec string
-		run  func(io.Writer, string, []benchfmt.Result) error
-	}{{*hostBudget, checkHostBudget}, {*clusterScale, checkClusterScale}, {*allocsBudget, checkAllocsPerPacket}} {
-		if check.spec != "" {
-			if err := check.run(stdout, check.spec, results); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -216,12 +198,15 @@ func writeResults(w io.Writer, path, benchExpr string, results []benchfmt.Result
 // checkHostBudget enforces 'BenchName=seconds': the named benchmark's total
 // wall clock (ns/op x iterations) must stay under the budget. This is a
 // catastrophic-kernel-regression smoke check, so budgets should be set an
-// order of magnitude above a healthy run.
+// order of magnitude above a healthy run. The spec splits on its last '='
+// (benchmark names such as Cluster/shards=8 carry their own).
 func checkHostBudget(w io.Writer, spec string, results []benchfmt.Result) error {
-	name, limit, err := parseSpec("hostbudget", spec, "BenchName=seconds")
-	if err != nil {
-		return err
+	i := strings.LastIndex(spec, "=")
+	limit, err := strconv.ParseFloat(spec[i+1:], 64)
+	if i < 0 || err != nil || limit <= 0 {
+		return fmt.Errorf("bad -hostbudget %q (want 'BenchName=seconds')", spec)
 	}
+	name := spec[:i]
 	for _, r := range results {
 		if r.Name != name {
 			continue
@@ -234,66 +219,4 @@ func checkHostBudget(w io.Writer, spec string, results []benchfmt.Result) error 
 		return nil
 	}
 	return failf("host budget benchmark %q missing from results", name)
-}
-
-// checkClusterScale enforces 'Top:Base=ratio': Top's host_Mbps must reach
-// ratio x Base's. The requested ratio is derated to what the run's CPU
-// count makes possible (0.6 x GOMAXPROCS); single-CPU runs skip the
-// check with a notice — the pipelined dispatcher cannot manufacture
-// parallel wall-clock speedup without CPUs to run the shards on.
-func checkClusterScale(w io.Writer, spec string, results []benchfmt.Result) error {
-	pair, minRatio, err := parseSpec("clusterscale", spec, "Top:Base=ratio")
-	if err != nil {
-		return err
-	}
-	top, base, ok := strings.Cut(pair, ":")
-	if !ok {
-		return fmt.Errorf("bad -clusterscale %q (want 'Top:Base=ratio')", spec)
-	}
-	// A missing benchmark is a gate failure (exit 1), like -hostbudget's
-	// equivalent case — only malformed specs are usage errors.
-	h, err := benchfmt.CheckHostScale(results, top, base, minRatio)
-	if err != nil {
-		return failure{err}
-	}
-	if h.Skipped != "" {
-		fmt.Fprintf(w, "benchjson: cluster scaling check skipped (%s; measured %.2fx)\n", h.Skipped, h.Ratio)
-		return nil
-	}
-	if !h.Pass() {
-		return failf("cluster host scaling regressed: %s is %.2fx %s in host_Mbps (want >= %.2fx) — the pipelined dispatch path has serialized", top, h.Ratio, base, h.Want)
-	}
-	fmt.Fprintf(w, "benchjson: cluster scaling ok: %s = %.2fx %s host_Mbps (floor %.2fx)\n", top, h.Ratio, base, h.Want)
-	return nil
-}
-
-// checkAllocsPerPacket enforces 'BenchName=allocs': the benchmark's
-// allocs_op spread over its packets metric must stay under the ceiling —
-// the zero-alloc packet path's regression guard.
-func checkAllocsPerPacket(w io.Writer, spec string, results []benchfmt.Result) error {
-	name, limit, err := parseSpec("allocspacket", spec, "BenchName=allocs")
-	if err != nil {
-		return err
-	}
-	perPkt, err := benchfmt.AllocsPerPacket(results, name)
-	if err != nil {
-		return failure{err} // missing benchmark/metric fails the gate, not usage
-	}
-	if perPkt > limit {
-		return failf("allocation regression: %s allocates %.0f objects/packet (ceiling %.0f) — the packet path has started allocating again", name, perPkt, limit)
-	}
-	fmt.Fprintf(w, "benchjson: allocs ok: %s at %.0f allocs/packet (ceiling %.0f)\n", name, perPkt, limit)
-	return nil
-}
-
-// parseSpec splits a 'Name=number' check spec on its LAST '=' —
-// benchmark names (Cluster/shards=8) carry their own — and requires a
-// positive number.
-func parseSpec(flagName, spec, want string) (string, float64, error) {
-	i := strings.LastIndex(spec, "=")
-	v, err := strconv.ParseFloat(spec[i+1:], 64)
-	if i < 0 || err != nil || v <= 0 {
-		return "", 0, fmt.Errorf("bad -%s %q (want '%s')", flagName, spec, want)
-	}
-	return spec[:i], v, nil
 }

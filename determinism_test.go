@@ -64,17 +64,23 @@ func TestFastPathTableIIIdentical(t *testing.T) {
 }
 
 func TestFastPathLoopTimesIdentical(t *testing.T) {
-	fast := harness.MeasureLoopTimes()
-	var ref []harness.LoopTimeRow
-	onReference(func() { ref = harness.MeasureLoopTimes() })
-	if len(fast) != len(ref) {
-		t.Fatalf("row count %d != %d", len(fast), len(ref))
-	}
-	for i := range fast {
-		if fast[i] != ref[i] {
-			t.Errorf("%s: fast %v cycles != reference %v cycles",
-				fast[i].Name, fast[i].MeasuredCycles, ref[i].MeasuredCycles)
+	rows := 0
+	for _, exp := range harness.Experiments {
+		if exp.ID != "E1" {
+			continue
 		}
+		for _, p := range exp.Points {
+			rows++
+			fast := p.Run()
+			var ref []harness.Metric
+			onReference(func() { ref = p.Run() })
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("%s: fast %v != reference %v", p.Name, fast, ref)
+			}
+		}
+	}
+	if rows != 9 {
+		t.Fatalf("%d E1 loop rows, want 9", rows)
 	}
 }
 

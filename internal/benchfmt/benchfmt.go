@@ -29,8 +29,7 @@ type Result struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 	// Procs is the GOMAXPROCS suffix of the benchmark line (0 when the
-	// line carried none). Host-parallelism gates use it: a cluster cannot
-	// out-scale the CPUs the run was given.
+	// line carried none): provenance for the host-side figures.
 	Procs int `json:"procs,omitempty"`
 }
 
@@ -103,109 +102,6 @@ func ReadJSON(r io.Reader) ([]Result, error) {
 		return nil, fmt.Errorf("benchfmt: %w", err)
 	}
 	return f.Results, nil
-}
-
-// hostMetric reports whether a metric describes the simulator's host-side
-// cost rather than a virtual-time result: wall-clock figures (ns/op,
-// host_Mbps, MB/s) and allocator counters (allocs/op, B/op).
-func hostMetric(m string) bool {
-	switch m {
-	case "ns_op", "allocs_op", "B_op", "MB_s", "sim_Mcycles_per_s":
-		return true
-	}
-	return strings.Contains(m, "host")
-}
-
-// HostOnly projects results onto their host-side metrics, dropping
-// benchmarks that report none. cmd/benchjson uses it to record the
-// host-speed trajectory (BENCH_host.json) separately from the gated
-// virtual-time baseline.
-func HostOnly(results []Result) []Result {
-	var out []Result
-	for _, r := range results {
-		h := Result{Name: r.Name, Iterations: r.Iterations, Metrics: map[string]float64{}}
-		for m, v := range r.Metrics {
-			if hostMetric(m) {
-				h.Metrics[m] = v
-			}
-		}
-		if len(h.Metrics) > 0 {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// HostScale is the cluster host-scaling gate's verdict.
-type HostScale struct {
-	// Ratio is top's host_Mbps over base's; Want the effective minimum it
-	// was held to (the requested ratio, derated to what the run's CPU
-	// count makes possible).
-	Ratio, Want float64
-	// Skipped is non-empty when the gate cannot apply (single-CPU run,
-	// missing metric) and explains why.
-	Skipped string
-}
-
-// Pass reports whether the gate held (a skipped gate passes).
-func (h HostScale) Pass() bool { return h.Skipped != "" || h.Ratio >= h.Want }
-
-// CheckHostScale compares top's host_Mbps against base's. minRatio is the
-// multi-core expectation; the effective bar is derated to 0.6 x the
-// run's GOMAXPROCS (a K-CPU host cannot exceed K x, and the pipeline has
-// serial residue — scheduler, GC, the single-caller front end), and the
-// check is skipped outright on a single-CPU run, where host-parallel
-// speedup is impossible by construction.
-func CheckHostScale(results []Result, top, base string, minRatio float64) (HostScale, error) {
-	find := func(name string) (Result, error) {
-		for _, r := range results {
-			if r.Name == name {
-				return r, nil
-			}
-		}
-		return Result{}, fmt.Errorf("benchfmt: host-scale benchmark %q missing from results", name)
-	}
-	t, err := find(top)
-	if err != nil {
-		return HostScale{}, err
-	}
-	b, err := find(base)
-	if err != nil {
-		return HostScale{}, err
-	}
-	tm, ok1 := t.Metrics["host_Mbps"]
-	bm, ok2 := b.Metrics["host_Mbps"]
-	if !ok1 || !ok2 || bm <= 0 {
-		return HostScale{Skipped: "host_Mbps metric missing"}, nil
-	}
-	h := HostScale{Ratio: tm / bm, Want: minRatio}
-	// go test appends the -N GOMAXPROCS suffix only when N != 1, so a
-	// result without one (Procs 0) is also a single-CPU run.
-	if t.Procs <= 1 {
-		h.Skipped = "single-CPU run: host-parallel speedup impossible by construction"
-		return h, nil
-	}
-	if ceiling := 0.6 * float64(t.Procs); ceiling < h.Want {
-		h.Want = ceiling
-	}
-	return h, nil
-}
-
-// AllocsPerPacket returns a benchmark's allocs_op divided by its packets
-// metric — the allocation cost of one packet through the whole stack.
-func AllocsPerPacket(results []Result, name string) (float64, error) {
-	for _, r := range results {
-		if r.Name != name {
-			continue
-		}
-		allocs, ok1 := r.Metrics["allocs_op"]
-		packets, ok2 := r.Metrics["packets"]
-		if !ok1 || !ok2 || packets <= 0 {
-			return 0, fmt.Errorf("benchfmt: %s lacks allocs_op/packets metrics", name)
-		}
-		return allocs / packets, nil
-	}
-	return 0, fmt.Errorf("benchfmt: allocs benchmark %q missing from results", name)
 }
 
 // Regression is one gate violation.

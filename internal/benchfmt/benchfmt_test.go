@@ -147,93 +147,6 @@ func TestGateDetectsRegressions(t *testing.T) {
 	}
 }
 
-func TestHostOnly(t *testing.T) {
-	results := []Result{
-		{Name: "Table2_GCM_1core_128", Iterations: 1, Metrics: map[string]float64{
-			"ns_op": 2.5e6, "host_Mbps": 53, "allocs_op": 11000, "B_op": 500000,
-			"system_Mbps": 436, "paper_methodology_Mbps": 436,
-		}},
-		{Name: "Resources", Iterations: 4, Metrics: map[string]float64{
-			"slices": 4084,
-		}},
-	}
-	host := HostOnly(results)
-	if len(host) != 1 {
-		t.Fatalf("HostOnly kept %d results, want 1 (metric-less benchmarks dropped)", len(host))
-	}
-	h := host[0]
-	if h.Name != "Table2_GCM_1core_128" || h.Iterations != 1 {
-		t.Fatalf("wrong result kept: %+v", h)
-	}
-	for _, m := range []string{"ns_op", "host_Mbps", "allocs_op", "B_op"} {
-		if _, ok := h.Metrics[m]; !ok {
-			t.Errorf("host metric %s dropped", m)
-		}
-	}
-	for _, m := range []string{"system_Mbps", "paper_methodology_Mbps"} {
-		if _, ok := h.Metrics[m]; ok {
-			t.Errorf("virtual-time metric %s leaked into host trajectory", m)
-		}
-	}
-	// The projection must not alias the input's metric maps.
-	h.Metrics["ns_op"] = 0
-	if results[0].Metrics["ns_op"] != 2.5e6 {
-		t.Error("HostOnly mutated its input")
-	}
-}
-
-func scaleResults(procs int, topMbps, baseMbps float64) []Result {
-	return []Result{
-		{Name: "Cluster/shards=8", Iterations: 1, Procs: procs,
-			Metrics: map[string]float64{"host_Mbps": topMbps, "allocs_op": 12800, "packets": 256}},
-		{Name: "Cluster/shards=1", Iterations: 1, Procs: procs,
-			Metrics: map[string]float64{"host_Mbps": baseMbps}},
-	}
-}
-
-func TestCheckHostScale(t *testing.T) {
-	// Multi-core run below the bar fails.
-	h, err := CheckHostScale(scaleResults(8, 100, 90), "Cluster/shards=8", "Cluster/shards=1", 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Pass() || h.Skipped != "" || h.Want != 1.5 {
-		t.Fatalf("sub-scaling run passed: %+v", h)
-	}
-	// Multi-core run above the bar passes.
-	h, err = CheckHostScale(scaleResults(8, 200, 100), "Cluster/shards=8", "Cluster/shards=1", 1.5)
-	if err != nil || !h.Pass() {
-		t.Fatalf("scaling run failed: %+v (%v)", h, err)
-	}
-	// Two CPUs derate the requested 3x to 1.2x.
-	h, _ = CheckHostScale(scaleResults(2, 160, 100), "Cluster/shards=8", "Cluster/shards=1", 3)
-	if h.Want != 1.2 || !h.Pass() {
-		t.Fatalf("2-CPU derating wrong: %+v", h)
-	}
-	// A single-CPU run skips (host parallelism impossible by construction)
-	// — including Procs 0, since go test omits the -N suffix at GOMAXPROCS 1.
-	for _, procs := range []int{1, 0} {
-		h, _ = CheckHostScale(scaleResults(procs, 100, 100), "Cluster/shards=8", "Cluster/shards=1", 1.5)
-		if h.Skipped == "" || !h.Pass() {
-			t.Fatalf("single-CPU run (procs=%d) not skipped: %+v", procs, h)
-		}
-	}
-	// Missing benchmark is an error.
-	if _, err := CheckHostScale(nil, "a", "b", 1.5); err == nil {
-		t.Fatal("missing benchmarks accepted")
-	}
-}
-
-func TestAllocsPerPacket(t *testing.T) {
-	per, err := AllocsPerPacket(scaleResults(8, 1, 1), "Cluster/shards=8")
-	if err != nil || per != 50 {
-		t.Fatalf("allocs/packet = %v (%v), want 50", per, err)
-	}
-	if _, err := AllocsPerPacket(scaleResults(8, 1, 1), "Cluster/shards=1"); err == nil {
-		t.Fatal("result without packets metric accepted")
-	}
-}
-
 func TestParseKeepsProcs(t *testing.T) {
 	in := "BenchmarkCluster/shards=8-4   1  1000 ns/op  62.8 host_Mbps\n"
 	res, err := Parse(strings.NewReader(in))

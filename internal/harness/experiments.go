@@ -1,6 +1,11 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Metric is one reported figure of a sweep point: the (value, unit) pair
 // `go test -bench` prints and BENCH_baseline.json pins.
@@ -49,40 +54,89 @@ type Gate struct {
 	Check     func() GateReport
 }
 
-// Experiment is one registered composite experiment: a stable ID from
-// the roadmap's numbering, the benchtables -table name and headline, a
-// Run entry point producing the formatted table with the interpretation
-// notes that belong under it, the bench-sized sweep as a list of points,
-// and at most one CI gate. Drivers (benchtables, benchjson, the root
-// benchmarks and TestBaselineExact) iterate the registry; adding an
-// experiment is one file declaring its Experiment value plus one entry
-// in Experiments.
+// Experiment is one registered experiment: a stable ID from the
+// roadmap's numbering, the benchtables -table name and headline, the
+// interpretation notes that belong under its table, the bench-sized
+// sweep as a list of points, and at most one CI gate. Drivers
+// (benchtables, benchjson, the root benchmarks and TestBaselineExact)
+// iterate the registry; adding an experiment is one file declaring its
+// Experiment value plus one entry in Experiments.
 type Experiment struct {
 	ID, Table, Title string
-	// Run executes the experiment and returns its formatted table.
-	// scale is the driver's size knob (benchtables -packets); <= 0
-	// selects each experiment's default.
-	Run   func(scale int) string
+	// Run, when set, produces a table larger than the points — the full
+	// sweep of a composite experiment. Without it the table is the points.
+	Run   func() string
 	Notes []string
 	// Points is the sweep the benchmarks report, in output order.
 	Points []Point
 	Gate   *Gate
 }
 
-// Experiments lists the composite evaluation experiments in ID order.
-// Tables E1–E11 predate the registry and stay as direct harness calls
-// (they are single-table reproductions of the paper); the composite
-// extensions register here, each declared beside its implementation.
-var Experiments = []Experiment{e12, e13, e14, e15, e16, e17, e18}
+// Experiments lists every registered experiment in ID order: the paper's
+// own results (E1–E11, paper.go), then the composite extensions, each
+// declared beside its implementation.
+var Experiments = []Experiment{e1, e2, e3, e4, e5, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18}
 
-// ExperimentByID returns the registered experiment with that ID.
-func ExperimentByID(id string) (Experiment, bool) {
-	for _, e := range Experiments {
-		if e.ID == id {
-			return e, true
+// Render runs the experiment and returns its table: Run's if it has one,
+// else one row per point and one column per metric.
+func (e Experiment) Render() string {
+	if e.Run != nil {
+		return e.Run()
+	}
+	var cols []string
+	seen := map[string]bool{}
+	values := make([]map[string]float64, len(e.Points))
+	for i, p := range e.Points {
+		values[i] = map[string]float64{}
+		for _, m := range p.Run() {
+			if !seen[m.Name] {
+				seen[m.Name] = true
+				cols = append(cols, m.Name)
+			}
+			values[i][m.Name] = m.Value
 		}
 	}
-	return Experiment{}, false
+	rows := [][]string{append([]string{"point"}, cols...)}
+	for i, p := range e.Points {
+		row := []string{p.Name}
+		for _, c := range cols {
+			cell := "-"
+			if v, ok := values[i][c]; ok {
+				cell = benchValue(v)
+			}
+			row = append(row, cell)
+		}
+		rows = append(rows, row)
+	}
+	width := make([]int, len(cols)+1)
+	for _, row := range rows {
+		for j, cell := range row {
+			width[j] = max(width[j], len(cell))
+		}
+	}
+	var b strings.Builder
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%-*s", width[0], row[0])
+		for j := 1; j < len(row); j++ {
+			fmt.Fprintf(&b, "  %*s", width[j], row[j])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// benchValue formats v at the precision `go test -bench` prints a metric
+// (and so BENCH_baseline.json records it): whole numbers from 999.95 up,
+// four significant figures below.
+func benchValue(v float64) string {
+	prec := 0
+	for _, limit := range []float64{999.95, 99.995, 9.9995, 0.99995, 0.099995, 0.0099995, 0.00099995} {
+		if y := math.Abs(v); y == 0 || y >= limit {
+			break
+		}
+		prec++
+	}
+	return strconv.FormatFloat(v, 'f', prec, 64)
 }
 
 // Gates returns every registered experiment's gate, in registry order.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,5 +37,33 @@ func TestGates(t *testing.T) {
 				t.Fatalf("gate not reproducible:\n%+v\n%+v", r, again)
 			}
 		})
+	}
+}
+
+// TestBenchValueMatchesGoTest pins the renderer's number format to the
+// one `go test -bench` prints, which is what BENCH_baseline.json records:
+// a rendered E1–E11 table then reads exactly the pinned values.
+func TestBenchValueMatchesGoTest(t *testing.T) {
+	for _, v := range []float64{0, 1650.4, 999.95, 999.94, 436.26, 99.995, 53, 7.5163, 0.2549, 0.012345, 0.00099994, -3.2} {
+		fields := strings.Fields(testing.BenchmarkResult{N: 1, Extra: map[string]float64{"x": v}}.String())
+		if want := fields[len(fields)-2]; benchValue(v) != want {
+			t.Errorf("benchValue(%v) = %s, go test prints %s", v, benchValue(v), want)
+		}
+	}
+}
+
+// TestRenderTable pins the E1–E11 table layout: one row per point, one
+// column per metric in first-seen order, "-" where a point lacks one.
+func TestRenderTable(t *testing.T) {
+	exp := Experiment{Points: []Point{
+		{Name: "A/x=1", Run: func() []Metric { return []Metric{{"sys_Mbps", 1650.4}, {"ratio", 0.2549}} }},
+		{Name: "A/longer=2", Run: func() []Metric { return []Metric{{"cycles", 53}} }},
+	}}
+	want := "" +
+		"point       sys_Mbps   ratio  cycles\n" +
+		"A/x=1           1650  0.2549       -\n" +
+		"A/longer=2         -       -   53.00\n"
+	if got := exp.Render(); got != want {
+		t.Fatalf("Render:\n%s\nwant:\n%s", got, want)
 	}
 }

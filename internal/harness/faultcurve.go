@@ -29,7 +29,7 @@ import (
 var e16 = Experiment{
 	ID: "E16", Table: "faults",
 	Title: "fault curves (crash + churn under load, re-home and brownout)",
-	Run:   func(int) string { return FormatFaultCurves(FaultCurves(FaultConfig{})) },
+	Run:   func() string { return FormatFaultCurves(FaultCurves(FaultConfig{})) },
 	Notes: []string{
 		"(a seeded schedule crashes shards mid-window at 0.9x saturation while",
 		" sessions churn; the detector quarantines each frozen heartbeat at the",

@@ -1,43 +1,20 @@
-// Package harness runs the paper's experiments against the simulated MCCP
-// and formats the results as the tables the paper prints. Every table and
-// quantitative claim of the evaluation section has a runner here; the root
-// bench_test.go and cmd/benchtables expose them.
+// Package harness runs the paper's experiments against the simulated MCCP.
+// Every table and quantitative claim of the evaluation section is a
+// registered Experiment (experiments.go) whose points are the table's
+// rows; the root bench_test.go, cmd/benchtables and TestBaselineExact
+// all walk that one registry. This file holds the device measurements
+// the paper's tables are built from.
 package harness
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
-	"time"
 
 	"mccp/internal/aes"
-	"mccp/internal/cluster"
 	"mccp/internal/core"
 	"mccp/internal/cryptocore"
-	"mccp/internal/fpga"
 	"mccp/internal/radio"
 	"mccp/internal/sim"
 )
-
-// HostStats records what a measurement cost the host machine: wall-clock
-// time and heap allocations. Unlike every virtual-time figure in this
-// package it is nondeterministic and informational only (the CI gate
-// ignores host metrics; see internal/benchfmt).
-type HostStats struct {
-	WallSeconds float64
-	Allocs      uint64
-}
-
-// measureHost runs fn and captures its wall-clock and allocation cost.
-func measureHost(fn func()) HostStats {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	fn()
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&m1)
-	return HostStats{WallSeconds: wall, Allocs: m1.Mallocs - m0.Mallocs}
-}
 
 // Mapping is a Table II column: how packets map onto cores.
 type Mapping struct {
@@ -48,14 +25,15 @@ type Mapping struct {
 	Split bool
 }
 
-// The paper's six Table II mappings.
+// The paper's six Table II mappings. Name is the mapping's tag in the
+// Table2_* point names.
 var (
-	GCM1   = Mapping{Name: "1 core", Streams: 1}
-	GCM4x1 = Mapping{Name: "4x1 cores", Streams: 4}
-	CCM1   = Mapping{Name: "1 core", Streams: 1}
-	CCM4x1 = Mapping{Name: "4x1 cores", Streams: 4}
-	CCM2   = Mapping{Name: "2 cores", Streams: 1, Split: true}
-	CCM2x2 = Mapping{Name: "2x2 cores", Streams: 2, Split: true}
+	GCM1   = Mapping{Name: "1core", Streams: 1}
+	GCM4x1 = Mapping{Name: "4x1", Streams: 4}
+	CCM1   = Mapping{Name: "1core", Streams: 1}
+	CCM4x1 = Mapping{Name: "4x1", Streams: 4}
+	CCM2   = Mapping{Name: "2core", Streams: 1, Split: true}
+	CCM2x2 = Mapping{Name: "2x2", Streams: 2, Split: true}
 )
 
 // TheoreticalLoopCycles returns the paper's per-block loop bounds (§VII.A):
@@ -80,55 +58,6 @@ func TheoreticalMbps(family cryptocore.Family, m Mapping, size aes.KeySize) floa
 	return perCore * float64(m.Streams)
 }
 
-// TableIIRow is one cell group of Table II.
-type TableIIRow struct {
-	Family  cryptocore.Family
-	Mapping Mapping
-	KeyBits int
-	// TheoreticalMbps is computed from the loop formulas.
-	TheoreticalMbps float64
-	// MeasuredMbps follows the paper's 2 KB-column methodology: the
-	// end-to-end throughput of a single packet instance on its core
-	// mapping, multiplied by the number of parallel instances.
-	MeasuredMbps float64
-	// SystemMbps is the additional full-contention measurement this model
-	// enables: all instances in flight against the shared 32-bit crossbar
-	// and control protocol. The paper's methodology does not capture this
-	// serialization, so SystemMbps < MeasuredMbps on multi-stream rows.
-	SystemMbps float64
-	// PaperTheoreticalMbps / Paper2KBMbps are Table II's printed values.
-	PaperTheoreticalMbps float64
-	Paper2KBMbps         float64
-	// HostMBs and AllocsPerPacket describe what producing the SystemMbps
-	// measurement cost the simulator on this host: payload megabytes
-	// simulated per wall second and heap allocations per packet
-	// (nondeterministic, informational only).
-	HostMBs         float64
-	AllocsPerPacket float64
-}
-
-// paperTableII holds the printed values, keyed by family/mapping/keybits.
-var paperTableII = map[string][2]float64{
-	"GCM/1 core/128":    {496, 437},
-	"GCM/4x1 cores/128": {1984, 1748},
-	"GCM/1 core/192":    {426, 382},
-	"GCM/4x1 cores/192": {1704, 1528},
-	"GCM/1 core/256":    {374, 337},
-	"GCM/4x1 cores/256": {1496, 1348},
-	"CCM/1 core/128":    {233, 214},
-	"CCM/4x1 cores/128": {932, 856},
-	"CCM/2 cores/128":   {442, 393},
-	"CCM/2x2 cores/128": {884, 786},
-	"CCM/1 core/192":    {202, 187},
-	"CCM/4x1 cores/192": {808, 748},
-	"CCM/2 cores/192":   {386, 348},
-	"CCM/2x2 cores/192": {772, 696},
-	"CCM/1 core/256":    {178, 171},
-	"CCM/4x1 cores/256": {712, 684},
-	"CCM/2 cores/256":   {342, 313},
-	"CCM/2x2 cores/256": {684, 626},
-}
-
 // PacketBytes is Table II's packet size.
 const PacketBytes = 2048
 
@@ -136,6 +65,16 @@ const PacketBytes = 2048
 // and returns aggregate Mbps. Streams packets are kept in flight
 // back-to-back; total is the number of packets to time.
 func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int) float64 {
+	return drive(family, m, keyBytes, packetBytes, total, nil)
+}
+
+// drive runs total packets of packetBytes through a fresh four-core
+// device on one channel, m.Streams in flight back to back, after one
+// warm-up packet per stream has taken the key expansion and firmware
+// paths out of the timing. It returns the timed packets' aggregate Mbps;
+// latency, when set, receives each timed packet's dispatch-to-result
+// cycles.
+func drive(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int, latency func(sim.Time)) float64 {
 	eng := sim.NewEngine()
 	dev := core.New(eng, core.Config{Cores: 4, QueueRequests: true})
 	cc := radio.NewCommController(dev)
@@ -162,9 +101,7 @@ func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetByte
 	}
 	payload := make([]byte, packetBytes)
 
-	// Warm the key caches and firmware paths with one packet per stream.
-	warm := m.Streams
-	for i := 0; i < warm; i++ {
+	for i := 0; i < m.Streams; i++ {
 		cc.Encrypt(ch, nonce, nil, payload, func(_ []byte, e error) {
 			if e != nil {
 				panic(e)
@@ -182,9 +119,13 @@ func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetByte
 			return
 		}
 		launched++
+		sent := eng.Now()
 		cc.Encrypt(ch, nonce, nil, payload, func(_ []byte, e error) {
 			if e != nil {
 				panic(e)
+			}
+			if latency != nil {
+				latency(eng.Now() - sent)
 			}
 			completed++
 			launch()
@@ -197,297 +138,58 @@ func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetByte
 	if completed != total {
 		panic(fmt.Sprintf("harness: %d/%d packets completed", completed, total))
 	}
-	cycles := eng.Now() - start
-	return eng.ThroughputMbps(total*packetBytes*8, cycles)
+	return eng.ThroughputMbps(total*packetBytes*8, eng.Now()-start)
 }
 
-// TableII regenerates the paper's Table II. packets controls measurement
-// length per cell (20 gives stable numbers in ~2 s).
-func TableII(packets int) []TableIIRow {
-	var rows []TableIIRow
-	type cell struct {
-		fam cryptocore.Family
-		m   Mapping
-	}
-	cells := []cell{
-		{cryptocore.FamilyGCM, GCM1}, {cryptocore.FamilyGCM, GCM4x1},
-		{cryptocore.FamilyCCM, CCM1}, {cryptocore.FamilyCCM, CCM4x1},
-		{cryptocore.FamilyCCM, CCM2}, {cryptocore.FamilyCCM, CCM2x2},
-	}
-	for _, kb := range []int{16, 24, 32} {
-		for _, c := range cells {
-			key := fmt.Sprintf("%v/%s/%d", c.fam, c.m.Name, kb*8)
-			paper := paperTableII[key]
-			single := Mapping{Name: c.m.Name, Streams: 1, Split: c.m.Split}
-			var perInstance, system float64
-			total := packets
-			host := measureHost(func() {
-				perInstance = MeasureThroughput(c.fam, single, kb, PacketBytes, packets)
-				system = perInstance
-				if c.m.Streams > 1 {
-					total = packets * c.m.Streams
-					system = MeasureThroughput(c.fam, c.m, kb, PacketBytes, total)
-					total += packets
-				}
-			})
-			row := TableIIRow{
-				Family:               c.fam,
-				Mapping:              c.m,
-				KeyBits:              kb * 8,
-				TheoreticalMbps:      TheoreticalMbps(c.fam, c.m, aes.KeySize(kb)),
-				MeasuredMbps:         perInstance * float64(c.m.Streams),
-				SystemMbps:           system,
-				PaperTheoreticalMbps: paper[0],
-				Paper2KBMbps:         paper[1],
-				AllocsPerPacket:      float64(host.Allocs) / float64(total),
-			}
-			if host.WallSeconds > 0 {
-				row.HostMBs = float64(total) * PacketBytes / host.WallSeconds / 1e6
-			}
-			rows = append(rows, row)
+// loop is one §VII.A loop bound at one key size: a row of E1.
+type loop struct {
+	name   string
+	family cryptocore.Family
+	split  bool
+	size   aes.KeySize
+}
+
+// measure returns the loop's firmware steady-state cycles per block: the
+// difference between a 128-block and a 64-block packet on one core, over
+// 64 blocks.
+func (l loop) measure() float64 {
+	run := func(blocks int) sim.Time {
+		eng := sim.NewEngine()
+		dev := core.New(eng, core.Config{Cores: 4})
+		cc := radio.NewCommController(dev)
+		mc := radio.NewMainController(dev, 7)
+		eng.Run()
+		keyID, _, _ := mc.ProvisionKey(int(l.size))
+		ch := 0
+		cc.OpenChannel(core.Suite{Family: l.family, TagLen: 16, SplitCCM: l.split}, keyID,
+			func(c int, _ error) { ch = c })
+		eng.Run()
+		nonce := make([]byte, 12)
+		if l.family == cryptocore.FamilyCCM {
+			nonce = make([]byte, 13)
 		}
+		// Warm-up packet absorbs the key expansion.
+		cc.Encrypt(ch, nonce, nil, make([]byte, 256), func(_ []byte, _ error) {})
+		eng.Run()
+		start := eng.Now()
+		cc.Encrypt(ch, nonce, nil, make([]byte, 16*blocks), func(_ []byte, _ error) {})
+		eng.Run()
+		return eng.Now() - start
 	}
-	return rows
-}
-
-// FormatTableII renders rows in the paper's layout, with the simulator's
-// own host-side cost (payload MB/s and allocations per packet) appended.
-func FormatTableII(rows []TableIIRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II: MCCP encryption throughput at 190 MHz (Mbps)\n")
-	fmt.Fprintf(&b, "%-8s %-12s %-5s | %12s %12s %12s | %10s %10s | %9s %10s\n",
-		"Mode", "Mapping", "Key", "theor(model)", "2KB(model)", "system", "theor(ppr)", "2KB(ppr)",
-		"host MB/s", "allocs/pkt")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "AES-%-4v %-12s %-5d | %12.0f %12.0f %12.0f | %10.0f %10.0f | %9.1f %10.0f\n",
-			r.Family, r.Mapping.Name, r.KeyBits,
-			r.TheoreticalMbps, r.MeasuredMbps, r.SystemMbps, r.PaperTheoreticalMbps, r.Paper2KBMbps,
-			r.HostMBs, r.AllocsPerPacket)
-	}
-	return b.String()
-}
-
-// LoopTimeRow is one steady-state loop measurement (experiment E1).
-type LoopTimeRow struct {
-	Name           string
-	MeasuredCycles float64
-	PaperCycles    float64 // the §VII.A formula value
-}
-
-// MeasureLoopTimes measures firmware steady-state cycles per block by
-// differencing a 128-block and a 64-block packet on a single core, for
-// each mode/key-size combination with a published bound.
-func MeasureLoopTimes() []LoopTimeRow {
-	measure := func(family cryptocore.Family, split bool, keyBytes int) float64 {
-		run := func(blocks int) sim.Time {
-			eng := sim.NewEngine()
-			dev := core.New(eng, core.Config{Cores: 4})
-			cc := radio.NewCommController(dev)
-			mc := radio.NewMainController(dev, 7)
-			eng.Run()
-			keyID, _, _ := mc.ProvisionKey(keyBytes)
-			ch := 0
-			cc.OpenChannel(core.Suite{Family: family, TagLen: 16, SplitCCM: split}, keyID,
-				func(c int, _ error) { ch = c })
-			eng.Run()
-			nonce := make([]byte, 12)
-			if family == cryptocore.FamilyCCM {
-				nonce = make([]byte, 13)
-			}
-			// Warm-up packet absorbs the key expansion.
-			cc.Encrypt(ch, nonce, nil, make([]byte, 256), func(_ []byte, _ error) {})
-			eng.Run()
-			start := eng.Now()
-			cc.Encrypt(ch, nonce, nil, make([]byte, 16*blocks), func(_ []byte, _ error) {})
-			eng.Run()
-			return eng.Now() - start
-		}
-		return float64(run(128)-run(64)) / 64
-	}
-
-	var rows []LoopTimeRow
-	for _, k := range []struct {
-		bytes int
-		bits  int
-	}{{16, 128}, {24, 192}, {32, 256}} {
-		aesC := float64(aes.KeySize(k.bytes).CoreCycles())
-		rows = append(rows,
-			LoopTimeRow{
-				Name:           fmt.Sprintf("T_GCMloop (%d-bit key)", k.bits),
-				MeasuredCycles: measure(cryptocore.FamilyGCM, false, k.bytes),
-				PaperCycles:    aesC + 5,
-			},
-			LoopTimeRow{
-				Name:           fmt.Sprintf("T_CCMloop 2 cores (%d-bit key)", k.bits),
-				MeasuredCycles: measure(cryptocore.FamilyCCM, true, k.bytes),
-				PaperCycles:    aesC + 11,
-			},
-			LoopTimeRow{
-				Name:           fmt.Sprintf("T_CCMloop 1 core (%d-bit key)", k.bits),
-				MeasuredCycles: measure(cryptocore.FamilyCCM, false, k.bytes),
-				PaperCycles:    2*aesC + 16,
-			},
-		)
-	}
-	return rows
-}
-
-// TableIIIRow is one comparison line (Table III).
-type TableIIIRow struct {
-	Implementation string
-	Platform       string
-	Programmable   string
-	Algorithm      string
-	MbpsPerMHz     float64
-	FreqMHz        float64
-	Slices         int
-	BRAMs          int
-}
-
-// OurTableIIIRows measures this MCCP's Mbps/MHz for GCM and CCM on the
-// four-core mapping and attaches the resource model's area.
-func OurTableIIIRows(packets int) []TableIIIRow {
-	gcm := MeasureThroughput(cryptocore.FamilyGCM, GCM4x1, 16, PacketBytes, packets)
-	ccm := MeasureThroughput(cryptocore.FamilyCCM, CCM4x1, 16, PacketBytes, packets)
-	d := fpga.MCCPDesign(4)
-	return []TableIIIRow{{
-		Implementation: "This work (model)",
-		Platform:       "v4-SX35-11",
-		Programmable:   "Yes (AES modes)",
-		Algorithm:      "GCM/CCM",
-		MbpsPerMHz:     gcm / (sim.DefaultFreqHz / 1e6),
-		FreqMHz:        fpga.PaperFrequencyMHz,
-		Slices:         d.Slices(),
-		BRAMs:          d.BRAMs(),
-	}, {
-		Implementation: "This work (model, CCM)",
-		Platform:       "v4-SX35-11",
-		Programmable:   "Yes (AES modes)",
-		Algorithm:      "CCM",
-		MbpsPerMHz:     ccm / (sim.DefaultFreqHz / 1e6),
-		FreqMHz:        fpga.PaperFrequencyMHz,
-		Slices:         d.Slices(),
-		BRAMs:          d.BRAMs(),
-	}}
-}
-
-// ClusterScaling runs the mixed multi-standard workload on 1/2/4/8-shard
-// clusters (experiment E11: the sharded service layer's head-room beyond
-// one device) and returns the sweep. packets sizes the workload; 256
-// gives stable figures in a few seconds. Packet generation runs on a
-// prefetch goroutine (identical draw order and bytes, so every
-// virtual-time figure matches the synchronous path) so it overlaps shard
-// simulation on multi-core hosts.
-func ClusterScaling(packets int) []cluster.ScalingRow {
-	rows, err := cluster.RunScaling([]int{1, 2, 4, 8}, cluster.WorkloadConfig{
-		Router:        cluster.RouterLeastLoaded,
-		QueueRequests: true,
-		Packets:       packets,
-		Sessions:      16,
-		Seed:          1,
-		BatchWindow:   128,
-		PrefetchDepth: 256,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// ClusterSweep is the scale-out sweep mode: per-session generators,
-// grouped per shard so packet generation itself parallelizes, driving
-// packets (a million and beyond stays tractable after the pipelined
-// dispatch and zero-alloc packet path) through 1/2/4/8-shard clusters.
-// The workload differs from ClusterScaling's shared-generator stream but
-// is equally deterministic: two sweeps with the same arguments are
-// byte-identical.
-func ClusterSweep(packets int) []cluster.ScalingRow {
-	rows, err := cluster.RunScaling([]int{1, 2, 4, 8}, cluster.WorkloadConfig{
-		Router:        cluster.RouterLeastLoaded,
-		QueueRequests: true,
-		Packets:       packets,
-		Sessions:      32,
-		Seed:          1,
-		BatchWindow:   256,
-		PerShardGen:   true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// FormatClusterScaling renders the sweep as a table.
-func FormatClusterScaling(rows []cluster.ScalingRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %14s %14s %10s\n", "shards", "aggregate Mbps", "cluster cycles", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8d %14.0f %14d %9.2fx\n", r.Shards, r.AggregateSimMbps, r.ClusterCycles, r.Speedup)
-	}
-	return b.String()
+	return float64(run(128)-run(64)) / 64
 }
 
 // LatencyStats summarizes experiment E5 (the paper's 4x1 vs 2x2 latency
 // observation: one-core packets double the per-packet latency).
 type LatencyStats struct {
-	Mapping        string
 	ThroughputMbps float64
 	MeanLatencyCyc float64
-	MaxLatencyCyc  sim.Time
 }
 
-// MeasureLatency runs CCM packets under a mapping and reports mean/max
-// dispatch-to-result latency alongside throughput.
+// MeasureLatency runs 2 KB CCM packets under a mapping and reports
+// their mean dispatch-to-result latency alongside throughput.
 func MeasureLatency(m Mapping, packets int) LatencyStats {
-	eng := sim.NewEngine()
-	dev := core.New(eng, core.Config{Cores: 4, QueueRequests: true})
-	cc := radio.NewCommController(dev)
-	mc := radio.NewMainController(dev, 5)
-	eng.Run()
-	keyID, _, _ := mc.ProvisionKey(16)
-	ch := 0
-	cc.OpenChannel(core.Suite{Family: cryptocore.FamilyCCM, TagLen: 16, SplitCCM: m.Split}, keyID,
-		func(c int, _ error) { ch = c })
-	eng.Run()
-
-	nonce := make([]byte, 13)
-	payload := make([]byte, PacketBytes)
-	var lats []sim.Time
-	start := eng.Now()
-	completed := 0
-	launched := 0
-	var launch func()
-	launch = func() {
-		if launched >= packets {
-			return
-		}
-		launched++
-		sent := eng.Now()
-		cc.Encrypt(ch, nonce, nil, payload, func(_ []byte, e error) {
-			if e != nil {
-				panic(e)
-			}
-			lats = append(lats, eng.Now()-sent)
-			completed++
-			launch()
-		})
-	}
-	for i := 0; i < m.Streams; i++ {
-		launch()
-	}
-	eng.Run()
-	cycles := eng.Now() - start
-	var sum, max sim.Time
-	for _, l := range lats {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	return LatencyStats{
-		Mapping:        m.Name,
-		ThroughputMbps: eng.ThroughputMbps(packets*PacketBytes*8, cycles),
-		MeanLatencyCyc: float64(sum) / float64(len(lats)),
-		MaxLatencyCyc:  max,
-	}
+	var sum sim.Time
+	mbps := drive(cryptocore.FamilyCCM, m, 16, PacketBytes, packets, func(l sim.Time) { sum += l })
+	return LatencyStats{ThroughputMbps: mbps, MeanLatencyCyc: float64(sum) / float64(packets)}
 }

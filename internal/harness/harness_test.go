@@ -10,32 +10,14 @@ import (
 func TestTheoreticalMatchesPaperFormulas(t *testing.T) {
 	// Every theoretical cell of Table II must come out of the loop
 	// formulas exactly as printed (the paper rounds down).
-	cases := []struct {
-		fam  cryptocore.Family
-		m    Mapping
-		size aes.KeySize
-		want float64
-	}{
-		{cryptocore.FamilyGCM, GCM1, aes.Key128, 496},
-		{cryptocore.FamilyGCM, GCM4x1, aes.Key128, 1984},
-		{cryptocore.FamilyGCM, GCM1, aes.Key192, 426},
-		{cryptocore.FamilyGCM, GCM1, aes.Key256, 374},
-		{cryptocore.FamilyCCM, CCM1, aes.Key128, 233},
-		{cryptocore.FamilyCCM, CCM2, aes.Key128, 442},
-		{cryptocore.FamilyCCM, CCM2x2, aes.Key128, 884},
-		{cryptocore.FamilyCCM, CCM1, aes.Key192, 202},
-		{cryptocore.FamilyCCM, CCM2, aes.Key192, 386},
-		{cryptocore.FamilyCCM, CCM1, aes.Key256, 178},
-		{cryptocore.FamilyCCM, CCM2, aes.Key256, 342},
-	}
-	for _, c := range cases {
-		got := TheoreticalMbps(c.fam, c.m, c.size)
+	for _, c := range paperTableII {
+		got := TheoreticalMbps(c.family, c.m, c.size)
 		// The paper rounds the per-core figure down before multiplying by
 		// the stream count, so allow up to one Mbps per stream of slack.
 		slack := float64(c.m.Streams)
-		if got < c.want || got >= c.want+slack+0.5 {
+		if got < c.theoretical || got >= c.theoretical+slack+0.5 {
 			t.Errorf("%v %s %v: theoretical = %.2f, want [%.0f, %.0f)",
-				c.fam, c.m.Name, c.size, got, c.want, c.want+slack+0.5)
+				c.family, c.m.Name, c.size, got, c.theoretical, c.theoretical+slack+0.5)
 		}
 	}
 }
@@ -76,7 +58,7 @@ func TestMeasuredShape(t *testing.T) {
 		}
 	}
 	// Paper methodology: single-instance end-to-end throughput, scaled by
-	// the number of parallel instances (see TableIIRow.MeasuredMbps).
+	// the number of parallel instances (E2's paper_methodology_Mbps).
 	gcm1 := MeasureThroughput(cryptocore.FamilyGCM, GCM1, 16, PacketBytes, packets)
 	ccm1 := MeasureThroughput(cryptocore.FamilyCCM, CCM1, 16, PacketBytes, packets)
 	ccm2 := MeasureThroughput(cryptocore.FamilyCCM, CCM2, 16, PacketBytes, packets)

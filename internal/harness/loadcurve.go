@@ -27,11 +27,8 @@ import (
 var e13 = Experiment{
 	ID: "E13", Table: "loadcurve",
 	Title: "open-loop load curves (loss/latency vs offered load)",
-	Run: func(scale int) string {
-		if scale <= 0 {
-			scale = 12
-		}
-		return FormatLoadCurve(LoadCurve(LoadCurveConfig{BackgroundPackets: 16 * scale}))
+	Run: func() string {
+		return FormatLoadCurve(LoadCurve(LoadCurveConfig{BackgroundPackets: 192}))
 	},
 	Notes: []string{
 		"(open-loop Poisson arrivals into a bounded shaper; the knee is where",

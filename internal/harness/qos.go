@@ -24,13 +24,10 @@ import (
 var e12 = Experiment{
 	ID: "E12", Table: "qos",
 	Title: "QoS priority classes (§VIII extension)",
-	Run: func(scale int) string {
-		if scale <= 0 {
-			scale = 12
-		}
-		return FormatQoSTable(QoSTable(2*scale)) +
+	Run: func() string {
+		return FormatQoSTable(QoSTable(24)) +
 			"shaper drain fairness (sustained voice + background burst, capacity 4):\n" +
-			FormatQoSDrains(QoSDrainComparison(4*scale))
+			FormatQoSDrains(QoSDrainComparison(48))
 	},
 	Notes: []string{
 		"(qos-priority must retain >= 90% of uncontended voice throughput;",

@@ -26,7 +26,7 @@ import (
 var e15 = Experiment{
 	ID: "E15", Table: "reconfig",
 	Title: "rolling reconfiguration under load (fleet agility cost)",
-	Run:   func(int) string { return FormatReconfigUnderLoad(ReconfigUnderLoad(ReconfigLoadConfig{})) },
+	Run:   func() string { return FormatReconfigUnderLoad(ReconfigUnderLoad(ReconfigLoadConfig{})) },
 	Notes: []string{
 		"(a rolling Whirlpool swap drains each shard voice-first and measures",
 		" every bitstream window on the serving shards; voice must hold ~0%",

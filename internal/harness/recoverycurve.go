@@ -33,7 +33,7 @@ import (
 var e17 = Experiment{
 	ID: "E17", Table: "heal",
 	Title: "recovery curves (restart + rejoin per bitstream source, brownout lift)",
-	Run:   func(int) string { return FormatRecoveryCurves(RecoveryCurves(RecoveryConfig{})) },
+	Run:   func() string { return FormatRecoveryCurves(RecoveryCurves(RecoveryConfig{})) },
 	Notes: []string{
 		"(the E16 crash with the restart loop armed: the corpse is rebuilt by",
 		" streaming the base bitstream back in at each Table IV source speed,",

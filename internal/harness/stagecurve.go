@@ -29,7 +29,7 @@ import (
 var e18 = Experiment{
 	ID: "E18", Table: "stages",
 	Title: "stage attribution (traced per-class latency decomposition)",
-	Run:   func(int) string { return FormatStageAttribution(StageAttribution(StageCurveConfig{})) },
+	Run:   func() string { return FormatStageAttribution(StageAttribution(StageCurveConfig{})) },
 	Notes: []string{
 		"(the E13 sweep replayed with the lifecycle tracer at sample rate 1;",
 		" each delivered packet's latency tiles exactly into class queue,",

@@ -29,7 +29,7 @@ import (
 var e14 = Experiment{
 	ID: "E14", Table: "wire",
 	Title: "wire-level latency curves (loopback mccpserver)",
-	Run:   func(int) string { return FormatWireLatency(WireLatency(WireConfig{})) },
+	Run:   func() string { return FormatWireLatency(WireLatency(WireConfig{})) },
 	Notes: []string{
 		"(every arrival crosses the server protocol on a loopback transport;",
 		" wire latency adds the client batching wait to the shard service)",
