@@ -102,6 +102,25 @@ func (f *refFIFO) tryPopBlock() (w [4]uint32, ok bool) {
 	return w, true
 }
 
+// popBlockAt is a LOAD starting at cycle at, possibly ahead of the clock:
+// four single-word pops of words ready by at, each slot cooling until at.
+func (f *refFIFO) popBlockAt(at Time) (w [4]uint32, ok bool) {
+	if f.n < 4 || f.readyAt[(f.head+3)%len(f.buf)] > at {
+		return w, false
+	}
+	for i := range w {
+		w[i] = f.buf[f.head]
+		f.head = (f.head + 1) % len(f.buf)
+		f.n--
+		f.popped++
+		if at > f.eng.Now() {
+			f.cooling = append(f.cooling, at)
+		}
+	}
+	f.notFull.Release()
+	return w, true
+}
+
 func (f *refFIFO) bulkPush(words []uint32, start, stride Time) {
 	for i, w := range words {
 		f.push(w, start+Time(i)*stride)
@@ -191,7 +210,7 @@ func runFIFOModel(t *testing.T, capacity int, seed int64) {
 	}
 	// lastReady and lastFree keep the test inside the FIFO's contract:
 	// ready times nondecreasing in queue order (single producer), cooling
-	// times ascending (serialized grants).
+	// times ascending (serialized grants, a LOAD's start cycles rising).
 	var lastReady, lastFree Time
 	var next uint32
 	words := func(k int) []uint32 {
@@ -207,7 +226,7 @@ func runFIFOModel(t *testing.T, capacity int, seed int64) {
 	for step := 0; step < 20000; step++ {
 		now := eng.Now()
 		pushOK := f.Len() == 0 || now >= lastReady
-		op := rng.Intn(11)
+		op := rng.Intn(12)
 		switch op {
 		case 0:
 			if pushOK {
@@ -288,6 +307,16 @@ func runFIFOModel(t *testing.T, capacity int, seed int64) {
 			} else {
 				f.WhenPoppable(k, fn)
 				ref.whenPoppable(k, refFn)
+			}
+		case 9:
+			at := max(now, lastFree) + Time(rng.Intn(4))
+			got, ok := f.PopBlockAt(at)
+			want, wok := ref.popBlockAt(at)
+			if got != want || ok != wok {
+				t.Fatalf("step %d: PopBlockAt(%d) = %v,%v, reference %v,%v", step, at, got, ok, want, wok)
+			}
+			if ok && at > now {
+				lastFree = at
 			}
 		default:
 			d := Time(rng.Intn(6))
