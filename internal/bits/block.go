@@ -36,8 +36,12 @@ func BlockFromHex(s string) Block {
 func (b Block) Hex() string { return hex.EncodeToString(b[:]) }
 
 // halves returns the block as two big-endian 64-bit halves, most
-// significant first. The bitwise operations below work on these: two
-// fixed-offset loads and stores per operand instead of sixteen byte steps.
+// significant first. XOR and IsZero compute on these, which suits a block
+// that lives as a value in memory (a mode's input or output). A register
+// that is rewritten and read back on every step should be kept as two
+// uint64 instead: a [16]byte written as two 8-byte halves and then copied
+// is read with one 16-byte load, which has to wait until both stores reach
+// the cache (the Cryptographic Unit's bank registers are kept that way).
 func (b *Block) halves() (hi, lo uint64) {
 	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 }
@@ -56,13 +60,6 @@ func (b Block) XOR(o Block) Block {
 	return blockFromHalves(bh^oh, bl^ol)
 }
 
-// AND returns a & o.
-func (b Block) AND(o Block) Block {
-	bh, bl := b.halves()
-	oh, ol := o.halves()
-	return blockFromHalves(bh&oh, bl&ol)
-}
-
 // IsZero reports whether every byte is zero.
 func (b Block) IsZero() bool {
 	hi, lo := b.halves()
@@ -73,11 +70,6 @@ func (b Block) IsZero() bool {
 // Cryptographic Unit's 2-bit sub-word counter.
 func (b Block) Word(i int) uint32 {
 	return binary.BigEndian.Uint32(b[4*i : 4*i+4])
-}
-
-// SetWord stores w into 32-bit sub-word i.
-func (b *Block) SetWord(i int, w uint32) {
-	binary.BigEndian.PutUint32(b[4*i:4*i+4], w)
 }
 
 // Words returns the four 32-bit sub-words, most significant first.
@@ -98,21 +90,11 @@ func BlockFromWords(w [4]uint32) Block {
 	return b
 }
 
-// Inc16 adds delta to the 16 least significant bits of the block, wrapping
-// modulo 2^16 and leaving the upper 112 bits untouched. This is the paper's
-// "Inc Core" operation (16-bit incrementation by 1..4 of a 128-bit word),
-// used to step CTR-mode counter blocks.
-func (b Block) Inc16(delta uint16) Block {
-	r := b
-	v := binary.BigEndian.Uint16(r[14:16])
-	binary.BigEndian.PutUint16(r[14:16], v+delta)
-	return r
-}
-
 // Inc32 adds delta to the 32 least significant bits (GCM's inc32). The
 // paper's hardware only increments 16 bits because packet payloads are
-// bounded by the 2 KB FIFO (<= 128 blocks); Inc32 is provided for the
-// reference-mode implementations.
+// bounded by the 2 KB FIFO (<= 128 blocks); that 16-bit Inc core is the
+// Cryptographic Unit's INC, and Inc32 serves the reference-mode
+// implementations.
 func (b Block) Inc32(delta uint32) Block {
 	r := b
 	v := binary.BigEndian.Uint32(r[12:16])

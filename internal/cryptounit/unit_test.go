@@ -643,3 +643,184 @@ func TestRunAheadRefusesSharedAndChunkBodies(t *testing.T) {
 		eng.Run()
 	}
 }
+
+// regModel is the byte-at-a-time reference for the bank-register
+// instructions: byte-masked XOR and compare (mask bit 15 keeps byte 0), a
+// 16-bit wrapping increment of bytes 14-15, and 128-bit values moved as
+// four 32-bit words, most significant first.
+type regModel struct {
+	bank [4]bits.Block
+	mask uint16
+	equ  bool
+	out  []uint32
+}
+
+func (m *regModel) keeps(i int) bool { return m.mask&(1<<(15-i)) != 0 }
+
+func (m *regModel) exec(in cuisa.Instr, load func() [4]uint32) {
+	a, b := in.A(), in.B()
+	switch in.Op() {
+	case cuisa.OpXOR:
+		for i := range m.bank[b] {
+			x := m.bank[a][i] ^ m.bank[b][i]
+			if !m.keeps(i) {
+				x = 0
+			}
+			m.bank[b][i] = x
+		}
+	case cuisa.OpEQU:
+		m.equ = true
+		for i := range m.bank[a] {
+			if m.keeps(i) && m.bank[a][i] != m.bank[b][i] {
+				m.equ = false
+			}
+		}
+	case cuisa.OpINC:
+		r := &m.bank[a]
+		v := uint16(r[14])<<8 | uint16(r[15]) + uint16(b) + 1
+		r[14], r[15] = byte(v>>8), byte(v)
+	case cuisa.OpMOV:
+		m.bank[b] = m.bank[a]
+	case cuisa.OpLOAD:
+		for k, w := range load() {
+			for j := 0; j < 4; j++ {
+				m.bank[a][4*k+j] = byte(w >> (24 - 8*j))
+			}
+		}
+	case cuisa.OpSTORE:
+		for k := 0; k < 4; k++ {
+			var w uint32
+			for j := 0; j < 4; j++ {
+				w = w<<8 | uint32(m.bank[a][4*k+j])
+			}
+			m.out = append(m.out, w)
+		}
+	}
+}
+
+// regOps are the instructions FuzzUnitRegisters draws from. A program byte
+// is an instruction; one with another opcode becomes regOps[opcode%6].
+var regOps = [...]cuisa.Op{cuisa.OpXOR, cuisa.OpEQU, cuisa.OpINC, cuisa.OpMOV, cuisa.OpLOAD, cuisa.OpSTORE}
+
+func regOp(v byte) cuisa.Instr {
+	in := cuisa.Instr(v)
+	for _, op := range regOps {
+		if in.Op() == op {
+			return in
+		}
+	}
+	return cuisa.New(regOps[int(in.Op())%len(regOps)], in.A(), in.B())
+}
+
+// FuzzUnitRegisters runs a short program of XOR, EQU, INC, MOV, LOAD and
+// STORE on fuzzed bank contents under a fuzzed mask, once instruction by
+// instruction on the event path and once as a run ahead, and holds the
+// bank, Equ() and the Out FIFO's words to regModel.
+func FuzzUnitRegisters(f *testing.F) {
+	regs := make([]byte, 4*bits.BlockBytes)
+	for i := range regs {
+		regs[i] = byte(i*151 + 7)
+	}
+	// Every opcode, on every register, with every INC delta.
+	var all []byte
+	for _, op := range regOps {
+		for ab := uint8(0); ab < 16; ab++ {
+			all = append(all, byte(cuisa.New(op, ab>>2, ab&3)))
+		}
+	}
+	masks := []uint16{0x0000, 0xFFFF}
+	for n := 1; n <= 15; n++ {
+		masks = append(masks, bits.MaskForLen(n))
+	}
+	// R1 is R0 but for byte 12: EQU R0, R1 holds under MaskForLen(n <= 12).
+	near := append([]byte(nil), regs...)
+	copy(near[16:32], near[:16])
+	near[16+12] ^= 0x40
+	for _, m := range masks {
+		f.Add(regs, m, all)
+		f.Add(near, m, []byte{byte(cuisa.Equ(0, 1))})
+	}
+	// INC across 0xFFFF: the carry stays out of byte 13.
+	carry := append([]byte(nil), regs...)
+	carry[13], carry[14], carry[15] = 0x12, 0xFF, 0xFE
+	f.Add(carry, uint16(0xFFFF), []byte{
+		byte(cuisa.Inc(0, 1)), byte(cuisa.Inc(0, 1)), byte(cuisa.Store(0)),
+		byte(cuisa.Inc(0, 4)), byte(cuisa.Equ(0, 1)),
+	})
+
+	f.Fuzz(func(t *testing.T, regs []byte, mask uint16, prog []byte) {
+		if len(prog) > 128 { // 128 STOREs or LOADs fit the FIFOs
+			prog = prog[:128]
+		}
+		body := make([]uint8, len(prog))
+		loads := 0
+		for i, v := range prog {
+			in := regOp(v)
+			body[i] = uint8(in)
+			if in.Op() == cuisa.OpLOAD {
+				loads++
+			}
+		}
+		var start [4]bits.Block
+		for r := range start {
+			copy(start[r][:], regs[min(len(regs), 16*r):])
+		}
+		// The k-th LOAD reads block k of the input stream.
+		input := func(k int) (w [4]uint32) {
+			for i := range w {
+				w[i] = uint32(k+1)*0x9E3779B9 ^ uint32(i)*0x01000193 ^ uint32(mask)
+			}
+			return w
+		}
+		want := regModel{bank: start, mask: mask}
+		loaded := 0
+		for _, v := range body {
+			want.exec(cuisa.Instr(v), func() [4]uint32 { loaded++; return input(loaded - 1) })
+		}
+
+		for _, ahead := range []bool{false, true} {
+			eng, u := newUnit()
+			for r, v := range start {
+				u.SetBank(r, v)
+			}
+			u.SetMask(mask)
+			for k := 0; k < loads; k++ {
+				w := input(k)
+				u.In.BulkPush(w[:], 0, 0)
+			}
+			if len(body) > 0 {
+				if ahead {
+					if n, _ := u.RunAhead(body, 1, 0, 1, 1); n != len(body) {
+						t.Fatalf("run ahead took %d of %d instructions", n, len(body))
+					}
+					eng.Run()
+				} else {
+					ins := make([]cuisa.Instr, len(body))
+					for i, v := range body {
+						ins[i] = cuisa.Instr(v)
+					}
+					seq(t, eng, u, ins...)
+				}
+			}
+			for r := range want.bank {
+				if got := u.Bank(r); got != want.bank[r] {
+					t.Fatalf("ahead=%v: R%d = %s, model %s (mask %#04x, program % x)", ahead, r, got.Hex(), want.bank[r].Hex(), mask, body)
+				}
+			}
+			if u.Equ() != want.equ {
+				t.Fatalf("ahead=%v: Equ() = %v, model %v (mask %#04x, program % x)", ahead, u.Equ(), want.equ, mask, body)
+			}
+			var out []uint32
+			for {
+				w, ok := u.Out.TryPop()
+				if !ok {
+					break
+				}
+				out = append(out, w)
+			}
+			if !reflect.DeepEqual(out, want.out) && len(out)+len(want.out) > 0 {
+				t.Fatalf("ahead=%v: stored words %08x, model %08x", ahead, out, want.out)
+			}
+		}
+	})
+}

@@ -83,22 +83,27 @@ func MulDigitSerial(x, y bits.Block, digitBits int) bits.Block {
 		panic("ghash: digit width out of range")
 	}
 	var t mulTable
-	t.init(y)
-	return t.mul(x)
+	yh, yl := halves(y)
+	t.init(fieldEl{yh, yl})
+	xh, xl := halves(x)
+	z := t.mul(fieldEl{xh, xl})
+	return fromHalves(z.low, z.high)
 }
 
 // fieldEl is a GF(2^128) element split into two big-endian uint64 halves,
-// still in GCM's reflected bit convention.
+// still in GCM's reflected bit convention: low holds bytes 0-7, which carry
+// the low-degree coefficients.
 type fieldEl struct{ low, high uint64 }
 
-func blockToEl(b bits.Block) fieldEl {
-	return fieldEl{low: binary.BigEndian.Uint64(b[:8]), high: binary.BigEndian.Uint64(b[8:])}
+// halves splits a block into its big-endian 64-bit halves, bytes 0-7 first.
+func halves(b bits.Block) (hi, lo uint64) {
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 }
 
-func elToBlock(e fieldEl) bits.Block {
+func fromHalves(hi, lo uint64) bits.Block {
 	var b bits.Block
-	binary.BigEndian.PutUint64(b[:8], e.low)
-	binary.BigEndian.PutUint64(b[8:], e.high)
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
 	return b
 }
 
@@ -133,8 +138,7 @@ func reverse4(i int) int {
 // per-block cost is 32 table steps instead of 128 shift-and-adds.
 type mulTable [16]fieldEl
 
-func (t *mulTable) init(y bits.Block) {
-	x := blockToEl(y)
+func (t *mulTable) init(x fieldEl) {
 	t[reverse4(1)] = x
 	for i := 2; i < 16; i += 2 {
 		d := elDouble(t[reverse4(i/2)])
@@ -143,8 +147,7 @@ func (t *mulTable) init(y bits.Block) {
 	}
 }
 
-func (t *mulTable) mul(x bits.Block) bits.Block {
-	e := blockToEl(x)
+func (t *mulTable) mul(e fieldEl) fieldEl {
 	var z fieldEl
 	for i := 0; i < 2; i++ {
 		word := e.high
@@ -161,7 +164,7 @@ func (t *mulTable) mul(x bits.Block) bits.Block {
 			word >>= 4
 		}
 	}
-	return elToBlock(z)
+	return z
 }
 
 // Core models the GHASH core inside each Cryptographic Unit: it holds the
@@ -172,9 +175,8 @@ type Core struct {
 	// DigitBits selects the multiplier digit width; zero means DefaultDigitBits.
 	DigitBits int
 
-	h         bits.Block
-	htable    mulTable // windowed multiples of h, rebuilt by LoadH
-	acc       bits.Block
+	htable    mulTable // windowed multiples of H, rebuilt by LoadH
+	acc       fieldEl
 	busyUntil uint64
 	busy      bool
 }
@@ -184,10 +186,14 @@ func NewCore() *Core { return &Core{DigitBits: DefaultDigitBits} }
 
 // LoadH installs the hash subkey and clears the accumulator; this is the
 // LOADH instruction ("loads the computed H constant into the GHASH core").
-func (c *Core) LoadH(h bits.Block) {
-	c.h = h
-	c.htable.init(h)
-	c.acc = bits.Block{}
+func (c *Core) LoadH(h bits.Block) { c.LoadH64(halves(h)) }
+
+// LoadH64 is LoadH with the subkey given as two big-endian 64-bit halves,
+// hi holding bytes 0-7: the form the Cryptographic Unit's bank registers
+// keep, so LOADH, SGFM and FGFM never go through a bits.Block.
+func (c *Core) LoadH64(hi, lo uint64) {
+	c.htable.init(fieldEl{hi, lo})
+	c.acc = fieldEl{}
 	c.busy = false
 }
 
@@ -203,9 +209,15 @@ func (c *Core) Cycles() uint64 {
 // Start begins one iteration acc = (acc XOR x) * H at absolute cycle now and
 // returns the completion cycle (the SGFM instruction).
 func (c *Core) Start(now uint64, x bits.Block) uint64 {
+	hi, lo := halves(x)
+	return c.Start64(now, hi, lo)
+}
+
+// Start64 is Start with x given as two halves, as in LoadH64.
+func (c *Core) Start64(now uint64, hi, lo uint64) uint64 {
 	// The digit width sets the latency only; the product itself comes from
 	// the cached windowed table for H (bit-identical, see MulDigitSerial).
-	c.acc = c.htable.mul(c.acc.XOR(x))
+	c.acc = c.htable.mul(fieldEl{c.acc.low ^ hi, c.acc.high ^ lo})
 	c.busyUntil = now + c.Cycles()
 	c.busy = true
 	return c.busyUntil
@@ -220,7 +232,11 @@ func (c *Core) ReadyAt() uint64 { return c.busyUntil }
 // Collect returns the accumulator (the FGFM instruction) and marks the core
 // idle. The accumulator is preserved so hashing can continue afterwards
 // (GCM reads the running MAC only once, after the lengths block).
-func (c *Core) Collect() bits.Block {
+func (c *Core) Collect() bits.Block { return fromHalves(c.Collect64()) }
+
+// Collect64 is Collect returning the accumulator as two halves, as in
+// LoadH64.
+func (c *Core) Collect64() (hi, lo uint64) {
 	c.busy = false
-	return c.acc
+	return c.acc.low, c.acc.high
 }

@@ -574,8 +574,8 @@ func TestFIFOCoolingAcrossOverlappingBursts(t *testing.T) {
 			t.Errorf("pusher of %d words woke at %d, want %d", k, wake[k], at)
 		}
 	}
-	if f.coolHead != 0 || len(f.cooling) != 0 {
-		t.Errorf("drained cooling list not rewound: head %d len %d", f.coolHead, len(f.cooling))
+	if f.cooling.head != 0 || len(f.cooling.r) != 0 {
+		t.Errorf("drained cooling runs not rewound: head %d len %d", f.cooling.head, len(f.cooling.r))
 	}
 }
 
