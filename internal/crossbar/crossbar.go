@@ -16,8 +16,8 @@
 //
 // Transfers against a core FIFO (WriteFIFO/ReadFIFO) take a burst fast
 // path: when the whole segment can move without blocking, it is handed to
-// the FIFO in one event with the per-word ready/cooling schedule a
-// word-per-cycle transfer would have produced, and the grant completes at
+// the FIFO in one event with the ready/cooling schedule a word-per-cycle
+// transfer would have produced (one run of times), and the grant completes at
 // the arithmetically computed cycle. Segment boundaries — the QoS
 // preemption points — are preserved exactly, and the word-paced reference
 // path remains both as the fallback when a segment would block and as the
