@@ -86,7 +86,6 @@ func main() {
 	qosPreset := flag.Bool("qos", false, "QoS preset: qos-aware router, qos-priority shard policy, all-class mix")
 	seed := flag.Int64("seed", 1, "deterministic workload seed")
 	scaling := flag.Bool("scaling", false, "sweep 1/2/4/8 shards over the same workload")
-	sweep := flag.Bool("sweep", false, "scale-out mode: per-session generators grouped per shard so packet generation parallelizes (pair with -packets 1000000 for the million-packet sweep)")
 	whirlpool := flag.Int("whirlpool", -1, "reconfigure one core of this shard to Whirlpool before the run")
 	scaleTo := flag.Int("scale", 0, "fleet demo: scale the serving set to this many shards (drain voice-first, re-home, report)")
 	rollingSrc := flag.String("rolling-swap", "", "fleet demo: rolling Whirlpool swap across every shard from this bitstream source (compact-flash, ram, icap)")
@@ -187,24 +186,32 @@ func main() {
 		Seed:          *seed,
 		BatchWindow:   *batch,
 		ShardWindow:   *window,
-		PerShardGen:   *sweep,
-	}
-	if !*sweep {
-		// Overlap generation with shard simulation; identical packet bytes
-		// and virtual-time results either way.
-		cfg.PrefetchDepth = 2 * max(*batch, 1)
 	}
 
 	if *scaling {
-		rows, err := cluster.RunScaling([]int{1, 2, 4, 8}, cfg)
-		if err != nil {
-			log.Fatal(err)
+		// Same packets, mix and seed on every row — only the shard count
+		// varies, so the session count is pinned to the widest row's.
+		if cfg.Sessions <= 0 {
+			cfg.Sessions = 4 * 8
 		}
 		fmt.Printf("shard scaling, %d packets of the mixed workload (router %s):\n", *packets, *router)
 		fmt.Printf("%-8s %14s %14s %10s %12s\n", "shards", "aggregate Mbps", "cluster cycles", "speedup", "host Mbps")
-		for _, r := range rows {
+		var base float64 // the first row's aggregate Mbps
+		for i, n := range []int{1, 2, 4, 8} {
+			cfg.Shards = n
+			res, err := cluster.RunWorkload(cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			m := res.Metrics
+			speedup := 1.0
+			if i == 0 {
+				base = m.AggregateSimMbps
+			} else if base > 0 {
+				speedup = m.AggregateSimMbps / base
+			}
 			fmt.Printf("%-8d %14.0f %14d %9.2fx %12.0f\n",
-				r.Shards, r.AggregateSimMbps, r.ClusterCycles, r.Speedup, r.HostMbps)
+				n, m.AggregateSimMbps, uint64(m.ClusterCycles), speedup, m.HostMbps)
 		}
 		return
 	}

@@ -132,25 +132,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	horizon := res.HorizonCycles
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(horizon) * sim.DefaultFreqHz / 1e6
-	}
 	fmt.Printf("open-loop wire load: %d sessions over %d conn(s), %.0f Mbps offered, %d windows x %d cycles:\n",
 		*sessions, *conns, *offeredMbps, *windows, *windowCycles)
-	fmt.Printf("%-12s %9s %9s %10s %8s %8s %8s %8s %10s %10s\n",
-		"class", "submitted", "ok", "del Mbps", "rejected", "shed", "expired", "aged", "p50 cyc", "p99 cyc")
-	for _, class := range qos.Classes() {
-		c := res.Classes[class]
-		if c.Submitted == 0 {
-			continue
-		}
-		fmt.Printf("%-12s %9d %9d %10.0f %8d %8d %8d %8d %10d %10d\n",
-			class, c.Submitted, c.OK, toMbps(c.DeliveredBytes),
-			c.Rejected, c.Shed, c.Expired, c.Aged,
-			qos.PercentileOf(c.WireSamples, 50), qos.PercentileOf(c.WireSamples, 99))
-	}
-	fmt.Printf("arrival digest (determinism check): %x\n", res.ArrivalDigest)
+	qos.WriteClassCells(os.Stdout, res.Classes)
+	fmt.Printf("arrival digests per connection (determinism check): %x\n", res.ArrivalDigests)
 	if res.Churned > 0 {
 		fmt.Printf("churn storm: %d sessions closed and re-opened\n", res.Churned)
 	}

@@ -464,16 +464,19 @@ func TestWorkloadDeterminism(t *testing.T) {
 // simulated throughput on the mixed trafficgen workload must scale at
 // least 3x from 1 shard to 4 shards.
 func TestScalingOneToFour(t *testing.T) {
-	rows, err := RunScaling([]int{1, 4}, WorkloadConfig{
-		Router: RouterLeastLoaded, QueueRequests: true,
-		Packets: 256, Sessions: 16, Seed: 1, BatchWindow: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
+	mbps := func(shards int) float64 {
+		res, err := RunWorkload(WorkloadConfig{
+			Shards: shards, Router: RouterLeastLoaded, QueueRequests: true,
+			Packets: 256, Sessions: 16, Seed: 1, BatchWindow: 128,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics.AggregateSimMbps
 	}
-	speedup := rows[1].AggregateSimMbps / rows[0].AggregateSimMbps
-	t.Logf("1 shard: %.0f Mbps, 4 shards: %.0f Mbps (%.2fx)",
-		rows[0].AggregateSimMbps, rows[1].AggregateSimMbps, speedup)
+	one, four := mbps(1), mbps(4)
+	speedup := four / one
+	t.Logf("1 shard: %.0f Mbps, 4 shards: %.0f Mbps (%.2fx)", one, four, speedup)
 	if speedup < 3.0 {
 		t.Fatalf("scaling 1->4 shards = %.2fx, want >= 3x", speedup)
 	}

@@ -140,10 +140,6 @@ type OpenLoopRunnerConfig struct {
 	// serving shards means more offered load per shard, not less total
 	// load.
 	OfferedMbps float64
-	// SourcesPerClass is the number of independent arrival sources per
-	// class (default: the cluster's shard count). Each source is one
-	// session, placed by the cluster's router.
-	SourcesPerClass int
 	// Seed derives every source's splittable PRNG stream.
 	Seed uint64
 }
@@ -224,10 +220,8 @@ func NewOpenLoopRunner(cl *Cluster, cfg OpenLoopRunnerConfig) (*OpenLoopRunner, 
 	if _, err := arrivals.ByName(procName, 1); err != nil {
 		return nil, err
 	}
-	perClass := cfg.SourcesPerClass
-	if perClass <= 0 {
-		perClass = cl.Shards()
-	}
+	// One source (one session, placed by the router) per class per shard.
+	perClass := cl.Shards()
 	r := &OpenLoopRunner{
 		cl:          cl,
 		procName:    procName,

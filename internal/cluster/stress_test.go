@@ -96,69 +96,3 @@ func TestParallelDrainStress(t *testing.T) {
 		t.Fatalf("per-shard digests not stable across runs:\n%#x\n%#x", d1, d2)
 	}
 }
-
-// TestPerShardGenDeterminism pins the scale-out sweep mode: per-shard
-// parallel generation must be a pure function of the configuration —
-// identical digests, cycles and class counters across runs — even though
-// the packets are produced by concurrent goroutines.
-func TestPerShardGenDeterminism(t *testing.T) {
-	run := func() WorkloadResult {
-		res, err := RunWorkload(WorkloadConfig{
-			Shards: 4, Router: RouterLeastLoaded, QueueRequests: true,
-			Packets: 192, Sessions: 12, Seed: 5, BatchWindow: 48,
-			PerShardGen: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.ShardDigests, b.ShardDigests) {
-		t.Fatalf("sweep digests differ:\n%#x\n%#x", a.ShardDigests, b.ShardDigests)
-	}
-	if a.Metrics.ClusterCycles != b.Metrics.ClusterCycles || a.Metrics.Packets != b.Metrics.Packets {
-		t.Fatalf("sweep metrics differ: %d/%d vs %d/%d cycles/packets",
-			a.Metrics.ClusterCycles, a.Metrics.Packets, b.Metrics.ClusterCycles, b.Metrics.Packets)
-	}
-	if a.ClassPackets != b.ClassPackets {
-		t.Fatalf("sweep class counters differ: %v vs %v", a.ClassPackets, b.ClassPackets)
-	}
-}
-
-// TestPrefetchMatchesSynchronous pins the prefetched generator to the
-// synchronous path bit-for-bit: same digests, same cycles, same metrics —
-// prefetching may only change wall-clock overlap.
-func TestPrefetchMatchesSynchronous(t *testing.T) {
-	base := WorkloadConfig{
-		Shards: 4, Router: RouterLeastLoaded, QueueRequests: true,
-		Packets: 128, Sessions: 16, Seed: 1, BatchWindow: 32,
-	}
-	sync, err := RunWorkload(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := base
-	pre.PrefetchDepth = 64
-	fetched, err := RunWorkload(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sync.ShardDigests, fetched.ShardDigests) {
-		t.Fatalf("prefetch changed digests:\n%#x\n%#x", sync.ShardDigests, fetched.ShardDigests)
-	}
-	if sync.Metrics.ClusterCycles != fetched.Metrics.ClusterCycles ||
-		sync.Metrics.Bytes != fetched.Metrics.Bytes {
-		t.Fatalf("prefetch changed virtual metrics: %d/%d vs %d/%d",
-			sync.Metrics.ClusterCycles, sync.Metrics.Bytes,
-			fetched.Metrics.ClusterCycles, fetched.Metrics.Bytes)
-	}
-	// The per-shard virtual timelines must match exactly as well.
-	for i := range sync.Metrics.Shards {
-		sa, sb := sync.Metrics.Shards[i], fetched.Metrics.Shards[i]
-		if sa.Cycles != sb.Cycles || sa.Packets != sb.Packets {
-			t.Fatalf("shard %d: %d cycles/%d packets (sync) vs %d/%d (prefetch)",
-				i, sa.Cycles, sa.Packets, sb.Cycles, sb.Packets)
-		}
-	}
-}

@@ -33,22 +33,6 @@ type WorkloadConfig struct {
 	// Config.ShardWindow); with QueueRequests off, a window above the
 	// core count deliberately drives the device into error-flag rejects.
 	ShardWindow int
-	// RingDepth sets each shard's submission-ring depth (see
-	// Config.RingDepth); it changes wall-clock overlap only.
-	RingDepth int
-	// PrefetchDepth > 0 moves packet generation onto a producer goroutine
-	// that runs that many packets ahead of submission. The generator, its
-	// draw order and the submission order are unchanged, so every result
-	// — virtual time, digests, metrics — is byte-identical to the
-	// synchronous path; only host overlap differs.
-	PrefetchDepth int
-	// PerShardGen switches to the scale-out sweep generator: every
-	// session gets its own deterministically-seeded generator and one
-	// producer goroutine per shard generates its sessions' packets in
-	// parallel. Contents differ from the shared-generator path (a
-	// different but equally deterministic workload), which is what makes
-	// generation embarrassingly parallel for million-packet sweeps.
-	PerShardGen bool
 	// Shape runs a qos.Shaper on every shard (see Config.Shape); Shaper
 	// configures it. A pass-through shaper (zero Shaper) leaves every
 	// virtual-time result identical and adds per-class attribution.
@@ -110,7 +94,6 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 		Seed:          uint64(cfg.Seed),
 		BatchWindow:   cfg.BatchWindow,
 		ShardWindow:   cfg.ShardWindow,
-		RingDepth:     cfg.RingDepth,
 		Shape:         cfg.Shape,
 		Shaper:        cfg.Shaper,
 	})
@@ -133,12 +116,14 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 	for i := range res.ShardDigests {
 		res.ShardDigests[i] = 0xcbf29ce484222325 // FNV-64a offset basis
 	}
-	// submit pushes packet p for its session and folds the result into the
-	// per-shard digest, recycling the packet and result buffers once the
-	// operation has delivered (allocation-free steady state).
-	submit := func(p int, pkt trafficgen.Packet) {
+	// Each packet's result folds into its shard's digest; the packet and
+	// result buffers are recycled once the operation has delivered
+	// (allocation-free steady state).
+	gen := trafficgen.NewGenerator(cfg.Seed, cfg.Mix)
+	for p := 0; p < cfg.Packets; p++ {
 		i := p % cfg.Sessions
 		ses := sessions[i]
+		pkt := gen.Next(i%len(cfg.Mix), ses.ID())
 		class := cfg.Mix[i%len(cfg.Mix)].Class()
 		shardID := ses.Shard()
 		n := len(pkt.Payload)
@@ -158,98 +143,9 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 			bufpool.PutBytes(out)
 		})
 	}
-	switch {
-	case cfg.PerShardGen:
-		runPerShardGen(cl, cfg, sessions, submit)
-	case cfg.PrefetchDepth > 0:
-		runPrefetched(cfg, sessions, submit)
-	default:
-		gen := trafficgen.NewGenerator(cfg.Seed, cfg.Mix)
-		for p := 0; p < cfg.Packets; p++ {
-			i := p % cfg.Sessions
-			pkt := gen.Next(i%len(cfg.Mix), sessions[i].ID())
-			submit(p, pkt)
-		}
-	}
 	cl.Flush()
 	res.Metrics = cl.Metrics()
 	return res, nil
-}
-
-// runPrefetched generates the exact shared-generator packet stream on a
-// producer goroutine, up to PrefetchDepth packets ahead of submission.
-// Draw order, packet bytes and submission order are identical to the
-// synchronous loop; the producer only overlaps generation with shard
-// simulation in wall time.
-func runPrefetched(cfg WorkloadConfig, sessions []*Session, submit func(int, trafficgen.Packet)) {
-	ahead := make(chan trafficgen.Packet, cfg.PrefetchDepth)
-	go func() {
-		gen := trafficgen.NewGenerator(cfg.Seed, cfg.Mix)
-		for p := 0; p < cfg.Packets; p++ {
-			i := p % cfg.Sessions
-			ahead <- gen.Next(i%len(cfg.Mix), sessions[i].ID())
-		}
-		close(ahead)
-	}()
-	p := 0
-	for pkt := range ahead {
-		submit(p, pkt)
-		p++
-	}
-}
-
-// runPerShardGen is the scale-out sweep generator: sessions carry
-// independent deterministic generators (seeded from cfg.Seed and the
-// session index), grouped by home shard, and one producer goroutine per
-// shard generates its sessions' packets in parallel. The single caller
-// still submits in global round-robin session order, so results stay a
-// pure function of the configuration — two runs are byte-identical — but
-// generation cost now scales with the shard count, which is what
-// million-packet sweeps need.
-func runPerShardGen(cl *Cluster, cfg WorkloadConfig, sessions []*Session, submit func(int, trafficgen.Packet)) {
-	perSession := make([]chan trafficgen.Packet, cfg.Sessions)
-	counts := make([]int, cfg.Sessions)
-	for p := 0; p < cfg.Packets; p++ {
-		counts[p%cfg.Sessions]++
-	}
-	byShard := make([][]int, cl.Shards())
-	for i, ses := range sessions {
-		perSession[i] = make(chan trafficgen.Packet, 64)
-		byShard[ses.Shard()] = append(byShard[ses.Shard()], i)
-	}
-	for _, local := range byShard {
-		if len(local) == 0 {
-			continue
-		}
-		go func(local []int) {
-			gens := make([]*trafficgen.Generator, len(local))
-			for k, i := range local {
-				// Per-session generator: seed split keeps streams distinct
-				// and independent of the shard grouping.
-				gens[k] = trafficgen.NewGenerator(cfg.Seed+0x9E37*int64(i+1), cfg.Mix)
-			}
-			// Round-robin over the shard's sessions, matching each
-			// session's global submission cadence.
-			for round := 0; ; round++ {
-				produced := false
-				for k, i := range local {
-					if round < counts[i] {
-						perSession[i] <- gens[k].Next(i%len(cfg.Mix), sessions[i].ID())
-						produced = true
-					}
-				}
-				if !produced {
-					break
-				}
-			}
-			for _, i := range local {
-				close(perSession[i])
-			}
-		}(local)
-	}
-	for p := 0; p < cfg.Packets; p++ {
-		submit(p, <-perSession[p%cfg.Sessions])
-	}
 }
 
 // OpenLoopConfig parameterizes RunOpenLoop: the cluster-level open-loop
@@ -455,51 +351,4 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon si
 		src.Start(-1, until)
 	}
 	check() // a shard with zero sessions (or all-stopped sources) still completes
-}
-
-// ScalingRow is one line of a shard-count sweep.
-type ScalingRow struct {
-	Shards           int
-	AggregateSimMbps float64
-	ClusterCycles    uint64
-	HostMbps         float64
-	// Speedup is AggregateSimMbps relative to the sweep's first row.
-	Speedup float64
-}
-
-// RunScaling sweeps shard counts over the same total workload and reports
-// the aggregate-throughput scaling (the sharding head-room measurement:
-// same packets, same mix, same seed — only the shard count varies).
-func RunScaling(shardCounts []int, cfg WorkloadConfig) ([]ScalingRow, error) {
-	if cfg.Sessions <= 0 {
-		// Pin the session count across the sweep — otherwise each row
-		// would run a different workload and the speedup would be
-		// meaningless.
-		maxN := 1
-		for _, n := range shardCounts {
-			maxN = max(maxN, n)
-		}
-		cfg.Sessions = 4 * maxN
-	}
-	var rows []ScalingRow
-	for _, n := range shardCounts {
-		c := cfg
-		c.Shards = n
-		res, err := RunWorkload(c)
-		if err != nil {
-			return nil, err
-		}
-		row := ScalingRow{
-			Shards:           n,
-			AggregateSimMbps: res.Metrics.AggregateSimMbps,
-			ClusterCycles:    uint64(res.Metrics.ClusterCycles),
-			HostMbps:         res.Metrics.HostMbps,
-			Speedup:          1,
-		}
-		if len(rows) > 0 && rows[0].AggregateSimMbps > 0 {
-			row.Speedup = row.AggregateSimMbps / rows[0].AggregateSimMbps
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -181,7 +181,7 @@ type FaultPoint struct {
 	// Churned counts storm-cycled sessions; Windows the per-window
 	// tallies behind the recovery numbers.
 	Churned uint64
-	Windows []server.WindowLoad
+	Windows [][qos.NumClasses]qos.ClassStats
 }
 
 // FaultResult is the E16 table.
@@ -250,7 +250,7 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 
 	point := FaultPoint{Policy: policy, Row: row, Schedule: sched}
 	point.WirePoint = runWire(wire, cfg.Offered, satMbps, fp,
-		server.LoadConfig{WindowTallies: true, ChurnSessions: row.Churn, ChurnFrom: cfg.FaultWindow},
+		server.LoadConfig{ChurnSessions: row.Churn, ChurnFrom: cfg.FaultWindow},
 		func(srv *server.Server, load server.LoadResult) {
 			point.Events = srv.Events()
 			point.Churned = load.Churned
@@ -277,7 +277,7 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 // first window (at or after the crash window) whose voice delivered
 // fraction is back at the threshold. A crash with no such window inside
 // the horizon reports recovered == false.
-func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64, wins []server.WindowLoad) (sim.Time, bool) {
+func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64, wins [][qos.NumClasses]qos.ClassStats) (sim.Time, bool) {
 	var worst sim.Time
 	recovered := true
 	for _, e := range sched.Events {
@@ -287,7 +287,8 @@ func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64,
 		crashAt := sim.Time(e.Window)*windowCycles + e.Offset
 		found := false
 		for w := e.Window; w < len(wins); w++ {
-			if wins[w].DeliveredFrac(qos.Voice) >= threshold {
+			// An empty window is not an outage: it counts as delivered.
+			if v := wins[w][qos.Voice]; v.Submitted == 0 || float64(v.Completed)/float64(v.Submitted) >= threshold {
 				if d := sim.Time(w+1)*windowCycles - crashAt; d > worst {
 					worst = d
 				}

@@ -259,7 +259,7 @@ var e11 = Experiment{
 	Title: "sharded cluster scaling (mixed workload, least-loaded router)",
 	Notes: []string{
 		"(aggregate simulated Mbps at 190 MHz; cluster_cycles = slowest shard's virtual",
-		" makespan over the same 256 packets; mccpcluster -scaling and -sweep run larger sweeps)",
+		" makespan over the same 256 packets; mccpcluster -scaling runs larger sweeps)",
 	},
 	Points: func() []Point {
 		var pts []Point
@@ -273,10 +273,6 @@ var e11 = Experiment{
 					Sessions:      16,
 					Seed:          1,
 					BatchWindow:   128,
-					// Prefetched generation: identical packet bytes and
-					// virtual-time results; generation overlaps shard
-					// simulation in wall time.
-					PrefetchDepth: 256,
 				})
 				if err != nil {
 					panic(err)

@@ -8,7 +8,6 @@ import (
 	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
-	"mccp/internal/server"
 	"mccp/internal/sim"
 )
 
@@ -211,7 +210,7 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 // delivering at least frac of that rate. rejoin < 0 (never rejoined)
 // reports restored == false.
 func capacityOf(sched faults.Schedule, windowCycles sim.Time, frac float64,
-	faultWindow, rejoin int, wins []server.WindowLoad) (sim.Time, bool) {
+	faultWindow, rejoin int, wins [][qos.NumClasses]qos.ClassStats) (sim.Time, bool) {
 	if rejoin < 0 || len(wins) == 0 {
 		return 0, false
 	}
@@ -222,10 +221,10 @@ func capacityOf(sched faults.Schedule, windowCycles sim.Time, frac float64,
 			break
 		}
 	}
-	total := func(w server.WindowLoad) uint64 {
+	total := func(w [qos.NumClasses]qos.ClassStats) uint64 {
 		var ok uint64
-		for _, cw := range w.Classes {
-			ok += cw.OK
+		for _, cw := range w {
+			ok += cw.Completed
 		}
 		return ok
 	}

@@ -175,18 +175,20 @@ func (c WireConfig) saturation() float64 {
 type WirePoint struct {
 	Offered  float64
 	Sessions int
-	// Classes holds the client-side verdict tallies per class, highest
-	// priority first; latency is end to end on the wire clock: batching
-	// wait (window end minus arrival) plus shard-side service.
+	// Classes is the wire client's per-class record (server.LoadResult.
+	// Classes): highest priority first, latency end to end on the wire
+	// clock — batching wait (window end minus arrival) plus shard-side
+	// service.
 	Classes []qos.ClassCell
 	// Totals: WireMbps is the delivered wire throughput over the
 	// horizon.
 	TotalOfferedMbps float64
 	WireMbps         float64
 	TotalLossFrac    float64
-	// ArrivalDigest witnesses the generated arrival stream;
-	// ServerDigests are the server's per-shard output-byte folds
-	// (RETRIEVE_DATA); ClusterCycles the slowest shard's virtual time.
+	// ArrivalDigest witnesses the generated arrival stream (the run's
+	// one connection); ServerDigests are the server's per-shard
+	// output-byte folds (RETRIEVE_DATA); ClusterCycles the slowest
+	// shard's virtual time.
 	ArrivalDigest uint64
 	ServerDigests []uint64
 	ClusterCycles sim.Time
@@ -224,11 +226,11 @@ func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 // runWire is the one wire pipeline behind E14, E16 and E17: boot a fresh
 // loopback server in front of a fresh cluster (with the fault plane wired
 // in when fp is set), replay the open-loop mix at the offered fraction of
-// satMbps — drill carries the fault drills' extra client knobs (window
-// tallies, churn) — and reduce the outcome to a table point. inspect, if
-// set, sees the server and the raw load before teardown. Because every
-// wire table goes through here, a fault table's zero-fault row is
-// computed by the very same code as the E14 baseline.
+// satMbps — drill carries the fault drills' extra client knob, churn —
+// and reduce the outcome to a table point. inspect, if set, sees the
+// server and the raw load before teardown. Because every wire table goes
+// through here, a fault table's zero-fault row is computed by the very
+// same code as the E14 baseline.
 func runWire(cfg WireConfig, offered, satMbps float64, fp *fleet.HealPolicy, drill server.LoadConfig,
 	inspect func(*server.Server, server.LoadResult)) WirePoint {
 	cfg.fill()
@@ -280,35 +282,21 @@ func runWire(cfg WireConfig, offered, satMbps float64, fp *fleet.HealPolicy, dri
 	point := WirePoint{
 		Offered:          offered,
 		Sessions:         cfg.Sessions,
+		Classes:          load.Classes,
 		TotalOfferedMbps: offered * satMbps,
-		ArrivalDigest:    load.ArrivalDigest,
+		ArrivalDigest:    load.ArrivalDigests[0],
 	}
 	if load.Stats != nil {
 		point.ServerDigests = load.Stats.Digests
 		point.ClusterCycles = load.Stats.ClusterCycles
 	}
-	bytes := mixBytes(cfg.Mix)
-	var submitted, completed, deliveredBytes uint64
-	for _, class := range qos.Classes() {
-		cl := load.Classes[class]
-		point.Classes = append(point.Classes, qos.NewClassCell(qos.ClassStats{
-			Class:     class,
-			Submitted: cl.Submitted,
-			Completed: cl.OK,
-			Rejected:  cl.Rejected,
-			Shed:      cl.Shed,
-			Expired:   cl.Expired,
-			Aged:      cl.Aged,
-			Failed:    cl.AuthFail + cl.Failed,
-			Bytes:     cl.DeliveredBytes,
-		}, cl.WireSamples, bytes[class], load.HorizonCycles))
-		submitted += cl.Submitted
-		completed += cl.OK
-		deliveredBytes += cl.DeliveredBytes
+	var total qos.ClassStats
+	for _, c := range load.Classes {
+		total.Accumulate(c.ClassStats)
 	}
-	point.WireMbps = qos.MbpsOver(deliveredBytes, load.HorizonCycles)
-	if submitted > 0 {
-		point.TotalLossFrac = float64(submitted-completed) / float64(submitted)
+	point.WireMbps = qos.MbpsOver(total.Bytes, load.HorizonCycles)
+	if total.Submitted > 0 {
+		point.TotalLossFrac = float64(total.Submitted-total.Completed) / float64(total.Submitted)
 	}
 	return point
 }

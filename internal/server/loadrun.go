@@ -65,10 +65,6 @@ type LoadConfig struct {
 	// every boundary.
 	ChurnSessions int
 	ChurnFrom     int
-	// WindowTallies records per-window per-class verdict tallies in
-	// LoadResult.Windows — the probe the fault curves derive recovery
-	// time from.
-	WindowTallies bool
 	// IOTimeout bounds each connection's response reads (Client.
 	// SetIOTimeout); Retry configures the lock-step retry policy used by
 	// the churn's OPEN/CLOSE round trips. Both zero by default.
@@ -101,79 +97,58 @@ func (c *LoadConfig) fill() error {
 	return nil
 }
 
-// ClassLoad is one class's client-side tally.
-type ClassLoad struct {
-	Class     qos.Class
-	Submitted uint64
-	// Verdict counts by response status.
-	OK, Rejected, Shed, Expired, Aged, AuthFail, Failed uint64
-	// DeliveredBytes counts OK responses' plaintext/ciphertext payload
-	// bytes (the request size — the wire-throughput numerator).
-	DeliveredBytes uint64
-	// WireSamples are completed packets' end-to-end wire latencies in
-	// cycles: batching wait plus shard service.
-	WireSamples []sim.Time
-}
-
-func (cl *ClassLoad) count(st Status) {
-	switch st {
-	case StatusOK:
-		cl.OK++
-	case StatusRejected:
-		cl.Rejected++
-	case StatusShed:
-		cl.Shed++
-	case StatusExpired:
-		cl.Expired++
-	case StatusAged:
-		cl.Aged++
-	case StatusAuthFail:
-		cl.AuthFail++
-	default:
-		cl.Failed++
-	}
-}
-
-// ClassWindow is one class's tally inside one measurement window.
-type ClassWindow struct {
-	Submitted uint64
-	OK        uint64
-	// Lost counts every non-OK response (rejected, shed, expired, aged,
-	// failed — anything that did not deliver).
-	Lost uint64
-}
-
-// WindowLoad is one window's per-class outcome (LoadConfig.WindowTallies).
-type WindowLoad struct {
-	Classes [qos.NumClasses]ClassWindow
-}
-
-// DeliveredFrac returns a class's in-window delivered fraction (1 when
-// the class submitted nothing — an empty window is not an outage).
-func (w WindowLoad) DeliveredFrac(c qos.Class) float64 {
-	cw := w.Classes[c]
-	if cw.Submitted == 0 {
-		return 1
-	}
-	return float64(cw.OK) / float64(cw.Submitted)
-}
-
 // LoadResult is RunLoad's merged outcome.
 type LoadResult struct {
-	// Classes is indexed by qos.Class.
-	Classes [qos.NumClasses]ClassLoad
-	// ArrivalDigest folds every generated arrival (XOR-merged across
-	// connections).
-	ArrivalDigest uint64
+	// Classes holds one cell per qos.Classes(), highest priority first,
+	// over HorizonCycles at the mix's packet sizes. Every response counts
+	// in verdict order: expired and aged drops inside Shed, auth failures
+	// inside Failed. Latency is end to end on the wire clock — batching
+	// wait (window end minus arrival) plus shard service — and each cell
+	// keeps its sorted samples.
+	Classes []qos.ClassCell
+	// ArrivalDigests folds each connection's generated arrivals, in
+	// connection order.
+	ArrivalDigests []uint64
 	// HorizonCycles is the wire-clock measurement span.
 	HorizonCycles sim.Time
 	// Stats is the server's RETRIEVE_DATA report after the run.
 	Stats *Stats
-	// Windows is the per-window tally series (only with
-	// LoadConfig.WindowTallies; merged element-wise across connections).
-	Windows []WindowLoad
+	// Windows is the per-window record, indexed by qos.Class and summed
+	// across connections; Classes is its total.
+	Windows [][qos.NumClasses]qos.ClassStats
 	// Churned counts sessions closed and re-opened by the churn storm.
 	Churned uint64
+}
+
+// connLoad is one connection's share of a run.
+type connLoad struct {
+	windows [][qos.NumClasses]qos.ClassStats
+	samples [qos.NumClasses][]sim.Time
+	digest  uint64
+	churned uint64
+}
+
+// count adds one response to a class record, classified as verdict.For
+// classifies the error behind it.
+func count(st *qos.ClassStats, s Status, bytes int) {
+	st.Submitted++
+	switch s {
+	case StatusOK:
+		st.Completed++
+		st.Bytes += uint64(bytes)
+	case StatusRejected:
+		st.Rejected++
+	case StatusShed:
+		st.Shed++
+	case StatusExpired:
+		st.Shed++
+		st.Expired++
+	case StatusAged:
+		st.Shed++
+		st.Aged++
+	default:
+		st.Failed++
+	}
 }
 
 // lockedWriter serializes trace lines across connection goroutines.
@@ -231,14 +206,9 @@ func RunLoad(dial func() (net.Conn, error), cfg LoadConfig) (LoadResult, error) 
 		classSessions[g%len(cfg.Mix)]++
 	}
 
-	var (
-		mu      sync.Mutex
-		res     LoadResult
-		firstCl *Client
-		runErr  error
-	)
-	res.HorizonCycles = sim.Time(cfg.Windows) * cfg.WindowCycles
-
+	clients := make([]*Client, cfg.Conns)
+	loads := make([]*connLoad, cfg.Conns)
+	errs := make([]error, cfg.Conns)
 	var wg sync.WaitGroup
 	base := 0
 	for ci := 0; ci < cfg.Conns; ci++ {
@@ -249,63 +219,61 @@ func RunLoad(dial func() (net.Conn, error), cfg LoadConfig) (LoadResult, error) 
 		wg.Add(1)
 		go func(ci, base, n int, rng *arrivals.Rand) {
 			defer wg.Done()
-			cl, cr, err := runConn(dial, cfg, ci, base, n, classSessions, rng)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && runErr == nil {
-				runErr = err
-			}
-			if cl != nil {
-				if ci == 0 {
-					firstCl = cl
-				} else {
-					cl.Close()
-				}
-			}
-			if cr != nil {
-				for c := range res.Classes {
-					agg := &res.Classes[c]
-					add := &cr.Classes[c]
-					agg.Class = qos.Class(c)
-					agg.Submitted += add.Submitted
-					agg.OK += add.OK
-					agg.Rejected += add.Rejected
-					agg.Shed += add.Shed
-					agg.Expired += add.Expired
-					agg.Aged += add.Aged
-					agg.AuthFail += add.AuthFail
-					agg.Failed += add.Failed
-					agg.DeliveredBytes += add.DeliveredBytes
-					agg.WireSamples = append(agg.WireSamples, add.WireSamples...)
-				}
-				res.ArrivalDigest ^= cr.ArrivalDigest
-				res.Churned += cr.Churned
-				if len(cr.Windows) > len(res.Windows) {
-					res.Windows = append(res.Windows, make([]WindowLoad, len(cr.Windows)-len(res.Windows))...)
-				}
-				for wi := range cr.Windows {
-					for c := range cr.Windows[wi].Classes {
-						dst := &res.Windows[wi].Classes[c]
-						add := cr.Windows[wi].Classes[c]
-						dst.Submitted += add.Submitted
-						dst.OK += add.OK
-						dst.Lost += add.Lost
-					}
-				}
+			clients[ci], loads[ci], errs[ci] = runConn(dial, cfg, ci, base, n, classSessions, rng)
+			if ci > 0 && clients[ci] != nil {
+				clients[ci].Close()
 			}
 		}(ci, base, n, connRands[ci])
 		base += n
 	}
 	wg.Wait()
-	if runErr != nil {
-		if firstCl != nil {
-			firstCl.Close()
-		}
-		return res, runErr
+
+	res := LoadResult{
+		HorizonCycles:  sim.Time(cfg.Windows) * cfg.WindowCycles,
+		ArrivalDigests: make([]uint64, cfg.Conns),
+		Windows:        make([][qos.NumClasses]qos.ClassStats, cfg.Windows),
 	}
-	if firstCl != nil {
-		st, err := firstCl.Retrieve()
-		firstCl.Close()
+	var total [qos.NumClasses]qos.ClassStats
+	var samples [qos.NumClasses][]sim.Time
+	for ci, cr := range loads {
+		if cr == nil {
+			continue
+		}
+		res.ArrivalDigests[ci] = cr.digest
+		res.Churned += cr.churned
+		for w := range cr.windows {
+			for c := range cr.windows[w] {
+				res.Windows[w][c].Accumulate(cr.windows[w][c])
+				total[c].Accumulate(cr.windows[w][c])
+			}
+		}
+		for c := range samples {
+			samples[c] = append(samples[c], cr.samples[c]...)
+		}
+	}
+	var bytes [qos.NumClasses]int
+	for _, p := range cfg.Mix {
+		bytes[p.Class] = p.Bytes
+	}
+	for _, class := range qos.Classes() {
+		total[class].Class = class
+		cell := qos.NewClassCell(total[class], samples[class], bytes[class], res.HorizonCycles)
+		cell.Samples = samples[class]
+		res.Classes = append(res.Classes, cell)
+	}
+
+	first := clients[0]
+	for _, err := range errs {
+		if err != nil {
+			if first != nil {
+				first.Close()
+			}
+			return res, err
+		}
+	}
+	if first != nil {
+		st, err := first.Retrieve()
+		first.Close()
 		if err != nil {
 			return res, err
 		}
@@ -317,7 +285,7 @@ func RunLoad(dial func() (net.Conn, error), cfg LoadConfig) (LoadResult, error) 
 // runConn drives one connection's share of the load and returns its
 // client (left open for the final RETRIEVE) and tallies.
 func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
-	classSessions []int, rng *arrivals.Rand) (*Client, *LoadResult, error) {
+	classSessions []int, rng *arrivals.Rand) (*Client, *connLoad, error) {
 	nc, err := dial()
 	if err != nil {
 		return nil, nil, err
@@ -359,8 +327,10 @@ func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
 	// digest in session-major order, then merge-sort by (time, session,
 	// seq).
 	horizon := sim.Time(cfg.Windows) * cfg.WindowCycles
-	cr := &LoadResult{}
-	cr.ArrivalDigest = arrivals.DigestInit
+	cr := &connLoad{
+		windows: make([][qos.NumClasses]qos.ClassStats, cfg.Windows),
+		digest:  arrivals.DigestInit,
+	}
 	var all []wireArrival
 	nonces := make([][]byte, n)
 	payloads := make([][]byte, n)
@@ -381,7 +351,7 @@ func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
 			if at >= horizon {
 				break
 			}
-			cr.ArrivalDigest = arrivals.FoldArrival(cr.ArrivalDigest, uint64(base+i), uint64(seq), at)
+			cr.digest = arrivals.FoldArrival(cr.digest, uint64(base+i), uint64(seq), at)
 			all = append(all, wireArrival{at: at, sess: i, seq: seq, prof: p})
 			seq++
 		}
@@ -424,24 +394,10 @@ func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
 		}
 		wait := m.window - m.arr.at
 		total := wait + r.Timing.WireCycles
-		tally := &cr.Classes[m.arr.prof.Class]
-		tally.count(r.Status)
+		class := m.arr.prof.Class
+		count(&cr.windows[m.window/cfg.WindowCycles-1][class], r.Status, m.arr.prof.Bytes)
 		if r.Status == StatusOK {
-			tally.DeliveredBytes += uint64(m.arr.prof.Bytes)
-			tally.WireSamples = append(tally.WireSamples, total)
-		}
-		if cfg.WindowTallies {
-			wi := int(m.window/cfg.WindowCycles) - 1
-			for wi >= len(cr.Windows) {
-				cr.Windows = append(cr.Windows, WindowLoad{})
-			}
-			cw := &cr.Windows[wi].Classes[m.arr.prof.Class]
-			cw.Submitted++
-			if r.Status == StatusOK {
-				cw.OK++
-			} else {
-				cw.Lost++
-			}
+			cr.samples[class] = append(cr.samples[class], total)
 		}
 		if cfg.Trace != nil {
 			if cfg.TraceJSON {
@@ -492,7 +448,6 @@ func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
 				cl.Close()
 				return nil, cr, err
 			}
-			cr.Classes[a.prof.Class].Submitted++
 			inflight = append(inflight, sentMeta{arr: a, window: winEnd})
 			if len(inflight)-head >= cfg.Pipeline {
 				if err := barrier(); err != nil {
@@ -529,7 +484,7 @@ func runConn(dial func() (net.Conn, error), cfg LoadConfig, ci, base, n int,
 					return nil, cr, err
 				}
 				ids[slot] = nid
-				cr.Churned++
+				cr.churned++
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
@@ -353,46 +354,67 @@ func TestSessionScale(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestLoadRunDeterministic runs the open-loop wire workload twice on a
-// single connection and expects bit-identical virtual-time results.
+// TestLoadRunDeterministic runs the open-loop wire workload twice. On
+// one connection every virtual-time result is bit-identical; on two, the
+// server interleaves the connections as they are scheduled, so only the
+// per-connection arrival digests must repeat — and they must differ from
+// each other, or a merge could hide one connection's ordering bug behind
+// the other's.
 func TestLoadRunDeterministic(t *testing.T) {
-	run := func() LoadResult {
-		srv, lb := startLoopback(t, Config{
-			Cluster: cluster.Config{
-				Shards: 2, Seed: 23, Router: "qos-aware", Policy: "qos-priority",
-				QueueRequests: true, Shape: true,
-				Shaper: qos.Config{Capacity: 8, QueueDepth: 32},
-			},
-			BatchOps: 64,
+	for _, conns := range []int{1, 2} {
+		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
+			run := func() LoadResult {
+				srv, lb := startLoopback(t, Config{
+					Cluster: cluster.Config{
+						Shards: 2, Seed: 23, Router: "qos-aware", Policy: "qos-priority",
+						QueueRequests: true, Shape: true,
+						Shaper: qos.Config{Capacity: 8, QueueDepth: 32},
+					},
+					BatchOps: 64,
+				})
+				defer srv.Close()
+				res, err := RunLoad(func() (nc net.Conn, err error) { return lb.Dial() }, LoadConfig{
+					Sessions: 16,
+					Mix: []arrivals.ClassProfile{
+						{Class: qos.Voice, Share: 0.25, Bytes: 256, Family: cryptocore.FamilyCCM, KeyLen: 16, TagLen: 8, Deadline: 16000},
+						{Class: qos.Background, Share: 0.75, Bytes: 1024, Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 16},
+					},
+					BitsPerCycle: 4.0,
+					WindowCycles: 4096,
+					Windows:      12,
+					Seed:         99,
+					Conns:        conns,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, b := run(), run()
+			if len(a.ArrivalDigests) != conns {
+				t.Fatalf("%d arrival digests for %d connections", len(a.ArrivalDigests), conns)
+			}
+			if !reflect.DeepEqual(a.ArrivalDigests, b.ArrivalDigests) {
+				t.Fatalf("arrival digests differ: %x vs %x", a.ArrivalDigests, b.ArrivalDigests)
+			}
+			if conns > 1 {
+				if a.ArrivalDigests[0] == a.ArrivalDigests[1] {
+					t.Fatalf("connections share arrival digest %x", a.ArrivalDigests[0])
+				}
+				return
+			}
+			if !reflect.DeepEqual(a.Classes, b.Classes) {
+				t.Fatalf("class records differ:\n%+v\n%+v", a.Classes, b.Classes)
+			}
+			if !reflect.DeepEqual(a.Windows, b.Windows) {
+				t.Fatalf("window records differ:\n%+v\n%+v", a.Windows, b.Windows)
+			}
+			if !reflect.DeepEqual(a.Stats, b.Stats) {
+				t.Fatalf("server stats differ:\n%+v\n%+v", a.Stats, b.Stats)
+			}
+			if qos.CellOf(a.Classes, qos.Voice).Completed == 0 || qos.CellOf(a.Classes, qos.Background).Completed == 0 {
+				t.Fatalf("no completions: %+v", a.Classes)
+			}
 		})
-		defer srv.Close()
-		res, err := RunLoad(func() (nc net.Conn, err error) { return lb.Dial() }, LoadConfig{
-			Sessions: 16,
-			Mix: []arrivals.ClassProfile{
-				{Class: qos.Voice, Share: 0.25, Bytes: 256, Family: cryptocore.FamilyCCM, KeyLen: 16, TagLen: 8, Deadline: 16000},
-				{Class: qos.Background, Share: 0.75, Bytes: 1024, Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 16},
-			},
-			BitsPerCycle: 4.0,
-			WindowCycles: 4096,
-			Windows:      12,
-			Seed:         99,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.ArrivalDigest != b.ArrivalDigest {
-		t.Fatalf("arrival digests differ: %x vs %x", a.ArrivalDigest, b.ArrivalDigest)
-	}
-	if !reflect.DeepEqual(a.Classes, b.Classes) {
-		t.Fatalf("class tallies differ:\n%+v\n%+v", a.Classes, b.Classes)
-	}
-	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Fatalf("server stats differ:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-	if a.Classes[qos.Voice].OK == 0 || a.Classes[qos.Background].OK == 0 {
-		t.Fatalf("no completions: %+v", a.Classes)
 	}
 }
