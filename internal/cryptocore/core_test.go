@@ -391,7 +391,8 @@ func TestStarvedTaskDrainsWhereCompatDoes(t *testing.T) {
 // steady state with nothing else on the engine. ns/block and events/block
 // are the figures to watch (events/block counts Engine.Step calls: the unit
 // runs the loop ahead of the clock, so it is the prologue's and epilogue's
-// events, one per unit instruction, plus two for the run, over 128 blocks).
+// events, one per unit instruction, plus two for the run, over 128 blocks;
+// TestGCMLoopEventsPerBlock pins them).
 func BenchmarkGCMLoop(b *testing.B) { benchGCMLoop(b, 1) }
 
 // BenchmarkGCMLoop4 is the same rung with four cores in lock-step on one
@@ -399,8 +400,12 @@ func BenchmarkGCMLoop(b *testing.B) { benchGCMLoop(b, 1) }
 // ahead must not depend on that (within 0.3 events/block).
 func BenchmarkGCMLoop4(b *testing.B) { benchGCMLoop(b, 4) }
 
-func benchGCMLoop(b *testing.B, cores int) {
-	const blocks = 128
+const loopBlocks = 128
+
+// gcmLoopRig is the rung's rig: cores cores on one engine. Each round gives
+// every core one loopBlocks-block GCM encryption, runs the engine dry and
+// returns how many events it stepped.
+func gcmLoopRig(tb testing.TB, cores int) (round func() int) {
 	eng := sim.NewEngine()
 	cs := make([]*cryptocore.Core, cores)
 	for i := range cs {
@@ -408,21 +413,19 @@ func benchGCMLoop(b *testing.B, cores int) {
 		cs[i].InstallAESKeys(aes.MustNewSchedule(make([]byte, 16)))
 	}
 	eng.Run() // reach the idle HALT
-	f, err := radio.FrameGCMEnc(make([]byte, 12), nil, make([]byte, 16*blocks))
+	f, err := radio.FrameGCMEnc(make([]byte, 12), nil, make([]byte, 16*loopBlocks))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	finished := 0
 	onResult := func(r cryptocore.Result) {
 		if r.Code != firmware.ResultOK {
-			b.Fatalf("task result %#x", r.Code)
+			tb.Fatalf("task result %#x", r.Code)
 		}
 		finished++
 	}
-	events := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() (events int) {
+		finished = 0
 		for _, c := range cs {
 			pushFrame(c, f)
 			c.Start(f.Task, onResult)
@@ -435,11 +438,46 @@ func benchGCMLoop(b *testing.B, cores int) {
 				c.Out.TryPop()
 			}
 		}
+		if finished != cores {
+			tb.Fatalf("%d tasks finished, want %d", finished, cores)
+		}
+		return events
 	}
-	if finished != b.N*cores {
-		b.Fatalf("%d tasks finished, want %d", finished, b.N*cores)
+}
+
+func benchGCMLoop(b *testing.B, cores int) {
+	round := gcmLoopRig(b, cores)
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events += round()
 	}
-	work := float64(b.N * cores * blocks)
+	work := float64(b.N * cores * loopBlocks)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/work, "ns/block")
 	b.ReportMetric(float64(events)/work, "events/block")
+}
+
+// TestGCMLoopEventsPerBlock pins the kernel rungs' exact event counts in
+// virtual time, free of host noise: a round of BenchmarkGCMLoop takes 26
+// events after the first (0.2031 per block), one of BenchmarkGCMLoop4 172
+// (0.3359 per block), because the unit runs the loop ahead of the clock.
+// The first round also takes the controller from its idle HALT. An event per
+// unit instruction again would be more than 0.5 per block.
+func TestGCMLoopEventsPerBlock(t *testing.T) {
+	for _, tc := range []struct{ cores, first, steady int }{{1, 34, 26}, {4, 204, 172}} {
+		if limit := tc.cores * loopBlocks / 2; tc.steady > limit {
+			t.Fatalf("%d cores: pinned %d events per round, above the limit of %d", tc.cores, tc.steady, limit)
+		}
+		round := gcmLoopRig(t, tc.cores)
+		for i := 0; i < 4; i++ {
+			want := tc.steady
+			if i == 0 {
+				want = tc.first
+			}
+			if got := round(); got != want {
+				t.Errorf("%d cores, round %d: %d events (%.4f per block), want %d", tc.cores, i, got, float64(got)/float64(tc.cores*loopBlocks), want)
+			}
+		}
+	}
 }

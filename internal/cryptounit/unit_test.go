@@ -605,6 +605,109 @@ func TestRunAheadIntoFillingOutputFIFO(t *testing.T) {
 	}
 }
 
+// TestRunAheadSettlesOnlyTrueRepeats runs loops whose first iterations
+// differ from their steady state, so a periodic step taken from the wrong
+// pair of heads would misplace cycles: the GHASH core or the cipher engine
+// stalls the body from the second iteration on (the unit's own idle cycle
+// is the same at the first two heads), or the input is stored ahead of the
+// loop but becomes ready more slowly than one or two LOADs per iteration
+// take it, so a stretch must stop at a block stored but not ready.
+// Acceptances, the output with its cycles and the bank must match the
+// reference path, whole and in RunUntil slices, and the unsliced run ahead
+// must settle part of the loop.
+func TestRunAheadSettlesOnlyTrueRepeats(t *testing.T) {
+	// Forty blocks stored at once: ten ready now, then one every 24 cycles
+	// from cycle 18, which the loop overtakes part way.
+	slow := func(f *sim.WordFIFO) {
+		w := make([]uint32, 4*40)
+		for i := range w {
+			w[i] = uint32(i) * 0x9E3779B9
+		}
+		f.BulkPush(w[:40], 0, 0)
+		f.BulkPush(w[40:], 0, 6)
+	}
+	for _, tc := range []struct {
+		name   string
+		primed bool // SAES R0 first; the loop starts at its done strobe
+		body   []cuisa.Instr
+		iters  int
+		input  func(*sim.WordFIFO)
+	}{
+		{"GHASH-bound", false, []cuisa.Instr{cuisa.SGFM(0), cuisa.Xor(1, 2)}, 12, nil},
+		{"cipher-bound", true, []cuisa.Instr{cuisa.FAES(1), cuisa.SAES(0), cuisa.Xor(1, 2), cuisa.Inc(0, 1)}, 12, nil},
+		{"slow input", false, []cuisa.Instr{cuisa.Load(0), cuisa.Xor(0, 1), cuisa.Store(1)}, 40, slow},
+		{"slow input, two LOADs", false, []cuisa.Instr{cuisa.Load(0), cuisa.Load(2), cuisa.Xor(0, 2), cuisa.Store(2)}, 20, slow},
+	} {
+		body := make([]uint8, len(tc.body))
+		stores := 0
+		for i, in := range tc.body {
+			body[i] = uint8(in)
+			if in.Op() == cuisa.OpSTORE {
+				stores++
+			}
+		}
+		type popped struct {
+			at sim.Time
+			w  uint32
+		}
+		run := func(compat, runAhead bool, slice sim.Time) (log []string, out []popped, bank [4]bits.Block, settled uint64) {
+			eng, u := newUnit()
+			eng.Compat = compat
+			u.GHash.LoadH(bits.Block{1: 0x5A})
+			if tc.input != nil {
+				tc.input(u.In)
+			}
+			u.Trace = func(now sim.Time, in cuisa.Instr) { log = append(log, fmt.Sprintf("%d %v", now, in)) }
+			var drain *sim.Ticker
+			drain = eng.NewTicker(func() {
+				if w, ok := u.Out.TryPop(); ok {
+					out = append(out, popped{eng.Now(), w})
+				}
+				if len(out) < 4*stores*tc.iters {
+					drain.After(3)
+				}
+			})
+			drain.After(3)
+			if tc.primed {
+				u.OnDone = func() {
+					u.OnDone = nil
+					driveLoop(eng, u, body, tc.iters, runAhead)
+				}
+				u.Issue(cuisa.SAES(0), nil)
+			} else {
+				driveLoop(eng, u, body, tc.iters, runAhead)
+			}
+			if slice == 0 {
+				eng.Run()
+			}
+			for slice > 0 && eng.Pending() > 0 {
+				eng.RunUntil(eng.Now() + slice)
+			}
+			for r := range bank {
+				bank[r] = u.Bank(r)
+			}
+			return log, out, bank, u.Settled
+		}
+		refLog, refOut, refBank, _ := run(true, false, 0)
+		want := len(body) * tc.iters
+		if tc.primed {
+			want++
+		}
+		if len(refLog) != want {
+			t.Fatalf("%s: reference run accepted %d instructions", tc.name, len(refLog))
+		}
+		for _, slice := range []sim.Time{0, 7, 61} {
+			log, out, bank, settled := run(false, true, slice)
+			if !reflect.DeepEqual(log, refLog) || !reflect.DeepEqual(out, refOut) || bank != refBank {
+				t.Fatalf("%s, slice %d: run ahead differs from the reference path:\n%q\n%v\nreference:\n%q\n%v", tc.name, slice, log, out, refLog, refOut)
+			}
+			if slice == 0 && settled == 0 {
+				t.Errorf("%s: nothing settled", tc.name)
+			}
+		}
+	}
+}
+
 // TestRunAheadRefusesSharedAndChunkBodies: a body that shifts through the
 // inter-core mailbox (shared with a neighbour core) or finalizes on a
 // ChunkReader engine is never run ahead, and neither is any body under
@@ -714,8 +817,10 @@ func regOp(v byte) cuisa.Instr {
 
 // FuzzUnitRegisters runs a short program of XOR, EQU, INC, MOV, LOAD and
 // STORE on fuzzed bank contents under a fuzzed mask, once instruction by
-// instruction on the event path and once as a run ahead, and holds the
-// bank, Equ() and the Out FIFO's words to regModel.
+// instruction on the event path, once as a run ahead, and once as a run
+// ahead of four iterations of the program's first 32 instructions (which
+// settles from the third iteration on if it is at most 16 long), and holds
+// the bank, Equ() and the Out FIFO's words to regModel.
 func FuzzUnitRegisters(f *testing.F) {
 	regs := make([]byte, 4*bits.BlockBytes)
 	for i := range regs {
@@ -747,19 +852,18 @@ func FuzzUnitRegisters(f *testing.F) {
 		byte(cuisa.Inc(0, 1)), byte(cuisa.Inc(0, 1)), byte(cuisa.Store(0)),
 		byte(cuisa.Inc(0, 4)), byte(cuisa.Equ(0, 1)),
 	})
+	// A counted loop's body: LOAD, XOR, STORE, INC.
+	f.Add(regs, uint16(0xFFFF), []byte{
+		byte(cuisa.Load(0)), byte(cuisa.Xor(0, 1)), byte(cuisa.Store(1)), byte(cuisa.Inc(2, 1)),
+	})
 
 	f.Fuzz(func(t *testing.T, regs []byte, mask uint16, prog []byte) {
 		if len(prog) > 128 { // 128 STOREs or LOADs fit the FIFOs
 			prog = prog[:128]
 		}
 		body := make([]uint8, len(prog))
-		loads := 0
 		for i, v := range prog {
-			in := regOp(v)
-			body[i] = uint8(in)
-			if in.Op() == cuisa.OpLOAD {
-				loads++
-			}
+			body[i] = uint8(regOp(v))
 		}
 		var start [4]bits.Block
 		for r := range start {
@@ -772,43 +876,54 @@ func FuzzUnitRegisters(f *testing.F) {
 			}
 			return w
 		}
-		want := regModel{bank: start, mask: mask}
-		loaded := 0
-		for _, v := range body {
-			want.exec(cuisa.Instr(v), func() [4]uint32 { loaded++; return input(loaded - 1) })
-		}
+		const loops = 4
+		looped := body[:min(len(body), 128/loops)]
+		for _, leg := range []struct {
+			name  string
+			body  []uint8
+			iters int
+		}{{"event path", body, 1}, {"run ahead", body, 1}, {"looped run ahead", looped, loops}} {
+			want := regModel{bank: start, mask: mask}
+			loaded := 0
+			for range leg.iters {
+				for _, v := range leg.body {
+					want.exec(cuisa.Instr(v), func() [4]uint32 { loaded++; return input(loaded - 1) })
+				}
+			}
 
-		for _, ahead := range []bool{false, true} {
 			eng, u := newUnit()
 			for r, v := range start {
 				u.SetBank(r, v)
 			}
 			u.SetMask(mask)
-			for k := 0; k < loads; k++ {
+			for k := 0; k < loaded; k++ {
 				w := input(k)
 				u.In.BulkPush(w[:], 0, 0)
 			}
-			if len(body) > 0 {
-				if ahead {
-					if n, _ := u.RunAhead(body, 1, 0, 1, 1); n != len(body) {
-						t.Fatalf("run ahead took %d of %d instructions", n, len(body))
-					}
-					eng.Run()
-				} else {
-					ins := make([]cuisa.Instr, len(body))
-					for i, v := range body {
+			if len(leg.body) > 0 {
+				if leg.name == "event path" {
+					ins := make([]cuisa.Instr, len(leg.body))
+					for i, v := range leg.body {
 						ins[i] = cuisa.Instr(v)
 					}
 					seq(t, eng, u, ins...)
+				} else {
+					if n, _ := u.RunAhead(leg.body, leg.iters, 0, 1, 1); n != leg.iters*len(leg.body) {
+						t.Fatalf("%s took %d of %d instructions", leg.name, n, leg.iters*len(leg.body))
+					}
+					eng.Run()
 				}
+			}
+			if settles := leg.iters > 2 && len(leg.body) > 0 && len(leg.body) <= maxSettledBody; settles != (u.Settled > 0) {
+				t.Fatalf("%s: %d of %d instructions settled (program % x)", leg.name, u.Settled, leg.iters*len(leg.body), leg.body)
 			}
 			for r := range want.bank {
 				if got := u.Bank(r); got != want.bank[r] {
-					t.Fatalf("ahead=%v: R%d = %s, model %s (mask %#04x, program % x)", ahead, r, got.Hex(), want.bank[r].Hex(), mask, body)
+					t.Fatalf("%s: R%d = %s, model %s (mask %#04x, program % x)", leg.name, r, got.Hex(), want.bank[r].Hex(), mask, leg.body)
 				}
 			}
 			if u.Equ() != want.equ {
-				t.Fatalf("ahead=%v: Equ() = %v, model %v (mask %#04x, program % x)", ahead, u.Equ(), want.equ, mask, body)
+				t.Fatalf("%s: Equ() = %v, model %v (mask %#04x, program % x)", leg.name, u.Equ(), want.equ, mask, leg.body)
 			}
 			var out []uint32
 			for {
@@ -819,7 +934,7 @@ func FuzzUnitRegisters(f *testing.F) {
 				out = append(out, w)
 			}
 			if !reflect.DeepEqual(out, want.out) && len(out)+len(want.out) > 0 {
-				t.Fatalf("ahead=%v: stored words %08x, model %08x", ahead, out, want.out)
+				t.Fatalf("%s: stored words %08x, model %08x", leg.name, out, want.out)
 			}
 		}
 	})

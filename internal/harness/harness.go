@@ -65,7 +65,8 @@ const PacketBytes = 2048
 // and returns aggregate Mbps. Streams packets are kept in flight
 // back-to-back; total is the number of packets to time.
 func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int) float64 {
-	return drive(family, m, keyBytes, packetBytes, total, nil)
+	mbps, _ := drive(family, m, keyBytes, packetBytes, total, nil)
+	return mbps
 }
 
 // drive runs total packets of packetBytes through a fresh four-core
@@ -73,8 +74,8 @@ func MeasureThroughput(family cryptocore.Family, m Mapping, keyBytes, packetByte
 // warm-up packet per stream has taken the key expansion and firmware
 // paths out of the timing. It returns the timed packets' aggregate Mbps;
 // latency, when set, receives each timed packet's dispatch-to-result
-// cycles.
-func drive(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int, latency func(sim.Time)) float64 {
+// cycles. The device is returned for its counters.
+func drive(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int, latency func(sim.Time)) (float64, *core.MCCP) {
 	eng := sim.NewEngine()
 	dev := core.New(eng, core.Config{Cores: 4, QueueRequests: true})
 	cc := radio.NewCommController(dev)
@@ -138,7 +139,7 @@ func drive(family cryptocore.Family, m Mapping, keyBytes, packetBytes, total int
 	if completed != total {
 		panic(fmt.Sprintf("harness: %d/%d packets completed", completed, total))
 	}
-	return eng.ThroughputMbps(total*packetBytes*8, eng.Now()-start)
+	return eng.ThroughputMbps(total*packetBytes*8, eng.Now()-start), dev
 }
 
 // loop is one §VII.A loop bound at one key size: a row of E1.
@@ -190,6 +191,6 @@ type LatencyStats struct {
 // their mean dispatch-to-result latency alongside throughput.
 func MeasureLatency(m Mapping, packets int) LatencyStats {
 	var sum sim.Time
-	mbps := drive(cryptocore.FamilyCCM, m, 16, PacketBytes, packets, func(l sim.Time) { sum += l })
+	mbps, _ := drive(cryptocore.FamilyCCM, m, 16, PacketBytes, packets, func(l sim.Time) { sum += l })
 	return LatencyStats{ThroughputMbps: mbps, MeanLatencyCyc: float64(sum) / float64(packets)}
 }
