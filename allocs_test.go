@@ -2,24 +2,52 @@ package mccp_test
 
 import (
 	"testing"
+	"time"
 
 	"mccp"
 	"mccp/internal/bufpool"
+	"mccp/internal/harness"
 	"mccp/internal/trafficgen"
 )
+
+// TestTable2HostBudget is the host-speed smoke check: simulating the Table
+// II cell Table2_GCM_1core_128 once must take under 60 s of wall clock. A
+// healthy run takes well under a second, even under -race, so the budget
+// trips on a catastrophic simulation-kernel regression, not on a slow
+// machine.
+func TestTable2HostBudget(t *testing.T) {
+	const name, budget = "Table2_GCM_1core_128", 60 * time.Second
+	for _, exp := range harness.Experiments {
+		for _, p := range exp.Points {
+			if p.Name != name {
+				continue
+			}
+			start := time.Now()
+			p.Run()
+			took := time.Since(start)
+			if took > budget {
+				t.Fatalf("%s took %v (budget %v): the simulation kernel has regressed catastrophically", name, took, budget)
+			}
+			t.Logf("%s took %v (budget %v)", name, took, budget)
+			return
+		}
+	}
+	t.Fatalf("no registered point is named %s", name)
+}
 
 // TestClusterPacketPathAllocs guards the cluster's steady-state packet
 // path: a warm two-shard cluster with 16 DefaultMix sessions takes
 // 64-packet EncryptAsync batches, each followed by Flush, and recycles
-// every result buffer. Measured at 13.6 allocations per packet (15.9 at
-// one shard, 11.0 at eight) on Go 1.24, with and without -race; the
-// ceiling is 18. What is left is the device path itself (requests,
-// continuations, engine events), not the front end.
+// every result buffer. The device below it allocates nothing per packet
+// (internal/radio's TestDevicePacketPathAllocs), so what is left is the
+// front end's per-batch cost: measured at 0.09 allocations per packet
+// (0.06 at one shard, 0.22 at eight) on Go 1.24, with and without -race.
+// The ceiling is 1.
 func TestClusterPacketPathAllocs(t *testing.T) {
 	const (
 		shards, sessions, batchLen = 2, 16, 64
 		warm, runs                 = 4, 20
-		ceiling                    = 18
+		ceiling                    = 1
 	)
 	cl, err := mccp.NewCluster(mccp.ClusterConfig{Shards: shards, QueueRequests: true, Seed: 1})
 	if err != nil {

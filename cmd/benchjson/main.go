@@ -4,17 +4,16 @@
 // invocation (see .github/workflows/ci.yml):
 //
 //	go test -run '^$' -bench 'Table2|...' -benchtime 1x . | benchjson -out BENCH_ci.json \
-//	    -baseline BENCH_baseline.json -hostbudget 'Table2_GCM_1core_128=60' -gates all
+//	    -baseline BENCH_baseline.json -gates all
 //
 // Only deterministic virtual-time throughput metrics (*_Mbps at the
 // modeled 190 MHz, voice_retention) participate in the baseline gate;
 // ns/op and allocs/op describe the host machine and are recorded but
-// never gated against the baseline (host numbers live in bench/). One
-// targeted host-side check exists instead: -hostbudget (documented at
-// checkHostBudget). -gates runs the simulation
-// directly and needs no bench input; it composes with the other checks
-// when input is given. Exit status: 0 clean, 1 regression/budget/gate
-// violation, 2 usage/IO error.
+// never gated (host numbers live in bench/; the root tests
+// TestTable2HostBudget and the allocation tests hold the host-side
+// bounds). -gates runs the simulation directly and needs no bench input;
+// it composes with the other checks when input is given. Exit status: 0
+// clean, 1 regression/gate violation, 2 usage/IO error.
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"mccp/internal/benchfmt"
@@ -63,7 +61,6 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	baselinePath := fs.String("baseline", "", "baseline JSON to gate against (empty = no gate)")
 	match := fs.String("match", "Table2", "regexp of benchmark names the gate covers")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional throughput drop before the gate fails")
-	hostBudget := fs.String("hostbudget", "", "host-speed smoke check, 'BenchName=seconds': fail if that benchmark's wall clock exceeded the budget")
 	gates := fs.String("gates", "", "run the harness registry's CI gates in-process and fail on any violation: 'all' or a comma-separated subset of "+strings.Join(gateNames(), ","))
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -80,7 +77,7 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		// A gates-only invocation reads no bench input; any flag that
 		// consumes input means the caller piped some in.
-		if *in == "-" && *out+*baselinePath+*hostBudget == "" {
+		if *in == "-" && *out+*baselinePath == "" {
 			return nil
 		}
 	}
@@ -103,11 +100,6 @@ func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	if *out != "" {
 		if err := writeResults(stdout, *out, *benchExpr, results); err != nil {
-			return err
-		}
-	}
-	if *hostBudget != "" {
-		if err := checkHostBudget(stdout, *hostBudget, results); err != nil {
 			return err
 		}
 	}
@@ -193,30 +185,4 @@ func writeResults(w io.Writer, path, benchExpr string, results []benchfmt.Result
 	}
 	fmt.Fprintf(w, "benchjson: wrote %d results to %s\n", len(results), path)
 	return nil
-}
-
-// checkHostBudget enforces 'BenchName=seconds': the named benchmark's total
-// wall clock (ns/op x iterations) must stay under the budget. This is a
-// catastrophic-kernel-regression smoke check, so budgets should be set an
-// order of magnitude above a healthy run. The spec splits on its last '='
-// (benchmark names such as Cluster/shards=8 carry their own).
-func checkHostBudget(w io.Writer, spec string, results []benchfmt.Result) error {
-	i := strings.LastIndex(spec, "=")
-	limit, err := strconv.ParseFloat(spec[i+1:], 64)
-	if i < 0 || err != nil || limit <= 0 {
-		return fmt.Errorf("bad -hostbudget %q (want 'BenchName=seconds')", spec)
-	}
-	name := spec[:i]
-	for _, r := range results {
-		if r.Name != name {
-			continue
-		}
-		wall := r.Metrics["ns_op"] * float64(r.Iterations) / 1e9
-		if wall > limit {
-			return failf("host-speed smoke check failed: %s took %.1fs (budget %.0fs) — the simulation kernel has regressed catastrophically", name, wall, limit)
-		}
-		fmt.Fprintf(w, "benchjson: host budget ok: %s took %.2fs (budget %.0fs)\n", name, wall, limit)
-		return nil
-	}
-	return failf("host budget benchmark %q missing from results", name)
 }

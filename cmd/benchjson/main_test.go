@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,9 +11,10 @@ const benchLine = "BenchmarkTable2_GCM_1core_128-2 \t 1\t 5000000 ns/op\t 1000 s
 
 // TestGatesComposeWithInputChecks pins the early-return rule: -gates
 // alone needs no bench input, but any input-consuming flag beside it must
-// still be honoured. The old smoke flags returned before -hostbudget was
-// looked at, so a blown budget passed whenever a smoke gate rode along.
+// still be honoured (an early return once let a failing input check pass
+// whenever a gate rode along).
 func TestGatesComposeWithInputChecks(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "bench.json")
 	for _, tc := range []struct {
 		name, stdin string
 		args        []string
@@ -20,11 +22,10 @@ func TestGatesComposeWithInputChecks(t *testing.T) {
 		stdout      string
 	}{
 		{"gates only reads no input", "", []string{"-gates", "load"}, 0, "gate load ok"},
-		{"budget checked beside a gate", benchLine,
-			[]string{"-gates", "load", "-hostbudget", "Table2_GCM_1core_128=0.0000001"}, 1, "gate load ok"},
-		{"budget alone", benchLine, []string{"-hostbudget", "Table2_GCM_1core_128=0.0000001"}, 1, ""},
-		{"budget met beside a gate", benchLine,
-			[]string{"-gates", "load", "-hostbudget", "Table2_GCM_1core_128=60"}, 0, "host budget ok"},
+		{"output written beside a gate", benchLine,
+			[]string{"-gates", "load", "-out", out}, 0, "wrote 1 results"},
+		{"missing baseline checked beside a gate", benchLine,
+			[]string{"-gates", "load", "-baseline", filepath.Join(t.TempDir(), "none.json")}, 2, "gate load ok"},
 		{"unknown gate is a usage error", "", []string{"-gates", "load,nope"}, 2, ""},
 		{"no input at all", "", nil, 2, ""},
 	} {

@@ -74,7 +74,9 @@ type Config struct {
 	MaxQueue int
 }
 
-// channel is one open communication channel.
+// channel is one open communication channel. Channels are immutable
+// between OPEN and CLOSE, so the device keeps them, and requests copy them,
+// by value.
 type channel struct {
 	id    int
 	suite Suite
@@ -90,11 +92,30 @@ const (
 	reqRetrieved                  // CC notified, draining output
 )
 
-// request is one in-flight ENCRYPT/DECRYPT.
+// request is one ENCRYPT/DECRYPT from its issue to its final TRANSFER_DONE.
+// Requests are pooled per device (MCCP.freeReq) with every handler bound
+// once, so the steady-state packet path allocates nothing here. A record is
+// recycled only at the final TRANSFER_DONE of a request already retrieved:
+// by then no core, queue or Key Scheduler job refers to it.
 type request struct {
-	id      int
-	ch      *channel
-	cores   []int
+	m *MCCP
+
+	// The ENCRYPT/DECRYPT arguments, latched at issue.
+	chID            int
+	encrypt         bool
+	aadLen, dataLen int
+	cb              func(Assignment, error)
+
+	// Dispatch: the channel as it stood at decode, the task plan, the cores
+	// picked (ids[:n]) and, while keys are being staged, the core whose Key
+	// Cache the Key Scheduler is filling (ids[staging]).
+	ch      channel
+	plan    cryptocore.Plan
+	ids     [2]int
+	n       int
+	staging int
+
+	id      int // assigned when the cores start
 	outCore int
 	out     int // retrievable 32-bit words on success
 	state   reqState
@@ -104,6 +125,50 @@ type request struct {
 	started sim.Time
 	// doneAt records result arrival for latency metrics.
 	doneAt sim.Time
+
+	// Handlers, bound once per record: decode runs CostDispatch after the
+	// issue, start CostParamWrite after the keys are staged, onResult on
+	// each engaged core's result strobe, onKey and onKeyDone for the Key
+	// Scheduler on a Key Cache miss.
+	decode, start func()
+	onResult      func(cryptocore.Result)
+	onKey         func(*aes.Schedule)
+	onKeyDone     func(error)
+
+	next *request // free-list link
+}
+
+// cores returns the engaged core IDs, in task order.
+func (r *request) cores() []int { return r.ids[:r.n] }
+
+// cmdOp names the host instruction a command carries.
+type cmdOp uint8
+
+const (
+	opOpen cmdOp = iota
+	opClose
+	opRetrieve
+	opTransferDone
+)
+
+// command is one OPEN, CLOSE, RETRIEVE_DATA or TRANSFER_DONE between its
+// issue on the control port and the cycle its handler runs: the Task
+// Scheduler's argument registers. Commands are pooled per device, each with
+// its handler bound once, so issuing one allocates nothing.
+type command struct {
+	m  *MCCP
+	op cmdOp
+	// arg is the channel (CLOSE) or request ID (TRANSFER_DONE).
+	arg   int
+	suite Suite // OPEN
+	keyID int   // OPEN
+
+	onOpen     func(ch int, err error)
+	onErr      func(error) // CLOSE, TRANSFER_DONE
+	onRetrieve func(Retrieval, error)
+
+	run  func() // bound to exec
+	next *command
 }
 
 // Assignment is what the ENCRYPT/DECRYPT done signal hands back to the
@@ -113,6 +178,10 @@ type Assignment struct {
 	ReqID int
 	// Tasks and CoreIDs are parallel: Tasks[i] runs on core CoreIDs[i].
 	// For split CCM the CBC-MAC half is first, the CTR half second.
+	//
+	// Both are views of the device's request record. They stay valid until
+	// that request's final TRANSFER_DONE, after which the record is reused:
+	// a caller that needs them longer copies them.
 	Tasks   []cryptocore.Task
 	CoreIDs []int
 }
@@ -150,7 +219,7 @@ type MCCP struct {
 	OnDataAvailable func()
 
 	policy    scheduler.Policy
-	channels  map[int]*channel
+	channels  map[int]channel
 	requests  map[int]*request
 	nextCh    int
 	nextReq   int
@@ -162,9 +231,14 @@ type MCCP struct {
 	// waitQ is the QoS request queue; waitHead its consumed prefix (the
 	// backing array is reused instead of re-sliced away, keeping the
 	// queue-cycle allocation-free).
-	waitQ    []*waiting
+	waitQ    []*request
 	waitHead int
 	viewsBuf []scheduler.CoreView // reused per dispatch (single-threaded)
+
+	// freeReq and freeCmd head the request and command pools. They grow on
+	// demand: New allocates neither.
+	freeReq *request
+	freeCmd *command
 
 	// Stats aggregates device-level counters.
 	Stats Stats
@@ -184,16 +258,6 @@ type Stats struct {
 	AuthFails                 uint64
 }
 
-type waiting struct {
-	ch      *channel
-	encrypt bool
-	aadLen  int
-	dataLen int
-	cb      func(Assignment, error)
-	prio    int
-	seq     int
-}
-
 // New builds an MCCP. The cores are joined by a shift-register ring
 // (core i's output mailbox feeds core i+1 mod N).
 func New(eng *sim.Engine, cfg Config) *MCCP {
@@ -209,7 +273,7 @@ func New(eng *sim.Engine, cfg Config) *MCCP {
 		XBar:     crossbar.New(eng),
 		KeyMem:   keysched.NewKeyMemory(),
 		policy:   cfg.Policy,
-		channels: make(map[int]*channel),
+		channels: make(map[int]channel),
 		requests: make(map[int]*request),
 		nextCh:   1,
 		nextReq:  1,
@@ -258,32 +322,99 @@ func (m *MCCP) views(keyID int) []scheduler.CoreView {
 	return vs
 }
 
+func (m *MCCP) getReq() *request {
+	r := m.freeReq
+	if r == nil {
+		r = &request{m: m}
+		r.decode, r.start = r.decodeSubmit, r.startTasks
+		r.onResult, r.onKey, r.onKeyDone = r.coreFinished, r.installKey, r.keyStaged
+		return r
+	}
+	m.freeReq = r.next
+	r.next = nil
+	return r
+}
+
+// putReq returns a request record to the pool, cleared but for its bound
+// handlers.
+func (m *MCCP) putReq(r *request) {
+	*r = request{m: m, decode: r.decode, start: r.start, onResult: r.onResult,
+		onKey: r.onKey, onKeyDone: r.onKeyDone, next: m.freeReq}
+	m.freeReq = r
+}
+
+// issue latches a host command and schedules its handler cost cycles on.
+func (m *MCCP) issue(op cmdOp, cost sim.Time) *command {
+	c := m.freeCmd
+	if c == nil {
+		c = &command{m: m}
+		c.run = c.exec
+	} else {
+		m.freeCmd = c.next
+		c.next = nil
+	}
+	c.op = op
+	m.Eng.After(cost, c.run)
+	return c
+}
+
+// exec runs a command's handler. The record goes back to the pool before
+// the handler runs, so a command issued from a callback may reuse it.
+func (c *command) exec() {
+	m, op, arg, suite, keyID := c.m, c.op, c.arg, c.suite, c.keyID
+	onOpen, onErr, onRetrieve := c.onOpen, c.onErr, c.onRetrieve
+	*c = command{m: m, run: c.run, next: m.freeCmd}
+	m.freeCmd = c
+	switch op {
+	case opOpen:
+		m.open(suite, keyID, onOpen)
+	case opClose:
+		m.close(arg, onErr)
+	case opRetrieve:
+		m.retrieve(onRetrieve)
+	case opTransferDone:
+		m.transferDone(arg, onErr)
+	}
+}
+
 // Open executes the OPEN instruction: it binds a channel to an algorithm
 // suite and a session-key ID and returns the channel ID.
 func (m *MCCP) Open(s Suite, keyID int, cb func(ch int, err error)) {
-	m.Eng.After(CostOpen, func() {
-		m.Stats.Opens++
-		if s.Family != cryptocore.FamilyHash && !m.KeyMem.Has(keyID) {
-			cb(0, fmt.Errorf("mccp: OPEN with unknown key ID %d", keyID))
-			return
-		}
-		id := m.nextCh
-		m.nextCh++
-		m.channels[id] = &channel{id: id, suite: s, keyID: keyID}
-		cb(id, nil)
-	})
+	c := m.issue(opOpen, CostOpen)
+	c.suite, c.keyID, c.onOpen = s, keyID, cb
+}
+
+func (m *MCCP) open(s Suite, keyID int, cb func(ch int, err error)) {
+	m.Stats.Opens++
+	if s.Family != cryptocore.FamilyHash && !m.KeyMem.Has(keyID) {
+		cb(0, fmt.Errorf("mccp: OPEN with unknown key ID %d", keyID))
+		return
+	}
+	id := m.nextCh
+	m.nextCh++
+	m.channels[id] = channel{id: id, suite: s, keyID: keyID}
+	cb(id, nil)
 }
 
 // Close executes the CLOSE instruction.
 func (m *MCCP) Close(ch int, cb func(error)) {
-	m.Eng.After(CostClose, func() {
-		if _, ok := m.channels[ch]; !ok {
-			cb(ErrBadChannel)
-			return
-		}
-		delete(m.channels, ch)
-		cb(nil)
-	})
+	c := m.issue(opClose, CostClose)
+	c.arg, c.onErr = ch, cb
+}
+
+func (m *MCCP) close(ch int, cb func(error)) {
+	if _, ok := m.channels[ch]; !ok {
+		cb(ErrBadChannel)
+		return
+	}
+	delete(m.channels, ch)
+	cb(nil)
+}
+
+// ChannelSuite reports an open channel's suite.
+func (m *MCCP) ChannelSuite(ch int) (Suite, bool) {
+	c, ok := m.channels[ch]
+	return c.suite, ok
 }
 
 // Submit executes an ENCRYPT or DECRYPT instruction: plan the packet,
@@ -294,158 +425,180 @@ func (m *MCCP) Close(ch int, cb func(error)) {
 // With QueueRequests disabled this behaves exactly like the paper: if no
 // suitable core is idle the error flag (ErrNoResources) comes back.
 func (m *MCCP) Submit(ch int, encrypt bool, aadLen, dataLen int, cb func(Assignment, error)) {
-	m.Eng.After(CostDispatch, func() {
-		c, ok := m.channels[ch]
-		if !ok {
-			cb(Assignment{}, ErrBadChannel)
-			return
-		}
-		m.Stats.Submits++
-		m.tryDispatch(c, encrypt, aadLen, dataLen, cb, true)
-	})
+	r := m.getReq()
+	r.chID, r.encrypt, r.aadLen, r.dataLen, r.cb = ch, encrypt, aadLen, dataLen, cb
+	m.Eng.After(CostDispatch, r.decode)
 }
 
-func (m *MCCP) tryDispatch(c *channel, encrypt bool, aadLen, dataLen int, cb func(Assignment, error), fresh bool) {
-	tasks, err := cryptocore.PlanTasks(c.suite.Family, encrypt, c.suite.SplitCCM, aadLen, dataLen, c.suite.TagLen)
+// decodeSubmit is the ENCRYPT/DECRYPT handler, CostDispatch after the issue.
+func (r *request) decodeSubmit() {
+	m := r.m
+	c, ok := m.channels[r.chID]
+	if !ok {
+		m.refuse(r, ErrBadChannel)
+		return
+	}
+	m.Stats.Submits++
+	r.ch = c
+	m.tryDispatch(r, true)
+}
+
+// refuse ends a request that never started: its record is recycled and
+// the done signal carries err.
+func (m *MCCP) refuse(r *request, err error) {
+	cb := r.cb
+	m.putReq(r)
+	cb(Assignment{}, err)
+}
+
+func (m *MCCP) tryDispatch(r *request, fresh bool) {
+	s := &r.ch.suite
+	var err error
+	r.plan, err = cryptocore.PlanTasks(s.Family, r.encrypt, s.SplitCCM, r.aadLen, r.dataLen, s.TagLen)
 	if err != nil {
-		cb(Assignment{}, err)
+		m.refuse(r, err)
 		return
 	}
 	req := scheduler.Request{
-		Family:    c.suite.Family,
-		WantSplit: c.suite.SplitCCM && len(tasks) == 2,
-		KeyID:     c.keyID,
-		Priority:  c.suite.Priority,
+		Family:    s.Family,
+		WantSplit: s.SplitCCM && len(r.plan.Tasks()) == 2,
+		KeyID:     r.ch.keyID,
+		Priority:  s.Priority,
 	}
-	ids := m.policy.Pick(req, m.views(c.keyID))
+	ids := m.policy.Pick(req, m.views(r.ch.keyID))
 	if ids == nil {
 		if m.Cfg.QueueRequests {
 			// Only fresh submissions are shed: a request re-tried from the
 			// queue by pump keeps its admission.
 			if fresh && m.Cfg.MaxQueue > 0 && len(m.waitQ)-m.waitHead >= m.Cfg.MaxQueue {
 				m.Stats.Shed++
-				cb(Assignment{}, ErrQueueFull)
+				m.refuse(r, ErrQueueFull)
 				return
 			}
 			m.Stats.Queued++
-			w := &waiting{ch: c, encrypt: encrypt, aadLen: aadLen, dataLen: dataLen,
-				cb: cb, prio: c.suite.Priority, seq: len(m.waitQ) - m.waitHead}
-			m.enqueue(w)
+			m.enqueue(r)
 			return
 		}
 		m.Stats.Rejected++
-		cb(Assignment{}, ErrNoResources)
+		m.refuse(r, ErrNoResources)
 		return
 	}
 	// The policy may have downgraded a split request to one core.
-	if len(ids) == 1 && len(tasks) == 2 {
-		tasks, err = cryptocore.PlanTasks(c.suite.Family, encrypt, false, aadLen, dataLen, c.suite.TagLen)
+	if len(ids) == 1 && len(r.plan.Tasks()) == 2 {
+		r.plan, err = cryptocore.PlanTasks(s.Family, r.encrypt, false, r.aadLen, r.dataLen, s.TagLen)
 		if err != nil {
-			cb(Assignment{}, err)
+			m.refuse(r, err)
 			return
 		}
 	}
-	for _, id := range ids {
+	r.n = copy(r.ids[:], ids)
+	for _, id := range r.cores() {
 		m.allocated[id] = true
 	}
-	m.stageKeysAndStart(c, tasks, ids, cb)
+	m.stageFrom(r, 0)
 }
 
-func (m *MCCP) enqueue(w *waiting) {
+func (m *MCCP) enqueue(r *request) {
 	// Priority queue: higher priority first, FIFO within a priority. The
 	// live window is waitQ[waitHead:]; the consumed prefix is reused.
 	at := len(m.waitQ)
 	for i := m.waitHead; i < len(m.waitQ); i++ {
-		if w.prio > m.waitQ[i].prio {
+		if r.ch.suite.Priority > m.waitQ[i].ch.suite.Priority {
 			at = i
 			break
 		}
 	}
 	m.waitQ = append(m.waitQ, nil)
 	copy(m.waitQ[at+1:], m.waitQ[at:])
-	m.waitQ[at] = w
+	m.waitQ[at] = r
 }
 
-// stageKeysAndStart loads round keys into every engaged core's Key Cache
-// (through the Key Scheduler on a miss) and then starts the firmware.
-func (m *MCCP) stageKeysAndStart(c *channel, tasks []cryptocore.Task, ids []int, cb func(Assignment, error)) {
-	m.stageFrom(0, c, tasks, ids, cb)
-}
-
-// stageFrom stages ids[i:]. Only a Key Cache miss leaves the loop (and
-// allocates its continuation): the Key Scheduler resumes it at the next core.
-func (m *MCCP) stageFrom(i int, c *channel, tasks []cryptocore.Task, ids []int, cb func(Assignment, error)) {
-	for ; i < len(ids); i++ {
-		if c.suite.Family == cryptocore.FamilyHash {
+// stageFrom loads round keys into the Key Cache of every engaged core from
+// the i-th on, then starts the firmware. A Key Cache miss leaves the loop:
+// the Key Scheduler fills that core's cache and resumes staging at the
+// next core (installKey, keyStaged).
+func (m *MCCP) stageFrom(r *request, i int) {
+	for ; i < r.n; i++ {
+		if r.ch.suite.Family == cryptocore.FamilyHash {
 			// Hashing needs no key material.
 			break
 		}
-		coreID := ids[i]
-		if sched, ok := m.Caches[coreID].Get(c.keyID); ok {
+		coreID := r.ids[i]
+		if sched, ok := m.Caches[coreID].Get(r.ch.keyID); ok {
 			// Cache hit: the engine reads round keys straight from the
 			// core's Key Cache block RAM, no extra latency.
 			m.Cores[coreID].InstallAESKeys(sched)
 			continue
 		}
-		next := i + 1
-		m.KeySched.Prepare(c.keyID, func(sched *aes.Schedule) {
-			m.Caches[coreID].Put(c.keyID, sched)
-			m.Cores[coreID].InstallAESKeys(sched)
-		}, func(err error) {
-			if err != nil {
-				for _, id := range ids {
-					m.allocated[id] = false
-				}
-				cb(Assignment{}, err)
-				return
-			}
-			m.stageFrom(next, c, tasks, ids, cb)
-		})
+		r.staging = i
+		m.KeySched.Prepare(r.ch.keyID, r.onKey, r.onKeyDone)
 		return
 	}
-	m.startCores(c, tasks, ids, cb)
+	m.startCores(r)
 }
 
-// startCores writes task parameters and strobes start on every engaged
-// core, then signals the ENCRYPT/DECRYPT done with the Assignment.
-func (m *MCCP) startCores(c *channel, tasks []cryptocore.Task, ids []int, cb func(Assignment, error)) {
-	req := &request{
-		id:      m.nextReq,
-		ch:      c,
-		cores:   ids,
-		outCore: ids[len(ids)-1], // single core, or the CTR half of a split
-		out:     cryptocore.OutWords(tasks[len(tasks)-1]),
-		pending: len(ids),
-		started: m.Eng.Now(),
-	}
-	m.nextReq++
-	m.requests[req.id] = req
+// installKey stages the Key Scheduler's expansion into the missing core.
+func (r *request) installKey(sched *aes.Schedule) {
+	coreID := r.ids[r.staging]
+	r.m.Caches[coreID].Put(r.ch.keyID, sched)
+	r.m.Cores[coreID].InstallAESKeys(sched)
+}
 
-	m.Eng.After(CostParamWrite, func() {
-		for i, id := range ids {
-			coreID := id
-			m.Cores[coreID].Start(tasks[i], func(r cryptocore.Result) {
-				m.coreFinished(req, r)
-			})
+// keyStaged resumes staging after a Key Scheduler job; on its failure the
+// cores are released and the request refused.
+func (r *request) keyStaged(err error) {
+	m := r.m
+	if err != nil {
+		for _, id := range r.cores() {
+			m.allocated[id] = false
 		}
-		cb(Assignment{ReqID: req.id, Tasks: tasks, CoreIDs: ids}, nil)
-	})
+		m.refuse(r, err)
+		return
+	}
+	m.stageFrom(r, r.staging+1)
+}
+
+// startCores numbers the request and, CostParamWrite later, writes task
+// parameters and strobes start on every engaged core (startTasks).
+func (m *MCCP) startCores(r *request) {
+	r.id = m.nextReq
+	m.nextReq++
+	r.outCore = r.ids[r.n-1] // single core, or the CTR half of a split
+	r.out = cryptocore.OutWords(r.plan.Last())
+	r.pending = r.n
+	r.started = m.Eng.Now()
+	m.requests[r.id] = r
+	m.Eng.After(CostParamWrite, r.start)
+}
+
+// startTasks starts the firmware on every engaged core, then signals the
+// ENCRYPT/DECRYPT done with the Assignment.
+func (r *request) startTasks() {
+	m := r.m
+	tasks := r.plan.Tasks()
+	for i, id := range r.cores() {
+		m.Cores[id].Start(tasks[i], r.onResult)
+	}
+	cb := r.cb
+	r.cb = nil
+	cb(Assignment{ReqID: r.id, Tasks: tasks, CoreIDs: r.cores()}, nil)
 }
 
 // coreFinished collects per-core results; when every engaged core is done
 // the request enters the done queue and the Data Available interrupt is
 // raised.
-func (m *MCCP) coreFinished(req *request, r cryptocore.Result) {
-	if r.Code > req.code {
-		req.code = r.Code
+func (r *request) coreFinished(res cryptocore.Result) {
+	m := r.m
+	if res.Code > r.code {
+		r.code = res.Code
 	}
-	req.pending--
-	if req.pending > 0 {
+	r.pending--
+	if r.pending > 0 {
 		return
 	}
-	req.state = reqDoneQueued
-	req.doneAt = m.Eng.Now()
-	if req.code != 0 {
+	r.state = reqDoneQueued
+	r.doneAt = m.Eng.Now()
+	if r.code != 0 {
 		m.Stats.AuthFails++
 	}
 	// Requests whose last result strobe falls in the same cycle enter the
@@ -458,10 +611,10 @@ func (m *MCCP) coreFinished(req *request, r cryptocore.Result) {
 		m.doneQ, m.doneHead = m.doneQ[:n], 0
 	}
 	at := len(m.doneQ)
-	for at > m.doneHead && m.doneQ[at-1].doneAt == req.doneAt && m.doneQ[at-1].outCore < req.outCore {
+	for at > m.doneHead && m.doneQ[at-1].doneAt == r.doneAt && m.doneQ[at-1].outCore < r.outCore {
 		at--
 	}
-	m.doneQ = slices.Insert(m.doneQ, at, req)
+	m.doneQ = slices.Insert(m.doneQ, at, r)
 	if len(m.doneQ)-m.doneHead == 1 && m.OnDataAvailable != nil {
 		m.Eng.After(CostIRQ, m.OnDataAvailable)
 	}
@@ -475,61 +628,67 @@ func (m *MCCP) DataAvailable() bool { return len(m.doneQ) > m.doneHead }
 // completed request, returns OK or AUTH_FAIL plus the request ID, and (on
 // OK) configures the Cross Bar for reading that core's output FIFO.
 func (m *MCCP) RetrieveData(cb func(Retrieval, error)) {
-	m.Eng.After(CostRetrieve, func() {
-		if !m.DataAvailable() {
-			cb(Retrieval{}, ErrNoData)
-			return
-		}
-		req := m.doneQ[m.doneHead]
-		m.doneQ[m.doneHead] = nil
-		if m.doneHead++; m.doneHead == len(m.doneQ) {
-			m.doneQ, m.doneHead = m.doneQ[:0], 0
-		}
-		req.state = reqRetrieved
-		m.Stats.Retrieves++
-		out := 0
-		if req.code == 0 {
-			out = req.outWords()
-		}
-		cb(Retrieval{
-			ReqID:    req.id,
-			Code:     req.code,
-			OutCore:  req.outCore,
-			OutWords: out,
-			Latency:  req.doneAt - req.started,
-		}, nil)
-	})
+	m.issue(opRetrieve, CostRetrieve).onRetrieve = cb
 }
 
-// outWords returns the retrievable output of a completed request, recorded
-// at dispatch time (only the output core produces FIFO data).
-func (r *request) outWords() int { return r.out }
+func (m *MCCP) retrieve(cb func(Retrieval, error)) {
+	if !m.DataAvailable() {
+		cb(Retrieval{}, ErrNoData)
+		return
+	}
+	req := m.doneQ[m.doneHead]
+	m.doneQ[m.doneHead] = nil
+	if m.doneHead++; m.doneHead == len(m.doneQ) {
+		m.doneQ, m.doneHead = m.doneQ[:0], 0
+	}
+	req.state = reqRetrieved
+	m.Stats.Retrieves++
+	out := 0
+	if req.code == 0 {
+		out = req.out
+	}
+	cb(Retrieval{
+		ReqID:    req.id,
+		Code:     req.code,
+		OutCore:  req.outCore,
+		OutWords: out,
+		Latency:  req.doneAt - req.started,
+	}, nil)
+}
 
 // TransferDone executes the TRANSFER_DONE instruction. The first call (after
 // upload) is bookkeeping; the final call (after download, or after an
 // ENCRYPT/DECRYPT whose data the controller abandoned) releases the cores
 // and retires the request, letting queued requests dispatch.
 func (m *MCCP) TransferDone(reqID int, cb func(error)) {
-	m.Eng.After(CostTransferDone, func() {
-		req, ok := m.requests[reqID]
-		if !ok {
-			cb(fmt.Errorf("mccp: TRANSFER_DONE for unknown request %d", reqID))
-			return
-		}
-		if !req.tdAcked {
-			// Upload-side acknowledgement; the download side (or the
-			// abandon-after-AUTH_FAIL path) releases the cores.
-			req.tdAcked = true
-			cb(nil)
-			return
-		}
-		delete(m.requests, reqID)
-		for _, id := range req.cores {
-			m.allocated[id] = false
-		}
+	c := m.issue(opTransferDone, CostTransferDone)
+	c.arg, c.onErr = reqID, cb
+}
+
+func (m *MCCP) transferDone(reqID int, cb func(error)) {
+	req, ok := m.requests[reqID]
+	if !ok {
+		cb(fmt.Errorf("mccp: TRANSFER_DONE for unknown request %d", reqID))
+		return
+	}
+	if !req.tdAcked {
+		// Upload-side acknowledgement; the download side (or the
+		// abandon-after-AUTH_FAIL path) releases the cores.
+		req.tdAcked = true
 		cb(nil)
-		m.pump()
-	})
+		return
+	}
+	delete(m.requests, reqID)
+	for _, id := range req.cores() {
+		m.allocated[id] = false
+	}
+	// A request retired before its retrieval is still in the done queue,
+	// or still running: it is left to the collector, not recycled.
+	if req.state == reqRetrieved {
+		m.putReq(req)
+	}
+	cb(nil)
+	m.pump()
 }
 
 // pump retries queued requests after resources free up (QoS extension).
@@ -548,14 +707,14 @@ func (m *MCCP) pump() {
 		Family:    w.ch.suite.Family,
 		WantSplit: w.ch.suite.SplitCCM,
 		KeyID:     w.ch.keyID,
-		Priority:  w.prio,
+		Priority:  w.ch.suite.Priority,
 	}
 	if m.policy.Pick(req, m.views(w.ch.keyID)) == nil {
 		return
 	}
 	m.waitQ[m.waitHead] = nil
 	m.waitHead++
-	m.tryDispatch(w.ch, w.encrypt, w.aadLen, w.dataLen, w.cb, false)
+	m.tryDispatch(w, false)
 }
 
 // WriteToCore streams words into a core's input FIFO through the Cross Bar

@@ -37,22 +37,39 @@ func (f Family) String() string {
 	return fmt.Sprintf("Family(%d)", uint8(f))
 }
 
+// Plan is a packet's task plan: one task, or for a split CCM request the
+// CBC-MAC half first and the CTR half second. It is a value, so planning a
+// packet allocates nothing.
+type Plan struct {
+	tasks [2]Task
+	n     int
+}
+
+// Tasks returns the planned tasks, a view of p's own array.
+func (p *Plan) Tasks() []Task { return p.tasks[:p.n] }
+
+// Last returns the task that produces the output: the only task, or the CTR
+// half of a split.
+func (p *Plan) Last() Task { return p.tasks[p.n-1] }
+
+func single(t Task) Plan { return Plan{tasks: [2]Task{t}, n: 1} }
+
 // PlanTasks computes the per-core task parameters for a packet: the block
 // counts and byte masks the Task Scheduler writes into core parameter
 // registers. It is the single source of truth shared by the scheduler and
 // the communication controller's formatter, so the two sides of the FIFO
 // framing contract cannot drift apart.
 //
-// For a split CCM request it returns two tasks: the CBC-MAC half first,
-// then the CTR half. aadLen and dataLen are byte lengths (dataLen counts
+// For a split CCM request it plans two tasks: the CBC-MAC half first, then
+// the CTR half. aadLen and dataLen are byte lengths (dataLen counts
 // ciphertext bytes for decryption).
-func PlanTasks(f Family, encrypt, split bool, aadLen, dataLen, tagLen int) ([]Task, error) {
+func PlanTasks(f Family, encrypt, split bool, aadLen, dataLen, tagLen int) (Plan, error) {
 	if dataLen < 0 || aadLen < 0 {
-		return nil, fmt.Errorf("cryptocore: negative length")
+		return Plan{}, fmt.Errorf("cryptocore: negative length")
 	}
 	dataBlocks, lastMask := blockParams(dataLen)
 	if dataBlocks > 128 {
-		return nil, fmt.Errorf("cryptocore: %d data blocks exceed the 2 KB packet FIFO", dataBlocks)
+		return Plan{}, fmt.Errorf("cryptocore: %d data blocks exceed the 2 KB packet FIFO", dataBlocks)
 	}
 
 	switch f {
@@ -68,7 +85,7 @@ func PlanTasks(f Family, encrypt, split bool, aadLen, dataLen, tagLen int) ([]Ta
 			t.Mode = firmware.ModeGCMDec
 			t.TagMask = bits.MaskForLen(tagLen)
 		}
-		return []Task{t}, nil
+		return single(t), nil
 
 	case FamilyCCM:
 		hdr := ccmHdrBlocks(aadLen)
@@ -83,7 +100,7 @@ func PlanTasks(f Family, encrypt, split bool, aadLen, dataLen, tagLen int) ([]Ta
 				t.Mode = firmware.ModeCCMDec
 				t.TagMask = bits.MaskForLen(tagLen)
 			}
-			return []Task{t}, nil
+			return single(t), nil
 		}
 		mac := Task{
 			Mode:       firmware.ModeCCM2MacEnc,
@@ -101,36 +118,36 @@ func PlanTasks(f Family, encrypt, split bool, aadLen, dataLen, tagLen int) ([]Ta
 			mac.Mode = firmware.ModeCCM2MacDec
 			ctr.Mode = firmware.ModeCCM2CtrDec
 		}
-		return []Task{mac, ctr}, nil
+		return Plan{tasks: [2]Task{mac, ctr}, n: 2}, nil
 
 	case FamilyCTR:
-		return []Task{{
+		return single(Task{
 			Mode:       firmware.ModeCTR,
 			DataBlocks: uint8(dataBlocks),
 			LastMask:   lastMask,
-		}}, nil
+		}), nil
 
 	case FamilyCBCMAC:
 		if lastMask != 0xFFFF && dataLen > 0 {
-			return nil, fmt.Errorf("cryptocore: CBC-MAC requires whole blocks (got %d bytes)", dataLen)
+			return Plan{}, fmt.Errorf("cryptocore: CBC-MAC requires whole blocks (got %d bytes)", dataLen)
 		}
-		return []Task{{
+		return single(Task{
 			Mode:       firmware.ModeCBCMAC,
 			DataBlocks: uint8(dataBlocks),
 			LastMask:   0xFFFF,
-		}}, nil
+		}), nil
 
 	case FamilyHash:
 		if dataLen%16 != 0 || dataLen == 0 {
-			return nil, fmt.Errorf("cryptocore: hash input must be pre-padded to 512-bit blocks")
+			return Plan{}, fmt.Errorf("cryptocore: hash input must be pre-padded to 512-bit blocks")
 		}
-		return []Task{{
+		return single(Task{
 			Mode:       firmware.ModeHash,
 			DataBlocks: uint8(dataBlocks),
 			LastMask:   0xFFFF,
-		}}, nil
+		}), nil
 	}
-	return nil, fmt.Errorf("cryptocore: unknown family %v", f)
+	return Plan{}, fmt.Errorf("cryptocore: unknown family %v", f)
 }
 
 // blockParams returns ceil(n/16) and the byte mask of the final block.

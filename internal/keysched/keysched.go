@@ -82,55 +82,90 @@ func (m *KeyMemory) Has(id int) bool { _, ok := m.keys[id]; return ok }
 // Scheduler is the Key Scheduler: a single shared unit that serializes key
 // expansions for all cores.
 type Scheduler struct {
-	eng   *sim.Engine
-	mem   *KeyMemory
-	busy  bool
-	queue []func()
+	eng  *sim.Engine
+	mem  *KeyMemory
+	busy bool
+	// cur is the job the unit is working on; queue[head:] wait behind it
+	// (the backing array is reused, so queueing a job does not allocate).
+	cur   job
+	sched *aes.Schedule // cur's expansion, between its start and its install
+	queue []job
+	head  int
+	// start and expanded are the unit's two steps, bound once.
+	start, expanded func()
 
-	// Expansions counts completed expansions (cache-miss metric).
-	Expansions uint64
+	// Expansions counts completed expansions (cache-miss metric); Waits
+	// the jobs that queued behind another.
+	Expansions, Waits uint64
+}
+
+// job is one Prepare call waiting for, or holding, the unit.
+type job struct {
+	keyID   int
+	install func(*aes.Schedule)
+	done    func(error)
 }
 
 // NewScheduler binds a scheduler to the key memory.
 func NewScheduler(eng *sim.Engine, mem *KeyMemory) *Scheduler {
-	return &Scheduler{eng: eng, mem: mem}
+	s := &Scheduler{eng: eng, mem: mem}
+	s.start, s.expanded = s.startJob, s.finishExpansion
+	return s
 }
 
 // Prepare expands key keyID and delivers its schedule through install
 // after the modeled latency, then calls done. Requests are serialized: the
 // paper has one Key Scheduler shared by all cores. install must stage the
-// schedule into the target core's Key Cache.
+// schedule into the target core's Key Cache. Prepare allocates nothing
+// when install and done are bound once by the caller.
 func (s *Scheduler) Prepare(keyID int, install func(*aes.Schedule), done func(error)) {
-	job := func() {
-		e, ok := s.mem.keys[keyID]
-		if !ok {
-			s.finish(func() { done(fmt.Errorf("keysched: unknown key ID %d", keyID)) })
-			return
-		}
-		if e.sched == nil {
-			e.sched = aes.MustNewSchedule(e.key) // Store checked the length
-		}
-		sched := e.sched
-		s.eng.After(ExpandCycles(sched.Size()), func() {
-			s.Expansions++
-			install(sched)
-			s.finish(func() { done(nil) })
-		})
-	}
+	j := job{keyID: keyID, install: install, done: done}
 	if s.busy {
-		s.queue = append(s.queue, job)
+		s.Waits++
+		s.queue = append(s.queue, j)
 		return
 	}
 	s.busy = true
-	s.eng.After(0, job)
+	s.cur = j
+	s.eng.After(0, s.start)
 }
 
-func (s *Scheduler) finish(cb func()) {
-	cb()
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		s.queue = s.queue[1:]
-		s.eng.After(0, next)
+// startJob fetches the current job's session key and starts its expansion.
+func (s *Scheduler) startJob() {
+	e, ok := s.mem.keys[s.cur.keyID]
+	if !ok {
+		s.finish(fmt.Errorf("keysched: unknown key ID %d", s.cur.keyID))
+		return
+	}
+	if e.sched == nil {
+		e.sched = aes.MustNewSchedule(e.key) // Store checked the length
+	}
+	s.sched = e.sched
+	s.eng.After(ExpandCycles(e.sched.Size()), s.expanded)
+}
+
+// finishExpansion installs the current job's round keys.
+func (s *Scheduler) finishExpansion() {
+	s.Expansions++
+	sched := s.sched
+	s.sched = nil
+	s.cur.install(sched)
+	s.finish(nil)
+}
+
+// finish reports the current job's outcome, then starts the next queued
+// job; a Prepare from inside done queues behind those already waiting.
+func (s *Scheduler) finish(err error) {
+	done := s.cur.done
+	s.cur = job{}
+	done(err)
+	if s.head < len(s.queue) {
+		s.cur = s.queue[s.head]
+		s.queue[s.head] = job{}
+		if s.head++; s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
+		s.eng.After(0, s.start)
 		return
 	}
 	s.busy = false

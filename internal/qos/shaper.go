@@ -130,16 +130,57 @@ func (s ClassStats) Mbps(freqHz float64) float64 {
 	return float64(s.Bytes*8) / float64(cycles) * freqHz / 1e6
 }
 
-// item is one queued operation.
+// item is one queued operation: the packet's arguments parked from
+// admission to dispatch, with its completion bound once. Items are pooled
+// per shaper (Shaper.free), so admitting a packet allocates nothing.
 type item struct {
-	run      func(done func([]byte, error))
-	cb       func([]byte, error)
+	s     *Shaper
+	class Class
+
+	encrypt               bool
+	ch                    int
+	nonce, aad, data, tag []byte
+	cb                    func([]byte, error)
+
 	bytes    int
 	enqueued sim.Time
 	deadline sim.Time // 0 = none
 	// span is the packet's trace span (obs.NoSpan when tracing is off or
 	// the packet was not sampled).
 	span obs.SpanRef
+
+	onDone func([]byte, error) // bound to finished
+	next   *item               // free-list link
+}
+
+// classQueue is one class's FIFO. The live window is q[head:]; the
+// consumed prefix is reused rather than re-sliced away, so a queue that
+// cycles does not allocate.
+type classQueue struct {
+	q    []*item
+	head int
+}
+
+func (cq *classQueue) len() int { return len(cq.q) - cq.head }
+
+func (cq *classQueue) front() *item { return cq.q[cq.head] }
+
+func (cq *classQueue) push(it *item) {
+	if cq.head > 0 && len(cq.q) == cap(cq.q) {
+		n := copy(cq.q, cq.q[cq.head:])
+		clear(cq.q[n:])
+		cq.q, cq.head = cq.q[:n], 0
+	}
+	cq.q = append(cq.q, it)
+}
+
+func (cq *classQueue) pop() *item {
+	it := cq.q[cq.head]
+	cq.q[cq.head] = nil
+	if cq.head++; cq.head == len(cq.q) {
+		cq.q, cq.head = cq.q[:0], 0
+	}
+	return it
 }
 
 // Shaper is the QoS front end: it admits packets into per-class bounded
@@ -153,8 +194,9 @@ type Shaper struct {
 	cfg    Config
 	drain  DrainPolicy
 
-	queues   [NumClasses][]item
+	queues   [NumClasses]classQueue
 	inFlight int
+	free     *item // item pool; grows on demand
 
 	stats      [NumClasses]ClassStats
 	dispatched [NumClasses]bool // FirstDispatch recorded (0 is a valid time)
@@ -217,19 +259,43 @@ func (s *Shaper) Encrypt(c Class, ch int, nonce, aad, payload []byte, cb func([]
 // dispatched in time but completing late still completes and ticks the
 // class's DeadlineMisses counter.
 func (s *Shaper) EncryptDeadline(c Class, ch int, nonce, aad, payload []byte, deadline sim.Time, cb func([]byte, error)) {
-	s.submit(c, len(payload), deadline, cb, func(done func([]byte, error)) {
-		s.target.Encrypt(ch, nonce, aad, payload, done)
-	})
+	if it := s.admit(c, len(payload), deadline, cb); it != nil {
+		it.encrypt, it.ch, it.nonce, it.aad, it.data = true, ch, nonce, aad, payload
+		s.pump()
+	}
 }
 
 // Decrypt submits one packet for verification and recovery under a class.
 func (s *Shaper) Decrypt(c Class, ch int, nonce, aad, ct, tag []byte, cb func([]byte, error)) {
-	s.submit(c, len(ct), 0, cb, func(done func([]byte, error)) {
-		s.target.Decrypt(ch, nonce, aad, ct, tag, done)
-	})
+	if it := s.admit(c, len(ct), 0, cb); it != nil {
+		it.ch, it.nonce, it.aad, it.data, it.tag = ch, nonce, aad, ct, tag
+		s.pump()
+	}
 }
 
-func (s *Shaper) submit(c Class, nbytes int, deadline sim.Time, cb func([]byte, error), run func(done func([]byte, error))) {
+func (s *Shaper) getItem() *item {
+	it := s.free
+	if it == nil {
+		it = &item{s: s}
+		it.onDone = it.finished
+		return it
+	}
+	s.free = it.next
+	it.next = nil
+	return it
+}
+
+// putItem returns an item to the pool, cleared but for its bound
+// completion.
+func (s *Shaper) putItem(it *item) {
+	*it = item{s: s, onDone: it.onDone, next: s.free}
+	s.free = it
+}
+
+// admit books an arrival and queues it, returning its item for the
+// caller to fill in before pumping; it returns nil for a packet refused at
+// admission, whose verdict cb has already received.
+func (s *Shaper) admit(c Class, nbytes int, deadline sim.Time, cb func([]byte, error)) *item {
 	c = ClassForPriority(int(c))
 	st := &s.stats[c]
 	st.Submitted++
@@ -240,7 +306,7 @@ func (s *Shaper) submit(c Class, nbytes int, deadline sim.Time, cb func([]byte, 
 		if cb != nil {
 			cb(nil, s.killed)
 		}
-		return
+		return nil
 	}
 	if s.deny[c] {
 		st.Shed++
@@ -248,46 +314,47 @@ func (s *Shaper) submit(c Class, nbytes int, deadline sim.Time, cb func([]byte, 
 		if cb != nil {
 			cb(nil, ErrShed)
 		}
-		return
+		return nil
 	}
-	if len(s.queues[c]) >= s.cfg.QueueDepth {
+	q := &s.queues[c]
+	if q.len() >= s.cfg.QueueDepth {
 		// Before shedding the arrival, drop any dead backlog at the front
 		// of the queue (over-age or already past its deadline): a full
 		// queue of packets nobody wants is the exact situation in-queue
 		// aging exists for.
 		s.evictStale(c)
 	}
-	if len(s.queues[c]) >= s.cfg.QueueDepth {
+	if q.len() >= s.cfg.QueueDepth {
 		st.Shed++
 		s.tr.EndErr(span, ErrShed)
 		if cb != nil {
 			cb(nil, ErrShed)
 		}
-		return
+		return nil
 	}
-	s.queues[c] = append(s.queues[c], item{
-		run: run, cb: cb, bytes: nbytes, enqueued: s.eng.Now(), deadline: deadline, span: span,
-	})
-	if d := len(s.queues[c]); d > st.QueuedPeak {
+	it := s.getItem()
+	it.class, it.cb, it.bytes, it.enqueued, it.deadline, it.span = c, cb, nbytes, s.eng.Now(), deadline, span
+	q.push(it)
+	if d := q.len(); d > st.QueuedPeak {
 		st.QueuedPeak = d
 	}
-	s.pump()
+	return it
 }
 
 // Depth reports a class queue's occupancy (the drain policies' QueueView).
-func (s *Shaper) Depth(c Class) int { return len(s.queues[c]) }
+func (s *Shaper) Depth(c Class) int { return s.queues[c].len() }
 
 // HeadBytes reports the payload size at the front of a class queue (the
 // byte-based drain policies' QueueView; 0 when empty).
 func (s *Shaper) HeadBytes(c Class) int {
-	if len(s.queues[c]) == 0 {
+	if s.queues[c].len() == 0 {
 		return 0
 	}
-	return s.queues[c][0].bytes
+	return s.queues[c].front().bytes
 }
 
 // aged reports whether an item has outlived the shaper's age limit.
-func (s *Shaper) aged(it item) bool {
+func (s *Shaper) aged(it *item) bool {
 	return s.cfg.AgeLimit != 0 && s.eng.Now()-it.enqueued > s.cfg.AgeLimit
 }
 
@@ -298,8 +365,9 @@ func (s *Shaper) aged(it item) bool {
 // weighted-fair credit and DRR byte-deficit are only ever charged for
 // packets that actually dispatch.
 func (s *Shaper) evictStale(c Class) {
-	for len(s.queues[c]) > 0 {
-		it := s.queues[c][0]
+	q := &s.queues[c]
+	for q.len() > 0 {
+		it := q.front()
 		st := &s.stats[c]
 		var verdict error
 		switch {
@@ -314,11 +382,19 @@ func (s *Shaper) evictStale(c Class) {
 		default:
 			return
 		}
-		s.queues[c] = s.queues[c][1:]
-		s.tr.EndErr(it.span, verdict)
-		if it.cb != nil {
-			it.cb(nil, verdict)
-		}
+		q.pop()
+		s.drop(it, verdict)
+	}
+}
+
+// drop ends a queued item that will never dispatch with verdict, after
+// its counters are booked.
+func (s *Shaper) drop(it *item, verdict error) {
+	s.tr.EndErr(it.span, verdict)
+	cb := it.cb
+	s.putItem(it)
+	if cb != nil {
+		cb(nil, verdict)
 	}
 }
 
@@ -338,28 +414,38 @@ func (s *Shaper) pump() {
 		if !ok {
 			return
 		}
-		it := s.queues[c][0]
-		s.queues[c] = s.queues[c][1:]
+		it := s.queues[c].pop()
 		s.inFlight++
 		if !s.dispatched[c] {
 			s.dispatched[c] = true
 			s.stats[c].FirstDispatch = s.eng.Now()
 		}
-		// Park the span for the device layer to claim: it.run invokes the
-		// device submission synchronously, so the handoff needs no
-		// allocation and cannot be interleaved.
+		// Park the span for the device layer to claim: the target's
+		// submission runs synchronously, so the handoff needs no
+		// allocation and cannot be interleaved. The target may complete
+		// the item before returning, so it is not touched afterwards.
 		s.tr.MarkNow(it.span, obs.MarkDispatch)
 		s.tr.SetPending(it.span)
-		it.run(func(out []byte, err error) {
-			s.inFlight--
-			s.complete(c, it, out, err)
-			s.pump()
-		})
+		if it.encrypt {
+			s.target.Encrypt(it.ch, it.nonce, it.aad, it.data, it.onDone)
+		} else {
+			s.target.Decrypt(it.ch, it.nonce, it.aad, it.data, it.tag, it.onDone)
+		}
 	}
 }
 
-// complete accounts one finished operation and delivers its callback.
-func (s *Shaper) complete(c Class, it item, out []byte, err error) {
+// finished is a dispatched item's completion (bound once as onDone).
+func (it *item) finished(out []byte, err error) {
+	s := it.s
+	s.inFlight--
+	s.complete(it, out, err)
+	s.pump()
+}
+
+// complete accounts one finished operation, recycles its item and
+// delivers its callback.
+func (s *Shaper) complete(it *item, out []byte, err error) {
+	c := it.class
 	st := &s.stats[c]
 	now := s.eng.Now()
 	switch {
@@ -377,8 +463,10 @@ func (s *Shaper) complete(c Class, it item, out []byte, err error) {
 		st.Failed++
 	}
 	s.tr.EndErr(it.span, err)
-	if it.cb != nil {
-		it.cb(out, err)
+	cb := it.cb
+	s.putItem(it)
+	if cb != nil {
+		cb(out, err)
 	}
 }
 
@@ -390,14 +478,11 @@ func (s *Shaper) complete(c Class, it item, out []byte, err error) {
 func (s *Shaper) Kill(err error) {
 	s.killed = err
 	for c := range s.queues {
-		for _, it := range s.queues[c] {
+		q := &s.queues[c]
+		for q.len() > 0 {
 			s.stats[c].Failed++
-			s.tr.EndErr(it.span, err)
-			if it.cb != nil {
-				it.cb(nil, err)
-			}
+			s.drop(q.pop(), err)
 		}
-		s.queues[c] = nil
 	}
 }
 
@@ -428,7 +513,7 @@ func (s *Shaper) Deny() [NumClasses]bool { return s.deny }
 // Stats snapshots one class's counters.
 func (s *Shaper) Stats(c Class) ClassStats {
 	st := s.stats[c]
-	st.QueuedNow = len(s.queues[c])
+	st.QueuedNow = s.queues[c].len()
 	return st
 }
 

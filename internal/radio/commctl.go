@@ -30,7 +30,6 @@ type CommController struct {
 	// steady-state packet path does not allocate here).
 	inflight map[int]*inflightReq
 	freeReq  *inflightReq
-	suites   map[int]core.Suite // channel -> suite (for formatting)
 	draining bool
 
 	// Current retrieval state. The drain loop is strictly serialized
@@ -61,13 +60,18 @@ type CommController struct {
 func (cc *CommController) SetTracer(t *obs.Tracer) { cc.tr = t }
 
 type inflightReq struct {
+	// suite is the channel's (its Priority is the QoS priority of both
+	// crossbar grants).
+	suite      core.Suite
 	encrypt    bool
 	dataLen    int
 	dataBlocks int
-	tagLen     int
-	family     cryptocore.Family
-	prio       int // QoS priority for the download-side crossbar grant
 	cb         func([]byte, error)
+
+	// The packet as submitted, parked until the device assigns cores
+	// (onAssign, prebuilt) and the streams are formatted.
+	nonce, aad, data, tag []byte
+	onAssign              func(core.Assignment, error)
 
 	// Upload bookkeeping: remaining counts core streams still being
 	// written; wordBufs holds their pooled word staging buffers until the
@@ -96,7 +100,6 @@ func NewCommController(dev *core.MCCP) *CommController {
 	cc := &CommController{
 		dev:      dev,
 		inflight: make(map[int]*inflightReq),
-		suites:   make(map[int]core.Suite),
 	}
 	dev.OnDataAvailable = cc.drain
 	cc.onRetrieve = cc.retrieved
@@ -109,7 +112,7 @@ func (cc *CommController) getReq() *inflightReq {
 	req := cc.freeReq
 	if req == nil {
 		req = &inflightReq{cc: cc}
-		req.onWrite = req.streamWritten
+		req.onWrite, req.onAssign = req.streamWritten, req.assigned
 		return req
 	}
 	cc.freeReq = req.next
@@ -119,6 +122,7 @@ func (cc *CommController) getReq() *inflightReq {
 
 func (cc *CommController) putReq(req *inflightReq) {
 	req.cb = nil
+	req.nonce, req.aad, req.data, req.tag = nil, nil, nil, nil
 	req.span = obs.NoSpan
 	req.next = cc.freeReq
 	cc.freeReq = req
@@ -141,25 +145,15 @@ func (req *inflightReq) streamWritten() {
 	req.cc.dev.TransferDone(req.reqID, nopErr)
 }
 
-// OpenChannel opens an MCCP channel and remembers its suite for packet
-// formatting.
+// OpenChannel opens an MCCP channel. The controller formats the
+// channel's packets by the suite the device holds for it.
 func (cc *CommController) OpenChannel(s core.Suite, keyID int, cb func(ch int, err error)) {
-	cc.dev.Open(s, keyID, func(ch int, err error) {
-		if err == nil {
-			cc.suites[ch] = s
-		}
-		cb(ch, err)
-	})
+	cc.dev.Open(s, keyID, cb)
 }
 
 // CloseChannel closes an MCCP channel.
 func (cc *CommController) CloseChannel(ch int, cb func(error)) {
-	cc.dev.Close(ch, func(err error) {
-		if err == nil {
-			delete(cc.suites, ch)
-		}
-		cb(err)
-	})
+	cc.dev.Close(ch, cb)
 }
 
 // Encrypt protects one packet on channel ch. cb receives ciphertext||tag
@@ -182,51 +176,63 @@ func (cc *CommController) submit(ch int, encrypt bool, nonce, aad, payload, tag 
 	// the next submission to pick up. Errors surface through cb and are
 	// ended by the layer that started the span.
 	span := cc.tr.TakePending()
-	s, ok := cc.suites[ch]
+	s, ok := cc.dev.ChannelSuite(ch)
 	if !ok {
 		cb(nil, fmt.Errorf("radio: channel %d not open on this controller", ch))
 		return
 	}
-	cc.dev.Submit(ch, encrypt, len(aad), len(payload), func(a core.Assignment, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cc.tr.MarkNow(span, obs.MarkAssign)
-		streams, nstreams, err := cc.streamsFor(a, s, encrypt, nonce, aad, payload, tag)
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		req := cc.getReq()
-		req.encrypt = encrypt
-		req.dataLen = len(payload)
-		req.dataBlocks = int(a.Tasks[len(a.Tasks)-1].DataBlocks)
-		req.tagLen = s.TagLen
-		req.family = s.Family
-		req.prio = s.Priority
-		req.cb = cb
-		req.reqID = a.ReqID
-		req.remaining = nstreams
-		req.span = span
-		cc.inflight[a.ReqID] = req
-		// Stream every engaged core's input through the Cross Bar at the
-		// channel's QoS priority, then acknowledge the upload with the
-		// first TRANSFER_DONE. Each stream's staged blocks are recycled as
-		// soon as they are converted to words; the word buffers when the
-		// upload completes.
-		if nstreams == 0 {
-			cc.tr.MarkNow(span, obs.MarkUpload)
-			cc.dev.TransferDone(a.ReqID, nopErr)
-			return
-		}
-		for i := 0; i < nstreams; i++ {
-			words := blocksToWords(streams[i])
-			bufpool.PutBlocks(streams[i])
-			req.wordBufs[i] = words
-			cc.dev.WriteToCorePrio(a.CoreIDs[i], words, s.Priority, req.onWrite)
-		}
-	})
+	req := cc.getReq()
+	req.suite, req.encrypt, req.cb, req.span = s, encrypt, cb, span
+	req.nonce, req.aad, req.data, req.tag = nonce, aad, payload, tag
+	cc.dev.Submit(ch, encrypt, len(aad), len(payload), req.onAssign)
+}
+
+// assigned receives the ENCRYPT/DECRYPT done signal (prebuilt as
+// onAssign): it formats the parked packet for the assigned cores and
+// streams it through the Cross Bar.
+func (req *inflightReq) assigned(a core.Assignment, err error) {
+	cc := req.cc
+	if err != nil {
+		req.fail(err)
+		return
+	}
+	cc.tr.MarkNow(req.span, obs.MarkAssign)
+	s := req.suite
+	streams, nstreams, err := cc.streamsFor(a, s, req.encrypt, req.nonce, req.aad, req.data, req.tag)
+	if err != nil {
+		req.fail(err)
+		return
+	}
+	req.dataLen = len(req.data)
+	req.nonce, req.aad, req.data, req.tag = nil, nil, nil, nil
+	req.dataBlocks = int(a.Tasks[len(a.Tasks)-1].DataBlocks)
+	req.reqID = a.ReqID
+	req.remaining = nstreams
+	cc.inflight[a.ReqID] = req
+	// Stream every engaged core's input through the Cross Bar at the
+	// channel's QoS priority, then acknowledge the upload with the
+	// first TRANSFER_DONE. Each stream's staged blocks are recycled as
+	// soon as they are converted to words; the word buffers when the
+	// upload completes.
+	if nstreams == 0 {
+		cc.tr.MarkNow(req.span, obs.MarkUpload)
+		cc.dev.TransferDone(a.ReqID, nopErr)
+		return
+	}
+	for i := 0; i < nstreams; i++ {
+		words := blocksToWords(streams[i])
+		bufpool.PutBlocks(streams[i])
+		req.wordBufs[i] = words
+		cc.dev.WriteToCorePrio(a.CoreIDs[i], words, s.Priority, req.onWrite)
+	}
+}
+
+// fail ends a packet that never reached the upload: its record is
+// recycled and cb gets err.
+func (req *inflightReq) fail(err error) {
+	cb := req.cb
+	req.cc.putReq(req)
+	cb(nil, err)
 }
 
 // streamsFor builds each engaged core's input FIFO stream for the
@@ -322,7 +328,7 @@ func (cc *CommController) retrieved(r core.Retrieval, err error) {
 	}
 	prio := 0
 	if req != nil {
-		prio = req.prio
+		prio = req.suite.Priority
 	}
 	cc.dev.ReadFromCorePrio(r.OutCore, r.OutWords, prio, cc.onWords)
 }
@@ -369,17 +375,17 @@ func (cc *CommController) assemble(req *inflightReq, words []uint32) []byte {
 	switch {
 	case req == nil:
 		out = append(bufpool.Bytes(len(raw)), raw...)
-	case req.family == cryptocore.FamilyHash:
+	case req.suite.Family == cryptocore.FamilyHash:
 		out = append(bufpool.Bytes(whirlpool.DigestBytes), raw[:whirlpool.DigestBytes]...)
-	case req.family == cryptocore.FamilyCBCMAC:
+	case req.suite.Family == cryptocore.FamilyCBCMAC:
 		out = append(bufpool.Bytes(16), raw[:16]...)
-	case req.family == cryptocore.FamilyCTR:
+	case req.suite.Family == cryptocore.FamilyCTR:
 		out = append(bufpool.Bytes(req.dataLen), raw[:req.dataLen]...)
 	case req.encrypt:
 		// [CT blocks][TAG block] -> ct || tag[:tagLen]
 		ctEnd := 16 * req.dataBlocks
-		out = append(bufpool.Bytes(req.dataLen+req.tagLen), raw[:req.dataLen]...)
-		out = append(out, raw[ctEnd:ctEnd+req.tagLen]...)
+		out = append(bufpool.Bytes(req.dataLen+req.suite.TagLen), raw[:req.dataLen]...)
+		out = append(out, raw[ctEnd:ctEnd+req.suite.TagLen]...)
 	default:
 		out = append(bufpool.Bytes(req.dataLen), raw[:req.dataLen]...)
 	}

@@ -44,8 +44,8 @@ func TestFrameGCMEncLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planned[0] != f.Task {
-		t.Errorf("planner %+v != formatter %+v", planned[0], f.Task)
+	if planned.Tasks()[0] != f.Task {
+		t.Errorf("planner %+v != formatter %+v", planned.Tasks()[0], f.Task)
 	}
 }
 
@@ -151,7 +151,8 @@ func TestPlanTasksValidation(t *testing.T) {
 		t.Error("negative length accepted")
 	}
 	// Split plan returns MAC half then CTR half.
-	ts, err := cryptocore.PlanTasks(cryptocore.FamilyCCM, false, true, 8, 64, 8)
+	plan, err := cryptocore.PlanTasks(cryptocore.FamilyCCM, false, true, 8, 64, 8)
+	ts := plan.Tasks()
 	if err != nil || len(ts) != 2 {
 		t.Fatalf("split plan: %v %v", ts, err)
 	}

@@ -64,10 +64,35 @@ type Request struct {
 }
 
 // Policy picks the core (or adjacent core pair, for split CCM) to run a
-// request. It returns nil when no suitable resources are idle.
+// request. It returns nil when no suitable resources are idle. The IDs it
+// returns are a read-only view of a table shared by every call: the caller
+// copies what it keeps and never writes through it.
 type Policy interface {
 	Name() string
 	Pick(r Request, cores []CoreView) []int
+}
+
+// coreIDs is the table Pick's results are cut from: core id alone is
+// coreIDs[id:id+1], the shared-register pair (2k, 2k+1) coreIDs[2k:2k+2].
+// A dispatch decision therefore allocates nothing.
+var coreIDs = func() (t [256]int) {
+	for i := range t {
+		t[i] = i
+	}
+	return t
+}()
+
+// idsOf returns the n consecutive core IDs from first, from the table when
+// they are in it.
+func idsOf(first, n int) []int {
+	if first >= 0 && first+n <= len(coreIDs) {
+		return coreIDs[first : first+n : first+n]
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = first + i
+	}
+	return ids
 }
 
 func engineFor(f cryptocore.Family) string {
@@ -83,28 +108,40 @@ func usable(c CoreView, want string) bool { return !c.Busy && c.Engine == want }
 // paired (0,1), (2,3), ... matching the paper's pairwise-shared resources.
 func Paired(a, b int) bool { return a/2 == b/2 && a != b }
 
-// pickPair returns the first idle shared-register pair (2k, 2k+1).
-func pickPair(cores []CoreView, want string) []int {
-	byID := make(map[int]CoreView, len(cores))
+// viewOf returns core id's view (the last one, should an ID repeat).
+func viewOf(cores []CoreView, id int) (v CoreView, ok bool) {
 	for _, c := range cores {
-		byID[c.ID] = c
+		if c.ID == id {
+			v, ok = c, true
+		}
 	}
-	for _, c := range cores {
-		if c.ID%2 != 0 {
+	return v, ok
+}
+
+// pickPair returns the first idle shared-register pair (2k, 2k+1), scanning
+// the views from index start on and around; with keyed set, both halves
+// must also hold the request's key.
+func pickPair(cores []CoreView, want string, start int, keyed bool) []int {
+	n := len(cores)
+	for i := 0; i < n; i++ {
+		c := cores[(start+i)%n]
+		if c.ID%2 != 0 || !usable(c, want) || (keyed && !c.HasKey) {
 			continue
 		}
-		mate, ok := byID[c.ID+1]
-		if ok && usable(c, want) && usable(mate, want) {
-			return []int{c.ID, mate.ID}
+		if mate, ok := viewOf(cores, c.ID+1); ok && usable(mate, want) && (!keyed || mate.HasKey) {
+			return idsOf(c.ID, 2)
 		}
 	}
 	return nil
 }
 
-func pickFirst(cores []CoreView, want string) []int {
-	for _, c := range cores {
-		if usable(c, want) {
-			return []int{c.ID}
+// pickFirst returns the first idle core, scanning from index start on and
+// around.
+func pickFirst(cores []CoreView, want string, start int) []int {
+	n := len(cores)
+	for i := 0; i < n; i++ {
+		if c := cores[(start+i)%n]; usable(c, want) {
+			return idsOf(c.ID, 1)
 		}
 	}
 	return nil
@@ -121,11 +158,11 @@ func (FirstIdle) Name() string { return "first-idle" }
 func (FirstIdle) Pick(r Request, cores []CoreView) []int {
 	want := engineFor(r.Family)
 	if r.Family == cryptocore.FamilyCCM && r.WantSplit {
-		if p := pickPair(cores, want); p != nil {
+		if p := pickPair(cores, want, 0, false); p != nil {
 			return p
 		}
 	}
-	return pickFirst(cores, want)
+	return pickFirst(cores, want, 0)
 }
 
 // RoundRobin rotates the starting core between dispatches, spreading wear
@@ -142,16 +179,12 @@ func (p *RoundRobin) Pick(r Request, cores []CoreView) []int {
 		return nil
 	}
 	want := engineFor(r.Family)
-	rot := make([]CoreView, 0, n)
-	for i := 0; i < n; i++ {
-		rot = append(rot, cores[(p.next+i)%n])
-	}
 	var ids []int
 	if r.Family == cryptocore.FamilyCCM && r.WantSplit {
-		ids = pickPair(rot, want)
+		ids = pickPair(cores, want, p.next, false)
 	}
 	if ids == nil {
-		ids = pickFirst(rot, want)
+		ids = pickFirst(cores, want, p.next)
 	}
 	if ids != nil {
 		p.next = (ids[len(ids)-1] + 1) % n
@@ -216,12 +249,12 @@ func (p QoSPriority) Pick(r Request, cores []CoreView) []int {
 		}
 	}
 	if r.Family == cryptocore.FamilyCCM && r.WantSplit && idle-2 >= reserve {
-		if pr := pickPair(cores, want); pr != nil {
+		if pr := pickPair(cores, want, 0, false); pr != nil {
 			return pr
 		}
 	}
 	if idle-1 >= reserve {
-		return pickFirst(cores, want)
+		return pickFirst(cores, want, 0)
 	}
 	return nil
 }
@@ -241,26 +274,16 @@ func (KeyAffinity) Pick(r Request, cores []CoreView) []int {
 	want := engineFor(r.Family)
 	if r.Family == cryptocore.FamilyCCM && r.WantSplit {
 		// Prefer a pair that already holds the key on both halves.
-		byID := make(map[int]CoreView, len(cores))
-		for _, c := range cores {
-			byID[c.ID] = c
+		if p := pickPair(cores, want, 0, true); p != nil {
+			return p
 		}
-		for _, c := range cores {
-			if c.ID%2 != 0 {
-				continue
-			}
-			mate, ok := byID[c.ID+1]
-			if ok && usable(c, want) && usable(mate, want) && c.HasKey && mate.HasKey {
-				return []int{c.ID, mate.ID}
-			}
-		}
-		if p := pickPair(cores, want); p != nil {
+		if p := pickPair(cores, want, 0, false); p != nil {
 			return p
 		}
 	}
 	for _, c := range cores {
 		if usable(c, want) && c.HasKey {
-			return []int{c.ID}
+			return idsOf(c.ID, 1)
 		}
 	}
 	// First touch (or the holding core is busy): place on the idle core
@@ -277,5 +300,5 @@ func (KeyAffinity) Pick(r Request, cores []CoreView) []int {
 	if best < 0 {
 		return nil
 	}
-	return []int{best}
+	return idsOf(best, 1)
 }
