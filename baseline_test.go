@@ -1,69 +1,95 @@
 package mccp_test
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/json"
+	"flag"
 	"os"
-	"strings"
+	"sort"
+	"strconv"
 	"testing"
 
-	"mccp/internal/benchfmt"
 	"mccp/internal/harness"
 )
 
-// hostMetrics describe the machine the run happened on; everything else
-// in BENCH_baseline.json is virtual-time and must reproduce exactly.
-var hostMetrics = map[string]bool{"ns_op": true, "B_op": true, "allocs_op": true, "host_Mbps": true}
+var update = flag.Bool("update", false, "rewrite BENCH_baseline.json from the registered points")
+
+// baselineFile is BENCH_baseline.json: per point, its benchmark name and
+// its virtual-time metrics at the precision `go test -bench` prints.
+type baselineFile struct {
+	Results []baselineEntry `json:"results"`
+}
+
+type baselineEntry struct {
+	Name    string             `json:"name"`
+	Metrics map[string]float64 `json:"metrics"`
+}
 
 // TestBaselineExact is the standing "bit-identical" rule as a test: every
 // point of every registered experiment, run once, must appear in
-// BENCH_baseline.json with every non-host metric equal to the committed
-// value — at the precision `go test -bench` prints, which is what the
-// file records — and no baseline entry may be left without a point.
+// BENCH_baseline.json with every metric equal to the committed value —
+// at the precision `go test -bench` prints, which is what the file
+// records — and no baseline entry may be left without a point. With
+// -update it writes the file from the points instead:
+//
+//	go test -run TestBaselineExact -update .
 func TestBaselineExact(t *testing.T) {
-	f, err := os.Open("BENCH_baseline.json")
+	var got []baselineEntry
+	for _, exp := range harness.Experiments {
+		for _, p := range exp.Points {
+			e := baselineEntry{Name: p.Name, Metrics: map[string]float64{}}
+			for _, m := range p.Run() {
+				v, err := strconv.ParseFloat(harness.BenchValue(m.Value), 64)
+				if err != nil {
+					t.Fatalf("%s %s: %v", p.Name, m.Name, err)
+				}
+				e.Metrics[m.Name] = v
+			}
+			got = append(got, e)
+		}
+	}
+	if *update {
+		sort.Slice(got, func(i, j int) bool { return got[i].Name < got[j].Name })
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(baselineFile{got}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("BENCH_baseline.json", buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d entries to BENCH_baseline.json", len(got))
+		return
+	}
+
+	data, err := os.ReadFile("BENCH_baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	results, err := benchfmt.ReadJSON(f)
-	if err != nil {
+	var file baselineFile
+	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatal(err)
 	}
 	baseline := map[string]map[string]float64{}
-	for _, r := range results {
+	for _, r := range file.Results {
 		baseline[r.Name] = r.Metrics
 	}
-
-	for _, exp := range harness.Experiments {
-		for _, p := range exp.Points {
-			want, ok := baseline[p.Name]
-			if !ok {
-				t.Errorf("%s %s: not in BENCH_baseline.json", exp.ID, p.Name)
-				continue
+	for _, e := range got {
+		want, ok := baseline[e.Name]
+		if !ok {
+			t.Errorf("%s: not in BENCH_baseline.json", e.Name)
+			continue
+		}
+		delete(baseline, e.Name)
+		for name, w := range want {
+			if g, ok := e.Metrics[name]; !ok || g != w {
+				t.Errorf("%s %s: %v, baseline %v", e.Name, name, g, w)
 			}
-			delete(baseline, p.Name)
-
-			// Render the point the way the benchmark run does and read it
-			// back the way benchjson does, so both sides carry the printed
-			// precision.
-			extra := map[string]float64{}
-			for _, m := range p.Run() {
-				extra[m.Name] = m.Value
-			}
-			line := fmt.Sprintf("Benchmark%s-1\t%s\n", p.Name, testing.BenchmarkResult{N: 1, Extra: extra})
-			got, err := benchfmt.Parse(strings.NewReader(line))
-			if err != nil || len(got) != 1 {
-				t.Fatalf("%s: cannot parse %q: %v", p.Name, line, err)
-			}
-			for name, w := range want {
-				if g, ok := got[0].Metrics[name]; !hostMetrics[name] && (!ok || g != w) {
-					t.Errorf("%s %s: %v, baseline %v", p.Name, name, g, w)
-				}
-			}
-			for name := range got[0].Metrics {
-				if _, ok := want[name]; !ok && !hostMetrics[name] {
-					t.Errorf("%s reports %s, which the baseline lacks", p.Name, name)
-				}
+		}
+		for name := range e.Metrics {
+			if _, ok := want[name]; !ok {
+				t.Errorf("%s reports %s, which the baseline lacks", e.Name, name)
 			}
 		}
 	}

@@ -35,8 +35,7 @@ import (
 // benchmark, or — when the benchmark's name is a family — every point
 // filed under it as a sub-benchmark. Each iteration runs, and therefore
 // times, the point from scratch; the point's metrics are reported as-is.
-// Which of them the baseline gate holds, and how tightly, is benchfmt's
-// business.
+// TestBaselineExact holds every one of them to BENCH_baseline.json.
 func benchExperiment(b *testing.B) {
 	name := strings.TrimPrefix(b.Name(), "Benchmark")
 	found := false

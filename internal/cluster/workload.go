@@ -327,21 +327,24 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon si
 		if err != nil {
 			panic(err) // validated by NewOpenLoopRunner before dispatch
 		}
+		// The emitter always submits rs.prof.Bytes, so one completion per
+		// source serves every arrival; it recycles the result buffer.
+		n := uint64(rs.prof.Bytes)
+		completed := func(out []byte, err error) {
+			bufpool.PutBytes(out)
+			p.outstanding--
+			if err == nil {
+				p.delivered += n
+			} else if !arrivals.ExpectedVerdict(err) {
+				p.errors++
+			}
+			check()
+		}
 		em := arrivals.NewEmitter(sh.eng, rs.prof, uint64(i), &p.digest,
 			func(class qos.Class, nonce, payload []byte, deadline sim.Time) {
 				p.outstanding++
-				n := uint64(len(payload))
 				p.offered += n
-				sh.shaper.EncryptDeadline(class, rs.ses.chID, nonce, nil, payload, deadline,
-					func(_ []byte, err error) {
-						p.outstanding--
-						if err == nil {
-							p.delivered += n
-						} else if !arrivals.ExpectedVerdict(err) {
-							p.errors++
-						}
-						check()
-					})
+				sh.shaper.EncryptDeadline(class, rs.ses.chID, nonce, nil, payload, deadline, completed)
 			})
 		src := arrivals.NewSource(sh.eng, mk(), rs.rng, em.Emit)
 		src.Done = func() {

@@ -30,10 +30,9 @@ type GateReport struct {
 	// Details are informational lines printed under it.
 	Summary string
 	Details []string
-	// Violations names every failed exact clause; HostViolations every
-	// failed wall-clock clause (only a WallClock gate has any). The gate
-	// passes when both are empty; `go test` asserts only the first.
-	Violations, HostViolations []string
+	// Violations names every failed clause; the gate passes when it is
+	// empty.
+	Violations []string
 }
 
 // require records a violation when ok is false.
@@ -45,12 +44,10 @@ func (r *GateReport) require(ok bool, format string, args ...any) {
 
 // Gate is an experiment's CI check: a small fixed-seed run of the
 // experiment held against stated limits. Doc is the one place those
-// limits are written down; drivers print it with every verdict.
+// limits are written down; TestGates logs it with every verdict. Every
+// clause is exact, so a gate reports the same thing on every run.
 type Gate struct {
 	Name, Doc string
-	// WallClock marks a gate whose report carries a host-time measurement
-	// and is therefore not reproducible run-to-run.
-	WallClock bool
 	Check     func() GateReport
 }
 
@@ -58,7 +55,7 @@ type Gate struct {
 // roadmap's numbering, the benchtables -table name and headline, the
 // interpretation notes that belong under its table, the bench-sized
 // sweep as a list of points, and at most one CI gate. Drivers
-// (benchtables, benchjson, the root benchmarks and TestBaselineExact)
+// (benchtables, TestGates, the root benchmarks and TestBaselineExact)
 // iterate the registry; adding an experiment is one file declaring its
 // Experiment value plus one entry in Experiments.
 type Experiment struct {
@@ -102,7 +99,7 @@ func (e Experiment) Render() string {
 		for _, c := range cols {
 			cell := "-"
 			if v, ok := values[i][c]; ok {
-				cell = benchValue(v)
+				cell = BenchValue(v)
 			}
 			row = append(row, cell)
 		}
@@ -125,10 +122,10 @@ func (e Experiment) Render() string {
 	return b.String()
 }
 
-// benchValue formats v at the precision `go test -bench` prints a metric
+// BenchValue formats v at the precision `go test -bench` prints a metric
 // (and so BENCH_baseline.json records it): whole numbers from 999.95 up,
 // four significant figures below.
-func benchValue(v float64) string {
+func BenchValue(v float64) string {
 	prec := 0
 	for _, limit := range []float64{999.95, 99.995, 9.9995, 0.99995, 0.099995, 0.0099995, 0.00099995} {
 		if y := math.Abs(v); y == 0 || y >= limit {

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// TestGates runs every registered CI gate the way `benchjson -gates all`
-// does: each must pass on a healthy tree, and each deterministic gate
-// must report the same thing twice. A WallClock gate's host-time clause
-// is logged rather than asserted — under a loaded test host it may dip,
-// and benchjson is where it is enforced.
+// TestGates runs every registered CI gate: each must pass on a healthy
+// tree and report the same thing twice. -v prints each gate's summary,
+// its doc line (the one place its limits are written) and its details;
+// `go test ./internal/harness -run TestGates/obs -v` runs one.
 func TestGates(t *testing.T) {
 	gates := Gates()
 	if len(gates) != 6 {
@@ -19,19 +18,12 @@ func TestGates(t *testing.T) {
 	for _, g := range gates {
 		t.Run(g.Name, func(t *testing.T) {
 			r := g.Check()
-			t.Logf("%s\n%s", r.Summary, g.Doc)
+			t.Logf("%s\nchecks: %s\n%s", r.Summary, g.Doc, strings.Join(r.Details, "\n"))
 			if len(r.Violations) > 0 {
 				t.Fatalf("gate failed: %q", r.Violations)
 			}
 			if r.Summary == "" || len(r.Details) == 0 {
 				t.Fatalf("gate reported nothing: %+v", r)
-			}
-			if g.WallClock {
-				t.Logf("wall-clock clauses (not asserted here): %q", r.HostViolations)
-				return
-			}
-			if len(r.HostViolations) > 0 {
-				t.Fatalf("deterministic gate carries wall-clock violations: %q", r.HostViolations)
 			}
 			if again := g.Check(); !reflect.DeepEqual(r, again) {
 				t.Fatalf("gate not reproducible:\n%+v\n%+v", r, again)
@@ -46,8 +38,8 @@ func TestGates(t *testing.T) {
 func TestBenchValueMatchesGoTest(t *testing.T) {
 	for _, v := range []float64{0, 1650.4, 999.95, 999.94, 436.26, 99.995, 53, 7.5163, 0.2549, 0.012345, 0.00099994, -3.2} {
 		fields := strings.Fields(testing.BenchmarkResult{N: 1, Extra: map[string]float64{"x": v}}.String())
-		if want := fields[len(fields)-2]; benchValue(v) != want {
-			t.Errorf("benchValue(%v) = %s, go test prints %s", v, benchValue(v), want)
+		if want := fields[len(fields)-2]; BenchValue(v) != want {
+			t.Errorf("BenchValue(%v) = %s, go test prints %s", v, BenchValue(v), want)
 		}
 	}
 }
