@@ -18,7 +18,16 @@
 //	E9  BenchmarkSchedPolicy        §VIII scheduling-policy extension
 //	E10 BenchmarkAblation_*         design-choice ablations
 //	E11 BenchmarkCluster            sharded multi-MCCP service-layer scaling
-//	E12–E18                         the composite sweeps (QoS … StageAttribution)
+//	E12 BenchmarkQoS_Overload       §VIII QoS overload mix, 2 rows
+//	    BenchmarkQoS_Drains         shaper drain fairness, 3 rows
+//	E13 BenchmarkLoadCurve          open-loop load curves, 14 rows
+//	E14 BenchmarkWireLatency        wire-level latency, 3 + 7 (sessions=1000) rows
+//	E15 BenchmarkReconfigUnderLoad  rolling reconfiguration, 6 + 6 (shards=4_scale=64)
+//	E16 BenchmarkFaultCurves        fault curves, 8 + 8 (sessions=256) rows
+//	E17 BenchmarkRecoveryCurves     recovery curves, 3 + 4 (sessions=256_scale=4096)
+//	E18 BenchmarkStageAttribution   stage attribution, 10 rows
+//
+// 121 points in all: BENCH_baseline.json has one entry for each.
 package mccp_test
 
 import (

@@ -2,6 +2,7 @@ package mccp_test
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,16 +10,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mccp/internal/harness"
 )
 
 // TestCLI builds the command-line tools and drives them end to end: the
 // two mccpcluster drills, the fault walkthrough, mccploadgen against a
-// live mccpserver over loopback TCP, and the shard-scaling sweep. Each
-// subtest holds one condition on what a binary prints.
+// live mccpserver over loopback TCP, the shard-scaling sweep and one
+// benchtables table. Each subtest holds one condition on what a binary
+// prints.
 func TestCLI(t *testing.T) {
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/mccpcluster", "./cmd/mccpserver", "./cmd/mccploadgen", "./examples/faults")
+		"./cmd/mccpcluster", "./cmd/mccpserver", "./cmd/mccploadgen", "./cmd/benchtables", "./examples/faults")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -132,6 +136,35 @@ func TestCLI(t *testing.T) {
 			if !regexp.MustCompile(want).MatchString(out) {
 				t.Errorf("mccploadgen printed no line matching %s:\n%s", want, out)
 			}
+		}
+	})
+
+	// benchtables renders a registered experiment with one row per point
+	// under its heading, and refuses a table name it does not know.
+	t.Run("benchtables", func(t *testing.T) {
+		t.Parallel()
+		out := run(t, "benchtables", "-table", "qos")
+		if !strings.HasPrefix(out, "== E12") {
+			t.Fatalf("no == E12 heading:\n%s", out)
+		}
+		var points []harness.Point
+		for _, exp := range harness.Experiments {
+			if exp.ID == "E12" {
+				points = exp.Points
+			}
+		}
+		if len(points) == 0 {
+			t.Fatal("E12 has no registered points")
+		}
+		for _, p := range points {
+			if n := len(regexp.MustCompile(`(?m)^`+regexp.QuoteMeta(p.Name)+` `).FindAllString(out, -1)); n != 1 {
+				t.Errorf("%d rows for point %s, want 1:\n%s", n, p.Name, out)
+			}
+		}
+		msg, err := exec.Command(filepath.Join(bin, "benchtables"), "-table", "nosuch").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "unknown table") {
+			t.Fatalf("benchtables -table nosuch: %v, want exit status 2 and an unknown table message:\n%s", err, msg)
 		}
 	})
 

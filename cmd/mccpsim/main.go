@@ -6,9 +6,9 @@
 //	mccpsim -describe                   # architecture summary (Fig. 1-3)
 //	mccpsim -cores 4 -family gcm -key 16 -packets 20 -size 2048
 //	mccpsim -mixed -packets 100         # mixed multi-standard traffic
-//	mccpsim -qos                        # E12: QoS overload + drain policies
 //	mccpsim -arrivals poisson -offered 0.8   # one open-loop load point
-//	mccpsim -loadcurve                  # E13: full offered-load sweep
+//
+// The E12 and E13 tables are benchtables -table qos|loadcurve.
 package main
 
 import (
@@ -32,20 +32,18 @@ import (
 func main() {
 	describe := flag.Bool("describe", false, "print the modeled architecture")
 	mixed := flag.Bool("mixed", false, "run a mixed multi-standard workload")
-	qosRun := flag.Bool("qos", false, "run the E12 QoS experiments (overload retention + drain fairness)")
 	cores := flag.Int("cores", 4, "number of cryptographic cores")
 	family := flag.String("family", "gcm", "gcm, ccm, ccm2 (two-core split)")
 	keyLen := flag.Int("key", 16, "key bytes: 16, 24 or 32")
 	packets := flag.Int("packets", 20, "packets to run")
 	size := flag.Int("size", 2048, "payload bytes per packet")
 	streams := flag.Int("streams", 1, "packets kept in flight")
-	policy := flag.String("policy", "first-idle", "dispatch policy (mixed / open-loop modes)")
+	policy := flag.String("policy", "first-idle", "dispatch policy (mixed / open-loop mode)")
 	arrivalsProc := flag.String("arrivals", "", "open-loop arrival process: "+
 		strings.Join(arrivals.Names(), ", ")+" (runs one E13 load point)")
-	offered := flag.Float64("offered", 1.0, "offered load as a fraction of saturation (open-loop modes)")
-	drain := flag.String("drain", "", "shaper drain policy for open-loop modes: "+
+	offered := flag.Float64("offered", 1.0, "offered load as a fraction of saturation (open-loop mode)")
+	drain := flag.String("drain", "", "shaper drain policy for the open-loop mode: "+
 		strings.Join(qos.DrainNames(), ", "))
-	loadCurve := flag.Bool("loadcurve", false, "run the full E13 offered-load sweep (first-idle vs qos-priority)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -69,20 +67,13 @@ func main() {
 		}
 	}
 
-	if (*loadCurve || *arrivalsProc != "") && flagTouched("cores") && *cores != 4 {
-		log.Fatalf("-cores: the open-loop modes (-arrivals/-loadcurve) model the paper's fixed 4-core device; -cores is not applied there")
+	if *arrivalsProc != "" && flagTouched("cores") && *cores != 4 {
+		log.Fatalf("-cores: the open-loop mode (-arrivals) models the paper's fixed 4-core device; -cores is not applied there")
 	}
 
 	switch {
 	case *describe:
 		printArchitecture()
-	case *loadCurve:
-		fmt.Println("== E13: open-loop load curves (offered-load sweep) ==")
-		res := harness.LoadCurve(harness.LoadCurveConfig{
-			Process: *arrivalsProc,
-			Drain:   *drain,
-		})
-		fmt.Print(harness.FormatLoadCurve(res))
 	case *arrivalsProc != "":
 		cfg := harness.LoadCurveConfig{Process: *arrivalsProc, Drain: *drain}
 		sat := harness.SaturationMbps(harness.LoadMix, 8)
@@ -92,12 +83,6 @@ func main() {
 		qos.WriteClassCells(os.Stdout, point.Classes)
 		fmt.Printf("total: offered %.0f Mbps, delivered %.0f Mbps, loss %.2f%%\n",
 			point.TotalOfferedMbps, point.TotalDeliveredMbps, 100*point.TotalLossFrac)
-	case *qosRun:
-		fmt.Println("== E12: QoS priority classes (§VIII extension) ==")
-		fmt.Print(harness.FormatQoSTable(harness.QoSTable(*packets)))
-		fmt.Println()
-		fmt.Println("shaper drain fairness (sustained voice + background burst, capacity 4):")
-		fmt.Print(harness.FormatQoSDrains(harness.QoSDrainComparison(2 * *packets)))
 	case *mixed:
 		r := trafficgen.RunMixed(trafficgen.MixedConfig{
 			Policy: *policy, Packets: *packets, Channels: 6, Seed: 1,

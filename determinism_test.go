@@ -135,36 +135,20 @@ func TestFastPathClusterIdentical(t *testing.T) {
 }
 
 func TestFastPathQoSIdentical(t *testing.T) {
-	fast := harness.QoSTable(8)
-	var ref harness.QoSResult
-	onReference(func() { ref = harness.QoSTable(8) })
-	if fast.VoiceUncontendedMbps != ref.VoiceUncontendedMbps {
-		t.Errorf("uncontended voice %v != %v", fast.VoiceUncontendedMbps, ref.VoiceUncontendedMbps)
-	}
-	if len(fast.Scenarios) != len(ref.Scenarios) {
-		t.Fatalf("scenario count %d != %d", len(fast.Scenarios), len(ref.Scenarios))
-	}
-	for i := range fast.Scenarios {
-		fs, rs := fast.Scenarios[i], ref.Scenarios[i]
-		for _, cl := range []qos.Class{qos.Voice, qos.Background} {
-			fc, rc := qos.CellOf(fs.Cells, cl), qos.CellOf(rs.Cells, cl)
-			if fc.DeliveredMbps != rc.DeliveredMbps || fc.P50 != rc.P50 || fc.P99 != rc.P99 ||
-				fc.DeadlineMisses != rc.DeadlineMisses {
-				t.Errorf("%s/%v: fast cell %+v != reference %+v", fs.Policy, cl, fc, rc)
-			}
+	for _, pol := range []string{"first-idle", "qos-priority"} {
+		fast := harness.QoSOverloadRun(pol, 8)
+		var ref harness.QoSScenario
+		onReference(func() { ref = harness.QoSOverloadRun(pol, 8) })
+		if !reflect.DeepEqual(fast, ref) {
+			t.Errorf("%s: fast overload %+v != reference %+v", pol, fast, ref)
 		}
 	}
-
-	fastDrains := harness.QoSDrainComparison(8)
-	var refDrains []harness.QoSDrainRow
-	onReference(func() { refDrains = harness.QoSDrainComparison(8) })
-	if len(fastDrains) != len(refDrains) {
-		t.Fatalf("drain row count %d != %d", len(fastDrains), len(refDrains))
-	}
-	for i := range fastDrains {
-		if fastDrains[i] != refDrains[i] {
-			t.Errorf("drain %s: fast %+v != reference %+v",
-				fastDrains[i].Drain, fastDrains[i], refDrains[i])
+	for _, drain := range qos.DrainNames() {
+		fast := harness.QoSDrainRun(drain, 8)
+		var ref harness.QoSDrainRow
+		onReference(func() { ref = harness.QoSDrainRun(drain, 8) })
+		if fast != ref {
+			t.Errorf("drain %s: fast %+v != reference %+v", drain, fast, ref)
 		}
 	}
 }
@@ -437,27 +421,23 @@ func TestWireBatchBoundariesInvisible(t *testing.T) {
 // verdict counters and latency percentiles are bit-identical across two
 // fast-kernel runs and against the cycle-by-cycle reference path.
 func TestRollingReconfigDeterministic(t *testing.T) {
-	run := func() harness.ReconfigLoadResult {
-		return harness.ReconfigUnderLoad(harness.ReconfigLoadConfig{
-			Policies:  []string{"qos-priority"},
-			Sources:   []reconfig.Source{reconfig.StagingRAM},
-			Shards:    2,
-			TimeScale: 256,
-		})
+	run := func() harness.ReconfigRun {
+		return harness.ReconfigPointRun("qos-priority", reconfig.StagingRAM, harness.SaturationMbps(harness.LoadMix, 8),
+			harness.ReconfigLoadConfig{Shards: 2, TimeScale: 256})
 	}
 	fast1, fast2 := run(), run()
 	if !reflect.DeepEqual(fast1, fast2) {
 		t.Fatalf("rolling reconfig not deterministic run-to-run:\n%+v\n%+v", fast1, fast2)
 	}
-	var ref harness.ReconfigLoadResult
+	var ref harness.ReconfigRun
 	onReference(func() { ref = run() })
-	if fast1.Runs[0].Digest != ref.Runs[0].Digest {
-		t.Errorf("arrival digest %#x != reference %#x", fast1.Runs[0].Digest, ref.Runs[0].Digest)
+	if fast1.Digest != ref.Digest {
+		t.Errorf("arrival digest %#x != reference %#x", fast1.Digest, ref.Digest)
 	}
 	if !reflect.DeepEqual(fast1, ref) {
 		t.Errorf("fast rolling reconfig != reference:\n%+v\n%+v", fast1, ref)
 	}
-	r := fast1.Runs[0]
+	r := fast1
 	if r.Digest == 0 || r.Legs != 2 {
 		t.Errorf("implausible run: digest %#x, %d legs", r.Digest, r.Legs)
 	}

@@ -387,8 +387,9 @@ func TestStarvedTaskDrainsWhereCompatDoes(t *testing.T) {
 }
 
 // BenchmarkGCMLoop is the single-core rung of the host-cost ladder: one
-// 128-block GCM encryption per iteration on a lone core, the T_GCMloop = 49
-// steady state with nothing else on the engine. ns/block and events/block
+// 128-block GCM encryption per iteration on a lone core, the model's
+// 53-cycle steady state (E1's LoopTimes_GCM; §VII.A's T_GCMloop formula
+// gives 49) with nothing else on the engine. ns/block and events/block
 // are the figures to watch (events/block counts Engine.Step calls: the unit
 // runs the loop ahead of the clock, so it is the prologue's and epilogue's
 // events, one per unit instruction, plus two for the run, over 128 blocks;

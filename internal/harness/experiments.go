@@ -14,11 +14,11 @@ type Metric struct {
 	Value float64
 }
 
-// Point is one row of an experiment's bench-sized sweep. Name is the
-// benchmark name the row is filed under ("LoadCurve/qos-priority/
-// offered=0.5"). Run measures the row from scratch — calibration
-// included, so timing Run times the row's whole cost — and is a pure
-// function: virtual time and fixed seeds only.
+// Point is one row of an experiment's table. Name is the benchmark name
+// the row is filed under ("LoadCurve/qos-priority/offered=0.5"). Run
+// measures the row from scratch — calibration included, so timing Run
+// times the row's whole cost — and is a pure function: virtual time and
+// fixed seeds only.
 type Point struct {
 	Name string
 	Run  func() []Metric
@@ -53,18 +53,15 @@ type Gate struct {
 
 // Experiment is one registered experiment: a stable ID from the
 // roadmap's numbering, the benchtables -table name and headline, the
-// interpretation notes that belong under its table, the bench-sized
-// sweep as a list of points, and at most one CI gate. Drivers
+// interpretation notes that belong under its table, its sweep as a list
+// of points (the table's rows), and at most one CI gate. Drivers
 // (benchtables, TestGates, the root benchmarks and TestBaselineExact)
 // iterate the registry; adding an experiment is one file declaring its
 // Experiment value plus one entry in Experiments.
 type Experiment struct {
 	ID, Table, Title string
-	// Run, when set, produces a table larger than the points — the full
-	// sweep of a composite experiment. Without it the table is the points.
-	Run   func() string
-	Notes []string
-	// Points is the sweep the benchmarks report, in output order.
+	Notes            []string
+	// Points is the experiment's only sweep, in output order.
 	Points []Point
 	Gate   *Gate
 }
@@ -74,12 +71,9 @@ type Experiment struct {
 // declared beside its implementation.
 var Experiments = []Experiment{e1, e2, e3, e4, e5, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18}
 
-// Render runs the experiment and returns its table: Run's if it has one,
-// else one row per point and one column per metric.
+// Render runs the experiment and returns its table: one row per point
+// and one column per metric, "-" where a point lacks one.
 func (e Experiment) Render() string {
-	if e.Run != nil {
-		return e.Run()
-	}
 	var cols []string
 	seen := map[string]bool{}
 	values := make([]map[string]float64, len(e.Points))
@@ -147,6 +141,10 @@ func Gates() []Gate {
 	return gates
 }
 
+// contrastPolicies are the dispatch policies the E12–E18 sweeps compare:
+// the paper's first-idle against the §VIII qos-priority reservation.
+var contrastPolicies = []string{"first-idle", "qos-priority"}
+
 // sweepPoints names one point per (policy, offered) pair under prefix,
 // policy-major — the E13/E18 sweep shape.
 func sweepPoints(prefix string, policies []string, offered []float64, run func(policy string, offered float64) []Metric) []Point {
@@ -154,12 +152,21 @@ func sweepPoints(prefix string, policies []string, offered []float64, run func(p
 	for _, pol := range policies {
 		for _, off := range offered {
 			pts = append(pts, Point{
-				Name: fmt.Sprintf("%s/%s/offered=%.1f", prefix, pol, off),
+				Name: fmt.Sprintf("%s/%s/offered=%s", prefix, pol, offeredTag(off)),
 				Run:  func() []Metric { return run(pol, off) },
 			})
 		}
 	}
 	return pts
+}
+
+// offeredTag prints an offered fraction in a point name: one decimal
+// ("0.5", "2.0"), two where one would round ("0.25").
+func offeredTag(off float64) string {
+	if math.Round(off*10) == off*10 {
+		return fmt.Sprintf("%.1f", off)
+	}
+	return fmt.Sprintf("%.2f", off)
 }
 
 // flag01 renders a boolean as the 0/1 metric the baseline records.

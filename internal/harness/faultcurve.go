@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"mccp/internal/arrivals"
 	"mccp/internal/faults"
@@ -29,8 +28,11 @@ import (
 var e16 = Experiment{
 	ID: "E16", Table: "faults",
 	Title: "fault curves (crash + churn under load, re-home and brownout)",
-	Run:   func() string { return FormatFaultCurves(FaultCurves(FaultConfig{})) },
 	Notes: []string{
+		"(4 shards at 0.9x saturation; FaultCurves/<policy>/*: 96 sessions, 24 windows",
+		" of 4096 cycles, first crash in window 8; FaultCurves/sessions=256/*: 36 windows",
+		" of 8192 cycles, first crash in window 12; recovery = crash fire point to the",
+		" first window with voice delivered back >= 99%; rehome = worst fail-over's cost)",
 		"(a seeded schedule crashes shards mid-window at 0.9x saturation while",
 		" sessions churn; the detector quarantines each frozen heartbeat at the",
 		" next flush boundary, re-homes voice-first and browns out background;",
@@ -54,28 +56,35 @@ func faultDrill(sessions int) FaultConfig {
 	}
 }
 
-// faultPoints is the E16 bench sweep: crash count x churn rate under both
-// policies. voice_delivered_frac participates in the tight baseline gate
-// (voice must ride out a single-shard crash under qos-priority); the
+// faultPoints is the E16 sweep: crash count x churn rate under both
+// policies, on the small drill and then on the default one.
+// voice_delivered_frac participates in the tight baseline gate (voice
+// must ride out a single-shard crash under qos-priority); the
 // re-home/recovery figures are informational virtual-time cycle counts.
 func faultPoints() []Point {
-	cfg := faultDrill(96)
-	cfg.fill()
 	var pts []Point
-	for _, pol := range cfg.Policies {
-		for _, row := range cfg.Rows {
-			pts = append(pts, Point{
-				Name: fmt.Sprintf("FaultCurves/%s/crashes=%d_churn=%d", pol, row.Crashes, row.Churn),
-				Run: func() []Metric {
-					p := FaultPointRun(pol, row, cfg.Wire.saturation(), cfg)
-					return append(p.metrics(),
-						Metric{"voice_wire_p99_cycles", float64(qos.CellOf(p.Classes, qos.Voice).P99)},
-						Metric{"rehome_cycles", float64(p.RehomeTook)},
-						Metric{"recovery_cycles", float64(p.RecoveryCycles)},
-						Metric{"recovered", flag01(p.Recovered)},
-						Metric{"sessions_churned", float64(p.Churned)})
-				},
-			})
+	for _, sweep := range []struct {
+		prefix string
+		cfg    FaultConfig
+	}{
+		{"FaultCurves", faultDrill(96)},
+		{"FaultCurves/sessions=256", FaultConfig{Wire: WireConfig{Sessions: 256}}},
+	} {
+		cfg := sweep.cfg
+		cfg.fill()
+		for _, pol := range contrastPolicies {
+			for _, row := range faultRows {
+				pts = append(pts, Point{
+					Name: fmt.Sprintf("%s/%s/crashes=%d_churn=%d", sweep.prefix, pol, row.Crashes, row.Churn),
+					Run: func() []Metric {
+						p := FaultPointRun(pol, row, cfg.Wire.saturation(), cfg)
+						return append(p.metrics(),
+							Metric{"voice_wire_p99_cycles", float64(qos.CellOf(p.Classes, qos.Voice).P99)},
+							Metric{"rehome_cycles", float64(p.RehomeTook)},
+							Metric{"sessions_churned", float64(p.Churned)})
+					},
+				})
+			}
 		}
 	}
 	return pts
@@ -89,10 +98,21 @@ func (p FaultPoint) metrics() []Metric {
 		{"wire_Mbps", p.WireMbps},
 		{"voice_delivered_frac", 1 - v.LossFrac},
 		{"background_loss_pct", 100 * bg.LossFrac},
+		{"loss_pct", 100 * p.TotalLossFrac},
 		{"sessions_moved", float64(p.Moved)},
 		{"sessions_lost", float64(p.Lost)},
+		{"recovery_cycles", float64(p.RecoveryCycles)},
+		{"recovered", flag01(p.Recovered)},
 	}
 }
+
+// faultRows are the E16 fault intensities: none, one crash, one crash
+// with a churn storm of 8, two crashes with the storm.
+var faultRows = []FaultRow{{0, 0}, {1, 0}, {1, 8}, {2, 8}}
+
+// voiceRecovered is the per-window voice delivered fraction that counts
+// as recovered.
+const voiceRecovered = 0.99
 
 // FaultRow is one fault intensity: how many distinct shards crash
 // (in successive windows, mid-window) and how many sessions churn
@@ -102,27 +122,19 @@ type FaultRow struct {
 	Churn   int
 }
 
-// FaultConfig parameterizes FaultCurves.
+// FaultConfig parameterizes an E16 fault drill.
 type FaultConfig struct {
 	// Wire is the base pipeline configuration (cluster shape, mix,
-	// windows, seed). Defaults differ from E14's in two places: Shards
-	// defaults to 4 (a 2-shard cluster cannot absorb the 2-crash row)
-	// and Sessions to 256 (8 runs per table).
+	// windows, seed). Defaults differ from E14's in three places: Shards
+	// defaults to 4 (a 2-shard cluster cannot absorb the 2-crash row),
+	// Sessions to 256 and Windows to 36.
 	Wire WireConfig
 	// Offered is the fixed load as a fraction of saturation (default
 	// 0.9).
 	Offered float64
-	// Rows are the fault intensities (default none / 1 crash / 1 crash +
-	// churn 8 / 2 crashes + churn 8).
-	Rows []FaultRow
-	// Policies are swept per row (default first-idle, qos-priority).
-	Policies []string
 	// FaultWindow is the window the first crash lands in; churn starts
 	// at the same boundary (default Windows/3).
 	FaultWindow int
-	// VoiceRecovered is the per-window voice delivered fraction that
-	// counts as recovered (default 0.99).
-	VoiceRecovered float64
 }
 
 func (c *FaultConfig) fill() {
@@ -139,20 +151,11 @@ func (c *FaultConfig) fill() {
 	if c.Offered <= 0 {
 		c.Offered = 0.9
 	}
-	if len(c.Rows) == 0 {
-		c.Rows = []FaultRow{{0, 0}, {1, 0}, {1, 8}, {2, 8}}
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"first-idle", "qos-priority"}
-	}
 	if c.FaultWindow <= 0 {
 		c.FaultWindow = c.Wire.Windows / 3
 		if c.FaultWindow == 0 {
 			c.FaultWindow = 1
 		}
-	}
-	if c.VoiceRecovered <= 0 {
-		c.VoiceRecovered = 0.99
 	}
 }
 
@@ -174,7 +177,7 @@ type FaultPoint struct {
 	RehomeTook sim.Time
 	// RecoveryCycles is the worst crash-to-recovered span on the wire
 	// clock: from the crash's fire point to the end of the first window
-	// whose voice delivered fraction is back at VoiceRecovered.
+	// whose voice delivered fraction is back at voiceRecovered.
 	// Recovered reports every crash recovered within the horizon.
 	RecoveryCycles sim.Time
 	Recovered      bool
@@ -182,29 +185,6 @@ type FaultPoint struct {
 	// tallies behind the recovery numbers.
 	Churned uint64
 	Windows [][qos.NumClasses]qos.ClassStats
-}
-
-// FaultResult is the E16 table.
-type FaultResult struct {
-	SaturationMbps float64
-	Offered        float64
-	Sessions       int
-	Points         []FaultPoint // policy-major, row order
-}
-
-// FaultCurves runs E16: for each policy and fault intensity it starts a
-// fresh loopback server with the fault plane wired in and replays the
-// fixed-load mix through it.
-func FaultCurves(cfg FaultConfig) FaultResult {
-	cfg.fill()
-	sat := cfg.Wire.saturation()
-	res := FaultResult{SaturationMbps: sat, Offered: cfg.Offered, Sessions: cfg.Wire.Sessions}
-	for _, pol := range cfg.Policies {
-		for _, row := range cfg.Rows {
-			res.Points = append(res.Points, FaultPointRun(pol, row, sat, cfg))
-		}
-	}
-	return res
 }
 
 // FaultPointRun measures one (policy, fault intensity) point.
@@ -268,7 +248,7 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 		point.Lost += ev.Lost
 		point.RehomeTook = max(point.RehomeTook, ev.Took)
 	}
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, point.Windows)
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, voiceRecovered, point.Windows)
 	return point
 }
 
@@ -301,28 +281,6 @@ func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64,
 		}
 	}
 	return worst, recovered
-}
-
-// FormatFaultCurves renders the E16 table.
-func FormatFaultCurves(r FaultResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault curves (E16): loopback mccpserver at %.1fx saturation (~%.0f Mbps), %d sessions, crash + churn under load\n",
-		r.Offered, r.SaturationMbps, r.Sessions)
-	fmt.Fprintf(&b, "recovery = crash fire point to the first window with voice delivered back >= 99%%; rehome = worst fail-over's virtual-time cost\n")
-	fmt.Fprintf(&b, "%-12s %7s %6s | %8s %8s %8s | %10s | %6s %5s %12s %12s\n",
-		"policy", "crashes", "churn", "v loss%", "bg loss%", "loss%", "v p99 cyc", "moved", "lost", "rehome cyc", "recover cyc")
-	for _, p := range r.Points {
-		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
-		rec := cyclesOrDNF(p.RecoveryCycles, p.Recovered)
-		if p.Recovered && p.Row.Crashes == 0 {
-			rec = "-"
-		}
-		fmt.Fprintf(&b, "%-12s %7d %6d | %7.2f%% %7.2f%% %7.2f%% | %10d | %6d %5d %12d %12s\n",
-			p.Policy, p.Row.Crashes, p.Row.Churn,
-			100*v.LossFrac, 100*bg.LossFrac, 100*p.TotalLossFrac,
-			v.P99, p.Moved, p.Lost, p.RehomeTook, rec)
-	}
-	return b.String()
 }
 
 // cyclesOrDNF renders a crash-to-recovered span, or DNF when the run

@@ -8,20 +8,33 @@ import (
 	"mccp/internal/sim"
 )
 
-// faultTestConfig keeps the E16 table small enough for CI: 4 shards,
-// 64 sessions, short windows, both policies over the default rows.
+// faultTestConfig keeps the E16 drill small enough for CI: 4 shards,
+// 64 sessions, short windows.
 func faultTestConfig() FaultConfig {
 	return faultDrill(64)
 }
 
-func TestFaultCurvesDeterministic(t *testing.T) {
-	a := FaultCurves(faultTestConfig())
-	b := FaultCurves(faultTestConfig())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("E16 table not reproducible:\n%s\nvs\n%s",
-			FormatFaultCurves(a), FormatFaultCurves(b))
+// faultCurve runs FaultPointRun for every policy and row, policy-major,
+// calibrating the saturation first as the registered points do.
+func faultCurve(cfg FaultConfig, policies []string, rows []FaultRow) []FaultPoint {
+	cfg.fill()
+	sat := cfg.Wire.saturation()
+	var pts []FaultPoint
+	for _, pol := range policies {
+		for _, row := range rows {
+			pts = append(pts, FaultPointRun(pol, row, sat, cfg))
+		}
 	}
-	for i, p := range a.Points {
+	return pts
+}
+
+func TestFaultCurvesDeterministic(t *testing.T) {
+	a := faultCurve(faultTestConfig(), contrastPolicies, faultRows)
+	b := faultCurve(faultTestConfig(), contrastPolicies, faultRows)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("E16 points not reproducible:\n%+v\nvs\n%+v", a, b)
+	}
+	for i, p := range a {
 		if p.ArrivalDigest == 0 {
 			t.Fatalf("point %d: zero arrival digest", i)
 		}
@@ -35,16 +48,15 @@ func TestFaultCurvesDeterministic(t *testing.T) {
 // simulation kernel: digests, verdicts, fail-over log and recovery
 // times must all match the fast path bit for bit.
 func TestFaultCurvesCompat(t *testing.T) {
-	cfg := faultTestConfig()
-	cfg.Rows = []FaultRow{{Crashes: 1, Churn: 8}}
-	cfg.Policies = []string{"qos-priority"}
-	fast := FaultCurves(cfg)
+	run := func() []FaultPoint {
+		return faultCurve(faultTestConfig(), []string{"qos-priority"}, []FaultRow{{Crashes: 1, Churn: 8}})
+	}
+	fast := run()
 	sim.CompatDefault = true
 	defer func() { sim.CompatDefault = false }()
-	ref := FaultCurves(cfg)
+	ref := run()
 	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("fast path diverges from the Compat reference kernel:\n%s\nvs\n%s",
-			FormatFaultCurves(fast), FormatFaultCurves(ref))
+		t.Fatalf("fast path diverges from the Compat reference kernel:\n%+v\nvs\n%+v", fast, ref)
 	}
 }
 
@@ -54,8 +66,6 @@ func TestFaultCurvesCompat(t *testing.T) {
 // point. The fault machinery may cost nothing until a fault fires.
 func TestFaultZeroRowMatchesWireBaseline(t *testing.T) {
 	cfg := faultTestConfig()
-	cfg.Rows = []FaultRow{{0, 0}}
-	cfg.Policies = []string{"qos-priority"}
 	cfg.fill()
 	sat := cfg.Wire.saturation()
 
@@ -78,12 +88,11 @@ func TestFaultZeroRowMatchesWireBaseline(t *testing.T) {
 }
 
 func TestFaultCurvesShape(t *testing.T) {
-	res := FaultCurves(faultTestConfig())
-	t.Logf("\n%s", FormatFaultCurves(res))
-	if len(res.Points) != 8 {
-		t.Fatalf("expected 2 policies x 4 rows = 8 points, got %d", len(res.Points))
+	res := faultCurve(faultTestConfig(), contrastPolicies, faultRows)
+	if len(res) != 8 {
+		t.Fatalf("expected 2 policies x 4 rows = 8 points, got %d", len(res))
 	}
-	for _, p := range res.Points {
+	for _, p := range res {
 		if p.Row.Crashes == 0 {
 			if len(p.Events) != 0 {
 				t.Errorf("%s zero-fault row has controller events: %+v", p.Policy, p.Events)

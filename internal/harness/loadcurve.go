@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"mccp/internal/arrivals"
 	"mccp/internal/core"
@@ -27,19 +26,18 @@ import (
 var e13 = Experiment{
 	ID: "E13", Table: "loadcurve",
 	Title: "open-loop load curves (loss/latency vs offered load)",
-	Run: func() string {
-		return FormatLoadCurve(LoadCurve(LoadCurveConfig{BackgroundPackets: 192}))
-	},
 	Notes: []string{
+		"(shaper drain strict-priority; offered is the fraction of saturation;",
+		" loss% = arrivals never delivered; 200 expected background packets a point)",
 		"(open-loop Poisson arrivals into a bounded shaper; the knee is where",
 		" delivered throughput plateaus — voice must hold ~0% loss and a flat",
 		" p99 past it under qos-priority while background loss climbs)",
 	},
-	// Three points per policy. voice_delivered_frac participates in the
-	// tight baseline gate: it must stay ~1.0 under qos-priority.
-	Points: sweepPoints("LoadCurve", []string{"first-idle", "qos-priority"}, []float64{0.5, 1.0, 2.0},
+	// voice_delivered_frac participates in the tight baseline gate: it
+	// must stay ~1.0 under qos-priority.
+	Points: sweepPoints("LoadCurve", contrastPolicies, DefaultOfferedPoints,
 		func(policy string, offered float64) []Metric {
-			p := LoadPointRun(policy, offered, SaturationMbps(LoadMix, 8), LoadCurveConfig{BackgroundPackets: 200})
+			p := LoadPointRun(policy, offered, SaturationMbps(LoadMix, satPackets), LoadCurveConfig{BackgroundPackets: 200})
 			v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 			return []Metric{
 				{"offered_Mbps", p.TotalOfferedMbps},
@@ -50,6 +48,7 @@ var e13 = Experiment{
 				{"voice_p99_cycles", float64(v.P99)},
 				{"background_p99_cycles", float64(bg.P99)},
 				{"voice_deadline_misses", float64(v.DeadlineMisses)},
+				{"background_shed", float64(bg.Shed)},
 			}
 		}),
 	Gate: &Gate{
@@ -70,9 +69,13 @@ var LoadMix = []arrivals.ClassProfile{
 	{Class: qos.Background, Share: 0.60, Bytes: 2048, Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 16},
 }
 
-// DefaultOfferedPoints is the default sweep: underload, the knee, and
-// twice saturation.
+// DefaultOfferedPoints is the E13 sweep: underload, the knee, and twice
+// saturation.
 var DefaultOfferedPoints = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0}
+
+// satPackets sizes every experiment's capacity calibration: the packets
+// SaturationMbps times per family.
+const satPackets = 8
 
 // SaturationMbps calibrates the device's nominal capacity for a class mix
 // as the share-weighted harmonic blend of the per-family four-core
@@ -107,14 +110,8 @@ type LoadPoint struct {
 	ArrivalDigest uint64
 }
 
-// LoadCurveConfig parameterizes LoadCurve.
+// LoadCurveConfig parameterizes an E13 load point.
 type LoadCurveConfig struct {
-	// Policies are the device dispatch policies swept (default first-idle
-	// then qos-priority, the E13 contrast).
-	Policies []string
-	// Offered are the load points as fractions of saturation (default
-	// DefaultOfferedPoints).
-	Offered []float64
 	// BackgroundPackets sizes each point's measurement window: the window
 	// is long enough for this many expected background arrivals (default
 	// 300).
@@ -129,17 +126,9 @@ type LoadCurveConfig struct {
 	// bounded element that converts overload into shed/expired verdicts.
 	Capacity, QueueDepth int
 	Seed                 uint64
-	// SatPackets sizes the capacity calibration (default 8).
-	SatPackets int
 }
 
 func (c *LoadCurveConfig) fill() {
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"first-idle", "qos-priority"}
-	}
-	if len(c.Offered) == 0 {
-		c.Offered = DefaultOfferedPoints
-	}
 	if c.BackgroundPackets <= 0 {
 		c.BackgroundPackets = 300
 	}
@@ -152,50 +141,9 @@ func (c *LoadCurveConfig) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
 	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
-	}
 	if c.Seed == 0 {
 		c.Seed = 29
 	}
-}
-
-// LoadCurveResult is the full E13 sweep.
-type LoadCurveResult struct {
-	SaturationMbps float64
-	Drain          string
-	// Points hold every (policy, offered) run: for each policy in
-	// Policies order, the offered points ascending.
-	Points []LoadPoint
-}
-
-// PolicyPoints filters the sweep down to one policy.
-func (r LoadCurveResult) PolicyPoints(policy string) []LoadPoint {
-	var out []LoadPoint
-	for _, p := range r.Points {
-		if p.Policy == policy {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// LoadCurve runs E13: the open-loop offered-load sweep under each policy.
-// Everything is virtual-time and seeded, so the result is a pure function
-// of the configuration.
-func LoadCurve(cfg LoadCurveConfig) LoadCurveResult {
-	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets)
-	res := LoadCurveResult{SaturationMbps: sat, Drain: cfg.Drain}
-	if res.Drain == "" {
-		res.Drain = qos.DrainStrict
-	}
-	for _, pol := range cfg.Policies {
-		for _, offered := range cfg.Offered {
-			res.Points = append(res.Points, LoadPointRun(pol, offered, sat, cfg))
-		}
-	}
-	return res
 }
 
 // LoadPointRun measures one (policy, offered) point: open-loop sources
@@ -318,36 +266,15 @@ func mixBytes(mix []arrivals.ClassProfile) (bytes [qos.NumClasses]int) {
 	return bytes
 }
 
-// FormatLoadCurve renders the E13 sweep.
-func FormatLoadCurve(r LoadCurveResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Open-loop load curves (E13): loss and latency vs offered load, saturation ~%.0f Mbps\n",
-		r.SaturationMbps)
-	fmt.Fprintf(&b, "shaper drain %s; offered is the fraction of saturation; loss%% = arrivals never delivered\n", r.Drain)
-	fmt.Fprintf(&b, "%-14s %8s | %9s %9s | %8s %10s %8s | %8s %10s %8s\n",
-		"policy", "offered", "off Mbps", "del Mbps",
-		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc", "bg shed")
-	for _, p := range r.Points {
-		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
-		fmt.Fprintf(&b, "%-14s %7.2fx | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d %8d\n",
-			p.Policy, p.Offered, p.TotalOfferedMbps, p.TotalDeliveredMbps,
-			100*v.LossFrac, v.P99, v.DeadlineMisses, 100*bg.LossFrac, bg.P99, bg.Shed)
-	}
-	return b.String()
-}
-
 // loadGate runs the 3-point mini load curve. It is deliberately small (a
 // few hundred packets per point) so the gate costs seconds.
 func loadGate() GateReport {
-	res := LoadCurve(LoadCurveConfig{
-		Policies:          []string{"qos-priority"},
-		Offered:           []float64{0.25, 0.5, 1.5},
-		BackgroundPackets: 120,
-	})
+	sat := SaturationMbps(LoadMix, satPackets)
 	const limit = 0.01
 	var r GateReport
 	atHalf := 1.0
-	for _, p := range res.Points {
+	for _, offered := range []float64{0.25, 0.5, 1.5} {
+		p := LoadPointRun("qos-priority", offered, sat, LoadCurveConfig{BackgroundPackets: 120})
 		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
 		if p.Offered == 0.5 {
 			atHalf = v.LossFrac
@@ -356,7 +283,6 @@ func loadGate() GateReport {
 			p.Offered, 100*v.LossFrac, v.P99, 100*bg.LossFrac))
 	}
 	r.Summary = fmt.Sprintf("voice loss %.2f%% at 0.5x saturation under qos-priority (limit %.0f%%)", 100*atHalf, 100*limit)
-	r.require(len(res.Points) == 3, "ran %d points, want 3", len(res.Points))
 	r.require(atHalf <= limit, "voice loss %.2f%% at 0.5x exceeds %.0f%%", 100*atHalf, 100*limit)
 	return r
 }

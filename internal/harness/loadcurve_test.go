@@ -7,17 +7,24 @@ import (
 	"mccp/internal/qos"
 )
 
-// loadCurveFixture runs one moderate-size E13 sweep shared by the
-// acceptance tests (the sweep is deterministic, so sharing is safe).
-var loadCurveFixture *LoadCurveResult
+// loadCurveFixture holds the E13 points, every offered load per policy,
+// shared by the acceptance tests (the points are deterministic, so
+// sharing is safe).
+var loadCurveFixture map[string][]LoadPoint
 
-func e13Sweep(t *testing.T) LoadCurveResult {
+func e13Sweep(t *testing.T) map[string][]LoadPoint {
 	t.Helper()
 	if loadCurveFixture == nil {
-		res := LoadCurve(LoadCurveConfig{BackgroundPackets: 200})
-		loadCurveFixture = &res
+		sat := SaturationMbps(LoadMix, satPackets)
+		loadCurveFixture = map[string][]LoadPoint{}
+		for _, pol := range contrastPolicies {
+			for _, offered := range DefaultOfferedPoints {
+				loadCurveFixture[pol] = append(loadCurveFixture[pol],
+					LoadPointRun(pol, offered, sat, LoadCurveConfig{BackgroundPackets: 200}))
+			}
+		}
 	}
-	return *loadCurveFixture
+	return loadCurveFixture
 }
 
 // TestLoadCurveShape is the E13 acceptance gate: the loss curve is
@@ -25,11 +32,11 @@ func e13Sweep(t *testing.T) LoadCurveResult {
 // throughput plateaus and background loss climbs steeply past it.
 func TestLoadCurveShape(t *testing.T) {
 	res := e13Sweep(t)
-	if res.SaturationMbps < 500 || res.SaturationMbps > 4000 {
-		t.Fatalf("implausible calibrated saturation %.0f Mbps", res.SaturationMbps)
+	if sat := SaturationMbps(LoadMix, satPackets); sat < 500 || sat > 4000 {
+		t.Fatalf("implausible calibrated saturation %.0f Mbps", sat)
 	}
-	for _, pol := range []string{"first-idle", "qos-priority"} {
-		pts := res.PolicyPoints(pol)
+	for _, pol := range contrastPolicies {
+		pts := res[pol]
 		if len(pts) != len(DefaultOfferedPoints) {
 			t.Fatalf("%s: %d points", pol, len(pts))
 		}
@@ -81,8 +88,8 @@ func TestLoadCurveShape(t *testing.T) {
 // voice p99 keeps climbing — the E13 headline.
 func TestLoadCurveVoiceProtection(t *testing.T) {
 	res := e13Sweep(t)
-	qp := res.PolicyPoints("qos-priority")
-	fi := res.PolicyPoints("first-idle")
+	qp := res["qos-priority"]
+	fi := res["first-idle"]
 	for _, p := range qp {
 		v := qos.CellOf(p.Classes, qos.Voice)
 		if v.LossFrac > 0.01 {
@@ -124,7 +131,7 @@ func TestLoadCurveVoiceProtection(t *testing.T) {
 func TestLoadPointDeterminism(t *testing.T) {
 	cfg := LoadCurveConfig{BackgroundPackets: 80}
 	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets)
+	sat := SaturationMbps(cfg.Mix, satPackets)
 	a := LoadPointRun("qos-priority", 1.25, sat, cfg)
 	b := LoadPointRun("qos-priority", 1.25, sat, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -141,7 +148,7 @@ func TestLoadPointDeterminism(t *testing.T) {
 func TestLoadCurveProcesses(t *testing.T) {
 	base := LoadCurveConfig{BackgroundPackets: 150}
 	base.fill()
-	sat := SaturationMbps(base.Mix, base.SatPackets)
+	sat := SaturationMbps(base.Mix, satPackets)
 
 	det := base
 	det.Process = "deterministic"

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"strings"
-
 	"mccp/internal/core"
 	"mccp/internal/cryptocore"
 	"mccp/internal/qos"
@@ -24,42 +21,40 @@ import (
 var e12 = Experiment{
 	ID: "E12", Table: "qos",
 	Title: "QoS priority classes (§VIII extension)",
-	Run: func() string {
-		return FormatQoSTable(QoSTable(24)) +
-			"shaper drain fairness (sustained voice + background burst, capacity 4):\n" +
-			FormatQoSDrains(QoSDrainComparison(48))
-	},
 	Notes: []string{
-		"(qos-priority must retain >= 90% of uncontended voice throughput;",
+		"(QoS_Overload: 4 x 2048B background streams vs 1 x 256B voice stream,",
+		" 24 voice packets; QoS_Drains: shaper drain fairness, sustained voice",
+		" + a background burst, capacity 4, 40 voice packets;",
+		" qos-priority must retain >= 90% of uncontended voice throughput;",
 		" first-idle documents the head-of-line blocking the QoS layer removes)",
 	},
 	Points: qosPoints(),
 }
 
-// qosPoints is the E12 bench sweep: the 4:1 overload mix per dispatch
-// policy (voice_retention >= 0.9 under qos-priority is the acceptance
-// bar; first-idle stays far below), then the shaper drain policies under
+// qosPoints is the E12 sweep: the 4:1 overload mix per dispatch policy
+// (voice_retention >= 0.9 under qos-priority is the acceptance bar;
+// first-idle stays far below), then the shaper drain policies under
 // sustained voice load with a background burst behind a bounded queue.
 func qosPoints() []Point {
 	var pts []Point
-	for _, pol := range []string{"first-idle", "qos-priority"} {
+	for _, pol := range contrastPolicies {
 		pts = append(pts, Point{Name: "QoS_Overload/" + pol, Run: func() []Metric {
-			res := qosOverload(24, pol)
-			v, bg := qos.CellOf(res.Scenarios[0].Cells, qos.Voice), qos.CellOf(res.Scenarios[0].Cells, qos.Background)
-			return []Metric{
-				{"voice_alone_Mbps", res.VoiceUncontendedMbps},
-				{"voice_Mbps", v.DeliveredMbps},
-				{"background_Mbps", bg.DeliveredMbps},
-				{"voice_p50_cycles", float64(v.P50)},
-				{"voice_p99_cycles", float64(v.P99)},
-				{"voice_deadline_misses", float64(v.DeadlineMisses)},
-				{"voice_retention", res.Retention(pol)},
+			s := QoSOverloadRun(pol, 24)
+			ms := []Metric{{"voice_alone_Mbps", s.VoiceAloneMbps}}
+			for _, c := range s.Cells {
+				ms = append(ms,
+					Metric{c.Class.String() + "_Mbps", c.DeliveredMbps},
+					Metric{c.Class.String() + "_p50_cycles", float64(c.P50)},
+					Metric{c.Class.String() + "_p95_cycles", float64(qos.PercentileOf(c.Samples, 95))},
+					Metric{c.Class.String() + "_p99_cycles", float64(c.P99)},
+					Metric{c.Class.String() + "_deadline_misses", float64(c.DeadlineMisses)})
 			}
+			return append(ms, Metric{"voice_retention", s.Retention()})
 		}})
 	}
 	for _, drain := range qos.DrainNames() {
 		pts = append(pts, Point{Name: "QoS_Drains/" + drain, Run: func() []Metric {
-			r := qosDrainRun(drain, 40)
+			r := QoSDrainRun(drain, 40)
 			return []Metric{
 				{"voice_p95_cycles", float64(r.VoiceP95)},
 				{"background_p95_cycles", float64(r.BackgroundP95)},
@@ -87,6 +82,9 @@ const (
 // overload mix (or the uncontended voice baseline).
 type QoSScenario struct {
 	Policy string // device dispatch policy used
+	// VoiceAloneMbps is the baseline: the voice stream alone on the
+	// device (QoSOverloadRun sets it).
+	VoiceAloneMbps float64
 	// Cells holds one cell per active class. Each cell's window is the
 	// class's own active interval (first dispatch to last completion), so
 	// DeliveredMbps is the class's throughput while it was running; the
@@ -94,27 +92,13 @@ type QoSScenario struct {
 	Cells []qos.ClassCell
 }
 
-// QoSResult is the full E12 sweep.
-type QoSResult struct {
-	// VoiceUncontendedMbps is the baseline: the voice stream alone on the
-	// device.
-	VoiceUncontendedMbps float64
-	// Scenarios holds the overload runs, one per dispatch policy.
-	Scenarios []QoSScenario
-}
-
-// Retention returns a policy's voice throughput under overload relative
-// to the uncontended baseline (1.0 = no degradation).
-func (r QoSResult) Retention(policy string) float64 {
-	if r.VoiceUncontendedMbps == 0 {
+// Retention returns the voice throughput under overload relative to the
+// uncontended baseline (1.0 = no degradation).
+func (s QoSScenario) Retention() float64 {
+	if s.VoiceAloneMbps == 0 {
 		return 0
 	}
-	for _, s := range r.Scenarios {
-		if s.Policy == policy {
-			return qos.CellOf(s.Cells, qos.Voice).DeliveredMbps / r.VoiceUncontendedMbps
-		}
-	}
-	return 0
+	return qos.CellOf(s.Cells, qos.Voice).DeliveredMbps / s.VoiceAloneMbps
 }
 
 // qosDevice is the shared experiment fixture: one device under a named
@@ -224,43 +208,15 @@ func runQoS(policy string, voicePackets, backgroundStreams int) QoSScenario {
 	return scen
 }
 
-// QoSTable runs E12: the uncontended voice baseline, then the 4:1
-// overload mix under first-idle and qos-priority. voicePackets sizes the
-// measurement (24 gives stable figures in well under a second).
-func QoSTable(voicePackets int) QoSResult {
-	return qosOverload(voicePackets, "first-idle", "qos-priority")
-}
-
-// qosOverload measures the uncontended voice baseline, then the overload
-// mix under each of the policies.
-func qosOverload(voicePackets int, policies ...string) QoSResult {
+// QoSOverloadRun measures one E12 overload point: the voice stream
+// alone on the device, then the 4:1 overload mix under policy.
+// voicePackets sizes both runs (24 gives stable figures in well under a
+// second).
+func QoSOverloadRun(policy string, voicePackets int) QoSScenario {
 	base := runQoS("first-idle", voicePackets, 0)
-	res := QoSResult{VoiceUncontendedMbps: qos.CellOf(base.Cells, qos.Voice).DeliveredMbps}
-	for _, pol := range policies {
-		res.Scenarios = append(res.Scenarios, runQoS(pol, voicePackets, QoSBackgroundStreams))
-	}
-	return res
-}
-
-// FormatQoSTable renders the E12 sweep.
-func FormatQoSTable(r QoSResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "QoS under a 4:1 overload mix (4 x %dB background streams vs 1 x %dB voice stream)\n",
-		QoSBackgroundBytes, QoSVoiceBytes)
-	fmt.Fprintf(&b, "voice uncontended baseline: %.0f Mbps\n", r.VoiceUncontendedMbps)
-	fmt.Fprintf(&b, "%-14s %-12s %10s %10s %10s %10s %8s %10s\n",
-		"policy", "class", "Mbps", "p50 cyc", "p95 cyc", "p99 cyc", "misses", "retention")
-	for _, s := range r.Scenarios {
-		for _, c := range s.Cells {
-			ret := "-"
-			if c.Class == qos.Voice {
-				ret = fmt.Sprintf("%9.0f%%", 100*c.DeliveredMbps/r.VoiceUncontendedMbps)
-			}
-			fmt.Fprintf(&b, "%-14s %-12s %10.0f %10d %10d %10d %8d %10s\n",
-				s.Policy, c.Class, c.DeliveredMbps, c.P50, qos.PercentileOf(c.Samples, 95), c.P99, c.DeadlineMisses, ret)
-		}
-	}
-	return b.String()
+	s := runQoS(policy, voicePackets, QoSBackgroundStreams)
+	s.VoiceAloneMbps = qos.CellOf(base.Cells, qos.Voice).DeliveredMbps
+	return s
 }
 
 // QoSDrainRow is one drain policy's fairness measurement.
@@ -276,21 +232,12 @@ type QoSDrainRow struct {
 	BackgroundCompleted, BackgroundShed uint64
 }
 
-// QoSDrainComparison contrasts strict-priority and weighted-fair drains
-// under sustained voice load with a burst of background packets behind a
-// bounded queue: strict priority starves background until the voice load
-// ends (and sheds the burst overflow), weighted-fair drains it at the
-// configured ratio with bounded wait.
-func QoSDrainComparison(voicePackets int) []QoSDrainRow {
-	var rows []QoSDrainRow
-	for _, drain := range qos.DrainNames() {
-		rows = append(rows, qosDrainRun(drain, voicePackets))
-	}
-	return rows
-}
-
-// qosDrainRun measures one drain policy's row of the comparison.
-func qosDrainRun(drain string, voicePackets int) QoSDrainRow {
+// QoSDrainRun measures one drain policy's row of the fairness
+// comparison: sustained voice load with a burst of background packets
+// behind a bounded queue. Strict priority starves background until the
+// voice load ends (and sheds the burst overflow); weighted-fair drains it
+// at the configured ratio with bounded wait.
+func QoSDrainRun(drain string, voicePackets int) QoSDrainRow {
 	eng, cc, mc := qosDevice("first-idle", 23)
 	shaper := qos.NewShaper(eng, cc, qos.Config{
 		Capacity:   4,
@@ -329,16 +276,4 @@ func qosDrainRun(drain string, voicePackets int) QoSDrainRow {
 		BackgroundCompleted: bg.Completed,
 		BackgroundShed:      bg.Shed,
 	}
-}
-
-// FormatQoSDrains renders the drain-policy comparison.
-func FormatQoSDrains(rows []QoSDrainRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %12s %12s %10s %8s\n",
-		"drain", "voice p95", "bg p95", "bg done", "bg shed")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %12d %12d %10d %8d\n",
-			r.Drain, r.VoiceP95, r.BackgroundP95, r.BackgroundCompleted, r.BackgroundShed)
-	}
-	return b.String()
 }

@@ -12,13 +12,15 @@ import (
 // uncontended throughput while the paper's first-idle policy falls well
 // below.
 func TestQoSVoiceRetention(t *testing.T) {
-	res := QoSTable(24)
-	if res.VoiceUncontendedMbps <= 0 {
-		t.Fatal("no uncontended baseline")
+	scenarios := []QoSScenario{QoSOverloadRun("first-idle", 24), QoSOverloadRun("qos-priority", 24)}
+	for _, s := range scenarios {
+		if s.VoiceAloneMbps <= 0 {
+			t.Fatalf("%s: no uncontended baseline", s.Policy)
+		}
 	}
-	fi, qp := res.Retention("first-idle"), res.Retention("qos-priority")
+	fi, qp := scenarios[0].Retention(), scenarios[1].Retention()
 	t.Logf("voice retention: first-idle %.0f%%, qos-priority %.0f%% (baseline %.0f Mbps)",
-		100*fi, 100*qp, res.VoiceUncontendedMbps)
+		100*fi, 100*qp, scenarios[0].VoiceAloneMbps)
 	if qp < 0.9 {
 		t.Errorf("qos-priority retention %.2f, want >= 0.90", qp)
 	}
@@ -27,7 +29,7 @@ func TestQoSVoiceRetention(t *testing.T) {
 	}
 	// The reservation trades bulk throughput for voice latency; background
 	// must still make real progress (not starve) under qos-priority.
-	for _, s := range res.Scenarios {
+	for _, s := range scenarios {
 		bg := qos.CellOf(s.Cells, qos.Background)
 		if bg.Completed == 0 {
 			t.Errorf("%s: background starved", s.Policy)
@@ -38,20 +40,21 @@ func TestQoSVoiceRetention(t *testing.T) {
 	}
 	// Deadline tags: under first-idle the queued voice frames blow their
 	// deadline; under qos-priority none do.
-	if m := qos.CellOf(res.Scenarios[0].Cells, qos.Voice).DeadlineMisses; m == 0 {
+	if m := qos.CellOf(scenarios[0].Cells, qos.Voice).DeadlineMisses; m == 0 {
 		t.Error("first-idle: expected deadline misses under overload")
 	}
-	if m := qos.CellOf(res.Scenarios[1].Cells, qos.Voice).DeadlineMisses; m != 0 {
+	if m := qos.CellOf(scenarios[1].Cells, qos.Voice).DeadlineMisses; m != 0 {
 		t.Errorf("qos-priority: %d deadline misses, want 0", m)
 	}
 }
 
-// TestQoSTableDeterministic: the whole E12 sweep is a pure function of
-// its configuration (virtual time only, fixed seeds).
+// TestQoSTableDeterministic: every E12 overload point is a pure function
+// of its configuration (virtual time only, fixed seeds).
 func TestQoSTableDeterministic(t *testing.T) {
-	a, b := QoSTable(12), QoSTable(12)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("QoSTable not deterministic:\n%+v\n%+v", a, b)
+	for _, pol := range contrastPolicies {
+		if a, b := QoSOverloadRun(pol, 12), QoSOverloadRun(pol, 12); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s overload not deterministic:\n%+v\n%+v", pol, a, b)
+		}
 	}
 }
 
@@ -60,13 +63,12 @@ func TestQoSTableDeterministic(t *testing.T) {
 // strict priority makes it wait longer for voice's benefit, and both
 // shed the burst overflow at the bounded class queue.
 func TestQoSDrainComparison(t *testing.T) {
-	rows := QoSDrainComparison(40)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
 	byName := map[string]QoSDrainRow{}
-	for _, r := range rows {
-		byName[r.Drain] = r
+	for _, drain := range qos.DrainNames() {
+		byName[drain] = QoSDrainRun(drain, 40)
+	}
+	if len(byName) != 3 {
+		t.Fatalf("rows = %d", len(byName))
 	}
 	strict, wfq, drr := byName[qos.DrainStrict], byName[qos.DrainWeightedFair], byName[qos.DrainDRRBytes]
 	if strict.BackgroundShed != 4 || wfq.BackgroundShed != 4 || drr.BackgroundShed != 4 {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"mccp/internal/arrivals"
 	"mccp/internal/cluster"
@@ -26,8 +25,10 @@ import (
 var e15 = Experiment{
 	ID: "E15", Table: "reconfig",
 	Title: "rolling reconfiguration under load (fleet agility cost)",
-	Run:   func() string { return FormatReconfigUnderLoad(ReconfigUnderLoad(ReconfigLoadConfig{})) },
 	Notes: []string{
+		"(Whirlpool swap at 0.90x saturation; ReconfigUnderLoad/<policy>/*: 2 shards,",
+		" windows compressed up to 256x; ReconfigUnderLoad/shards=4_scale=64/*: 4 shards",
+		" at up to 64x; window_ms is the true window at the paper's source speeds)",
 		"(a rolling Whirlpool swap drains each shard voice-first and measures",
 		" every bitstream window on the serving shards; voice must hold ~0%",
 		" loss with qos-priority keeping its p99 below first-idle's at every",
@@ -45,48 +46,55 @@ var e15 = Experiment{
 // bitstream windows compressed 256x.
 var reconfigBench = ReconfigLoadConfig{Shards: 2, TimeScale: 256}
 
-// reconfigPoints is the E15 bench sweep: one rolling swap per policy and
-// bitstream source. voice_delivered_frac participates in the tight
+// reconfigPoints is the E15 sweep: one rolling swap per policy and
+// bitstream source on the bench-sized cluster, then on four shards at a
+// 64x compression. voice_delivered_frac participates in the tight
 // baseline gate (voice must ride out every swap); during_delivered_Mbps
 // gates as throughput; voice_swap_p99_cycles is informational.
 func reconfigPoints() []Point {
-	cfg := reconfigBench
-	cfg.fill()
 	var pts []Point
-	for _, pol := range cfg.Policies {
-		for _, src := range cfg.Sources {
-			pts = append(pts, Point{Name: fmt.Sprintf("ReconfigUnderLoad/%s/src=%s", pol, src.Name), Run: func() []Metric {
-				run := reconfigRun(pol, src, cfg.saturation(), cfg)
-				v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
-				return []Metric{
-					{"window_ms", run.TrueWindowMillis},
-					{"baseline_delivered_Mbps", run.BaselineDelivered},
-					{"during_delivered_Mbps", run.DuringDelivered},
-					{"voice_delivered_frac", 1 - v.LossFrac},
-					{"voice_swap_p99_cycles", float64(v.P99)},
-					{"background_loss_pct", 100 * bg.LossFrac},
-					{"sessions_drained", float64(run.Drained)},
-				}
-			}})
+	for _, sweep := range []struct {
+		prefix string
+		cfg    ReconfigLoadConfig
+	}{
+		{"ReconfigUnderLoad", reconfigBench},
+		{"ReconfigUnderLoad/shards=4_scale=64", ReconfigLoadConfig{Shards: 4, TimeScale: 64}},
+	} {
+		for _, pol := range contrastPolicies {
+			for _, src := range reconfig.Sources() {
+				pts = append(pts, Point{Name: fmt.Sprintf("%s/%s/src=%s", sweep.prefix, pol, src.Name), Run: func() []Metric {
+					run := ReconfigPointRun(pol, src, SaturationMbps(LoadMix, satPackets), sweep.cfg)
+					v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
+					return []Metric{
+						{"window_ms", run.TrueWindowMillis},
+						{"baseline_delivered_Mbps", run.BaselineDelivered},
+						{"during_delivered_Mbps", run.DuringDelivered},
+						{"voice_delivered_frac", 1 - v.LossFrac},
+						{"voice_swap_p99_cycles", float64(v.P99)},
+						{"voice_deadline_misses", float64(v.DeadlineMisses)},
+						{"background_loss_pct", 100 * bg.LossFrac},
+						{"background_swap_p99_cycles", float64(bg.P99)},
+						{"sessions_drained", float64(run.Drained)},
+					}
+				}})
+			}
 		}
 	}
 	return pts
 }
 
-// ReconfigLoadConfig parameterizes ReconfigUnderLoad.
+// The swap every E15 run makes: Whirlpool onto core 0 of every shard (the
+// paper's §VII.B demonstration: the fleet gains hash capability, paying
+// one AES core per shard), its window never compressed below
+// minSwapWindow cycles so fast sources still yield a statistically
+// meaningful measurement.
+const (
+	reconfigTarget          = reconfig.EngineWhirlpool
+	minSwapWindow  sim.Time = 50000
+)
+
+// ReconfigLoadConfig parameterizes an E15 rolling swap.
 type ReconfigLoadConfig struct {
-	// Policies are the shard dispatch policies swept (default first-idle
-	// then qos-priority, the E13 contrast).
-	Policies []string
-	// Sources are the bitstream sources swept (default the paper's
-	// CompactFlash and staging RAM plus the native-ICAP fast source).
-	Sources []reconfig.Source
-	// Target is the engine swapped in on core 0 of every shard. The zero
-	// value selects Whirlpool (the paper's §VII.B demonstration: the
-	// fleet gains hash capability, paying one AES core per shard); an
-	// explicit AES target is not distinguishable from unset and is
-	// normalized to Whirlpool.
-	Target reconfig.Engine
 	// Shards and CoresPerShard size the cluster (defaults 4 and 4).
 	Shards, CoresPerShard int
 	// Offered is the cluster-total offered load as a fraction of the
@@ -97,12 +105,9 @@ type ReconfigLoadConfig struct {
 	// TimeScale compresses the bitstream windows: each source is sped up
 	// by up to this factor (default 64) so a CompactFlash swap (~72M
 	// cycles at full scale) stays simulable, but never so far that a
-	// window drops below MinWindowCycles. Reported true durations are
+	// window drops below minSwapWindow. Reported true durations are
 	// always at full scale.
 	TimeScale float64
-	// MinWindowCycles floors the compressed window (default 50000) so
-	// fast sources still yield a statistically meaningful measurement.
-	MinWindowCycles sim.Time
 	// Process names the arrival process (default poisson); Mix the class
 	// mix (default LoadMix).
 	Process string
@@ -115,32 +120,20 @@ type ReconfigLoadConfig struct {
 	// first-idle's climbs).
 	Capacity, QueueDepth int
 	Seed                 uint64
-	// SatPackets sizes the capacity calibration (default 8).
-	SatPackets int
 }
 
 func (c *ReconfigLoadConfig) fill() {
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"first-idle", "qos-priority"}
-	}
-	if len(c.Sources) == 0 {
-		c.Sources = reconfig.Sources()
-	}
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
 	if c.CoresPerShard <= 0 {
 		c.CoresPerShard = 4
 	}
-	c.Target = reconfig.EngineWhirlpool
 	if c.Offered <= 0 {
 		c.Offered = 0.9
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 64
-	}
-	if c.MinWindowCycles <= 0 {
-		c.MinWindowCycles = 50000
 	}
 	if c.Process == "" {
 		c.Process = arrivals.ProcPoisson
@@ -157,28 +150,20 @@ func (c *ReconfigLoadConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 31
 	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
-	}
 }
 
 // effectiveScale compresses src by at most cfg.TimeScale while keeping
 // the swap window at or above the floor.
 func (c ReconfigLoadConfig) effectiveScale(src reconfig.Source) float64 {
-	window := float64(fleet.SwapWindow(c.Target, src))
+	window := float64(fleet.SwapWindow(reconfigTarget, src))
 	scale := c.TimeScale
-	if floor := window / float64(c.MinWindowCycles); floor < scale {
+	if floor := window / float64(minSwapWindow); floor < scale {
 		scale = floor
 	}
 	if scale < 1 {
 		scale = 1
 	}
 	return scale
-}
-
-// saturation calibrates the per-shard capacity for the mix.
-func (c ReconfigLoadConfig) saturation() float64 {
-	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.CoresPerShard) / 4
 }
 
 // ReconfigRun is one (policy, source) measurement.
@@ -215,42 +200,15 @@ type ReconfigRun struct {
 	Errors int
 }
 
-// ReconfigLoadResult is the full E15 sweep.
-type ReconfigLoadResult struct {
-	// SaturationMbps is the calibrated per-shard capacity; OfferedMbps
-	// the cluster-total offered load (Offered x Shards x saturation).
-	SaturationMbps float64
-	OfferedMbps    float64
-	Offered        float64
-	Shards         int
-	Target         string
-	Runs           []ReconfigRun
-}
-
-// ReconfigUnderLoad runs E15: for each policy and bitstream source, a
-// rolling Whirlpool swap across every shard under a sustained open-loop
-// arrival stream, measuring the traffic served during each bitstream
-// window. Deterministic: everything runs in virtual time on the
-// splittable PRNG.
-func ReconfigUnderLoad(cfg ReconfigLoadConfig) ReconfigLoadResult {
+// ReconfigPointRun measures one (policy, source) point: a rolling
+// Whirlpool swap across every shard under a sustained open-loop arrival
+// stream at cfg.Offered of satMbps (the calibrated device saturation,
+// scaled to CoresPerShard) per shard, measuring the traffic served during
+// each bitstream window. Deterministic: everything runs in virtual time
+// on the splittable PRNG.
+func ReconfigPointRun(policy string, src reconfig.Source, satMbps float64, cfg ReconfigLoadConfig) ReconfigRun {
 	cfg.fill()
-	sat := cfg.saturation()
-	res := ReconfigLoadResult{
-		SaturationMbps: sat,
-		OfferedMbps:    cfg.Offered * sat * float64(cfg.Shards),
-		Offered:        cfg.Offered,
-		Shards:         cfg.Shards,
-		Target:         cfg.Target.String(),
-	}
-	for _, pol := range cfg.Policies {
-		for _, src := range cfg.Sources {
-			res.Runs = append(res.Runs, reconfigRun(pol, src, sat, cfg))
-		}
-	}
-	return res
-}
-
-func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg ReconfigLoadConfig) ReconfigRun {
+	satPerShard := satMbps * float64(cfg.CoresPerShard) / 4
 	cl, err := cluster.New(cluster.Config{
 		Shards:        cfg.Shards,
 		CoresPerShard: cfg.CoresPerShard,
@@ -274,7 +232,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	run := ReconfigRun{
 		Policy:           policy,
 		Source:           src.Name,
-		TrueWindowMillis: float64(fleet.SwapWindow(cfg.Target, src)) / sim.DefaultFreqHz * 1e3,
+		TrueWindowMillis: float64(fleet.SwapWindow(reconfigTarget, src)) / sim.DefaultFreqHz * 1e3,
 		Scale:            scale,
 		Digest:           arrivals.DigestInit,
 	}
@@ -289,7 +247,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 		panic(err)
 	}
 	f := fleet.New(cl)
-	window := fleet.SwapWindow(cfg.Target, scaled)
+	window := fleet.SwapWindow(reconfigTarget, scaled)
 	run.SwapCycles = window
 
 	fold := func(w cluster.OpenLoopWindow) {
@@ -312,7 +270,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	var seen [qos.NumClasses]bool
 	var during sim.Time
 	legs := 0
-	reports, err := f.RollingSwap(0, cfg.Target, scaled,
+	reports, err := f.RollingSwap(0, reconfigTarget, scaled,
 		func(shard int, legWindow sim.Time) error {
 			w, err := runner.RunWindow(legWindow)
 			if err != nil {
@@ -359,32 +317,11 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	return run
 }
 
-// FormatReconfigUnderLoad renders the E15 sweep.
-func FormatReconfigUnderLoad(r ReconfigLoadResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Rolling reconfiguration under load (E15): %s swap across %d shards at %.2fx saturation (%.0f Mbps offered)\n",
-		r.Target, r.Shards, r.Offered, r.OfferedMbps)
-	fmt.Fprintf(&b, "each bitstream window is measured on the serving shards; true window at the paper's source speeds\n")
-	fmt.Fprintf(&b, "%-14s %-14s %9s | %9s %9s | %8s %10s %8s | %8s %10s\n",
-		"policy", "source", "window ms", "base Mbps", "del Mbps",
-		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc")
-	for _, run := range r.Runs {
-		v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
-		fmt.Fprintf(&b, "%-14s %-14s %9.1f | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d\n",
-			run.Policy, run.Source, run.TrueWindowMillis,
-			run.BaselineDelivered, run.DuringDelivered,
-			100*v.LossFrac, v.P99, v.DeadlineMisses, 100*bg.LossFrac, bg.P99)
-	}
-	return b.String()
-}
-
 // reconfigGate runs the mini rolling swap: each shard's core is rewritten
 // from staging RAM while the other carries the whole stream.
 // Deliberately small so the gate costs seconds.
 func reconfigGate() GateReport {
-	cfg := reconfigBench
-	cfg.fill()
-	run := reconfigRun("qos-priority", reconfig.StagingRAM, cfg.saturation(), cfg)
+	run := ReconfigPointRun("qos-priority", reconfig.StagingRAM, SaturationMbps(LoadMix, satPackets), reconfigBench)
 	v, bg := qos.CellOf(run.Classes, qos.Voice), qos.CellOf(run.Classes, qos.Background)
 	const lossLimit = 0.01
 	p99Limit := 3*run.BaselineVoiceP99 + 8000

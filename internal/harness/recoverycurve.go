@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"mccp/internal/faults"
 	"mccp/internal/fleet"
@@ -26,14 +25,18 @@ import (
 // whole serving stack: ICAP rejoins before RAM rejoins before
 // CompactFlash. Single loopback connection, seeded schedule: the whole
 // drill is a pure function of (config, seed), and the zero-fault
-// baseline row is computed by E16's own FaultPointRun — bit-identical
-// to its zero row.
+// baseline row is E16's own drill with the restart loop armed —
+// bit-identical to its zero row.
 
 var e17 = Experiment{
 	ID: "E17", Table: "heal",
 	Title: "recovery curves (restart + rejoin per bitstream source, brownout lift)",
-	Run:   func() string { return FormatRecoveryCurves(RecoveryCurves(RecoveryConfig{})) },
 	Notes: []string{
+		"(qos-priority, 4 shards at 0.9x saturation, one crash; RecoveryCurves/<policy>/*:",
+		" E16's 96-session drill, reload time-compressed 16384x; .../sessions=256_scale=4096/*:",
+		" E16's default drill at 4096x, source=none its zero-fault row; restart_true_ms is",
+		" the reload at the paper's source speed; recovery = crash to voice back >= 99%;",
+		" capacity = crash to delivered rate back >= 95% of pre-crash)",
 		"(the E16 crash with the restart loop armed: the corpse is rebuilt by",
 		" streaming the base bitstream back in at each Table IV source speed,",
 		" rejoined voice-first, and the brownout lifted class-by-class as the",
@@ -49,19 +52,34 @@ var e17 = Experiment{
 	},
 }
 
-// recoveryPoints is the E17 bench sweep: one drill per bitstream source.
-// voice_delivered_frac and brownout_lifted participate in the tight
-// baseline gate; restart/rejoin/capacity figures are informational
-// virtual-time counts whose ordering mirrors Table IV.
+// recoveryPoints is the E17 sweep: one drill per bitstream source on
+// E16's small drill, then on its default one after that drill's
+// zero-fault baseline. voice_delivered_frac and brownout_lifted
+// participate in the tight baseline gate; restart/rejoin/capacity
+// figures are informational virtual-time counts whose ordering mirrors
+// Table IV.
 func recoveryPoints() []Point {
-	// TimeScale squeezes even the compact-flash reload into the short
-	// bench horizon; source ordering is scale-invariant.
-	cfg := RecoveryConfig{FaultConfig: faultDrill(96), TimeScale: 16384}
-	cfg.fill()
+	const pol = "qos-priority"
 	var pts []Point
-	for _, pol := range cfg.Policies {
-		for _, src := range cfg.Sources {
-			pts = append(pts, Point{Name: fmt.Sprintf("RecoveryCurves/%s/source=%s", pol, src.Name), Run: func() []Metric {
+	for _, sweep := range []struct {
+		prefix   string
+		cfg      RecoveryConfig
+		baseline bool
+	}{
+		// TimeScale squeezes even the compact-flash reload into the short
+		// bench horizon; source ordering is scale-invariant.
+		{"RecoveryCurves", RecoveryConfig{FaultConfig: faultDrill(96), TimeScale: 16384}, false},
+		{"RecoveryCurves/sessions=256_scale=4096", RecoveryConfig{FaultConfig: FaultConfig{Wire: WireConfig{Sessions: 256}}, TimeScale: 4096}, true},
+	} {
+		cfg := sweep.cfg
+		cfg.fill()
+		if sweep.baseline {
+			pts = append(pts, Point{Name: sweep.prefix + "/" + pol + "/source=none", Run: func() []Metric {
+				return recoveryBaseline(pol, cfg.Wire.saturation(), cfg).metrics()
+			}})
+		}
+		for _, src := range reconfig.Sources() {
+			pts = append(pts, Point{Name: fmt.Sprintf("%s/%s/source=%s", sweep.prefix, pol, src.Name), Run: func() []Metric {
 				p := RecoveryPointRun(pol, src, cfg.Wire.saturation(), cfg)
 				return append(p.metrics(),
 					Metric{"restart_cycles", float64(p.RestartCycles)},
@@ -76,41 +94,28 @@ func recoveryPoints() []Point {
 	return pts
 }
 
-// RecoveryConfig parameterizes RecoveryCurves.
+// capacityFrac is the fraction of the pre-crash delivered rate that
+// counts as full capacity restored.
+const capacityFrac = 0.95
+
+// RecoveryConfig parameterizes an E17 recovery drill.
 type RecoveryConfig struct {
 	// FaultConfig is the E16 drill this experiment arms the restart loop
 	// on: pipeline, fixed 0.9x load, crash window and voice-recovery
 	// threshold, all with E16's defaults — so the zero-fault baseline is
-	// E16's zero row verbatim. Rows is unused (every drill is one crash,
-	// no churn) and Policies defaults to qos-priority only, the policy
-	// E16 showed survives the fall with zero voice loss.
+	// E16's zero row verbatim. Every drill is one crash, no churn.
 	FaultConfig
-	// Sources are the bitstream sources swept, slowest first (default
-	// the paper's three: compact-flash, ram, icap).
-	Sources []reconfig.Source
 	// TimeScale compresses each source's reload time onto the simulated
 	// window horizon (default 4096): the virtual restart takes
 	// 1/TimeScale of the true reload, and TrueRestartMillis reports the
 	// unscaled figure. The hierarchy between sources is unaffected.
 	TimeScale float64
-	// CapacityFrac is the fraction of the pre-crash delivered rate that
-	// counts as full capacity restored (default 0.95).
-	CapacityFrac float64
 }
 
 func (c *RecoveryConfig) fill() {
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"qos-priority"}
-	}
 	c.FaultConfig.fill()
-	if len(c.Sources) == 0 {
-		c.Sources = reconfig.Sources()
-	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 4096
-	}
-	if c.CapacityFrac <= 0 {
-		c.CapacityFrac = 0.95
 	}
 }
 
@@ -136,42 +141,18 @@ type RecoveryPoint struct {
 	BrownoutImposed bool
 	BrownoutLifted  bool
 	// CapacityCycles is the crash to the first post-rejoin window
-	// delivering CapacityFrac of the pre-crash rate.
+	// delivering capacityFrac of the pre-crash rate.
 	CapacityCycles   sim.Time
 	CapacityRestored bool
 }
 
-// RecoveryResult is the E17 table.
-type RecoveryResult struct {
-	SaturationMbps float64
-	Offered        float64
-	Sessions       int
-	TimeScale      float64
-	// Baseline is the zero-fault row, computed by E16's FaultPointRun
-	// so the two experiments' baselines are bit-identical.
-	Baseline FaultPoint
-	// Points are policy-major, sources in the configured order.
-	Points []RecoveryPoint
-}
-
-// RecoveryCurves runs E17: the zero-fault baseline through the E16
-// pipeline, then one full crash-and-recovery drill per (policy, source).
-func RecoveryCurves(cfg RecoveryConfig) RecoveryResult {
+// recoveryBaseline is an E17 drill's zero-fault row: E16's drill on the
+// same configuration, with the restart loop armed — it must cost nothing
+// until a crash fires, so the row is E16's zero row bit for bit.
+func recoveryBaseline(policy string, satMbps float64, cfg RecoveryConfig) FaultPoint {
 	cfg.fill()
-	sat := cfg.Wire.saturation()
-	res := RecoveryResult{
-		SaturationMbps: sat,
-		Offered:        cfg.Offered,
-		Sessions:       cfg.Wire.Sessions,
-		TimeScale:      cfg.TimeScale,
-	}
-	res.Baseline = FaultPointRun(cfg.Policies[0], FaultRow{}, sat, cfg.FaultConfig)
-	for _, pol := range cfg.Policies {
-		for _, src := range cfg.Sources {
-			res.Points = append(res.Points, RecoveryPointRun(pol, src, sat, cfg))
-		}
-	}
-	return res
+	return faultPointRun(policy, FaultRow{}, satMbps, cfg.FaultConfig,
+		func(fp *fleet.HealPolicy) { fp.RestartSource = reconfig.FastICAP.Scaled(cfg.TimeScale) }, nil)
 }
 
 // RecoveryPointRun measures one (policy, source) drill: one shard
@@ -199,7 +180,7 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 	point.BrownoutLifted = finalDeny == admitAll
 	point.TrueRestartMillis = float64(point.RestartCycles) * cfg.TimeScale / sim.DefaultFreqHz * 1e3
 	point.CapacityCycles, point.CapacityRestored = capacityOf(point.Schedule, cfg.Wire.WindowCycles,
-		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, point.Windows)
+		capacityFrac, cfg.FaultWindow, point.RejoinWindow, point.Windows)
 	return point
 }
 
@@ -248,33 +229,6 @@ func capacityOf(sched faults.Schedule, windowCycles sim.Time, frac float64,
 		}
 	}
 	return 0, false
-}
-
-// FormatRecoveryCurves renders the E17 table.
-func FormatRecoveryCurves(r RecoveryResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Recovery curves (E17): loopback mccpserver at %.1fx saturation (~%.0f Mbps), %d sessions, crash -> restart -> rejoin per bitstream source (reload time-compressed %gx)\n",
-		r.Offered, r.SaturationMbps, r.Sessions, r.TimeScale)
-	fmt.Fprintf(&b, "restart = bitstream reload on the rebuilt shard (true ms at paper source speed); recover = crash to voice back >= 99%%; capacity = crash to delivered rate back >= 95%% of pre-crash\n")
-	fmt.Fprintf(&b, "%-12s %-13s | %8s %8s | %6s %5s | %12s %10s %6s | %12s %12s %8s\n",
-		"policy", "source", "v loss%", "loss%", "moved", "lost",
-		"restart cyc", "true ms", "rejoin", "recover cyc", "capacity cyc", "lifted")
-	base := r.Baseline
-	fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12s %10s %6s | %12s %12s %8s\n",
-		base.Policy, "(no fault)", 100*qos.CellOf(base.Classes, qos.Voice).LossFrac, 100*base.TotalLossFrac,
-		base.Moved, base.Lost, "-", "-", "-", "-", "-", "-")
-	for _, p := range r.Points {
-		lifted := "yes"
-		if !p.BrownoutLifted {
-			lifted = "NO"
-		}
-		fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12d %10.1f %6s | %12s %12s %8s\n",
-			p.Policy, p.Source, 100*qos.CellOf(p.Classes, qos.Voice).LossFrac, 100*p.TotalLossFrac,
-			p.Moved, p.Lost, p.RestartCycles, p.TrueRestartMillis,
-			cyclesOrDNF(sim.Time(p.RejoinWindow), p.RejoinWindow >= 0),
-			cyclesOrDNF(p.RecoveryCycles, p.Recovered), cyclesOrDNF(p.CapacityCycles, p.CapacityRestored), lifted)
-	}
-	return b.String()
 }
 
 // healGate runs the one-drill loopback recovery. Small on purpose: 64

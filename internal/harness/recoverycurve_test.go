@@ -17,14 +17,25 @@ func recoveryTestConfig() RecoveryConfig {
 	return RecoveryConfig{FaultConfig: faultDrill(64), TimeScale: 16384}
 }
 
-func TestRecoveryCurvesDeterministic(t *testing.T) {
-	a := RecoveryCurves(recoveryTestConfig())
-	b := RecoveryCurves(recoveryTestConfig())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("E17 table not reproducible:\n%s\nvs\n%s",
-			FormatRecoveryCurves(a), FormatRecoveryCurves(b))
+// recoveryCurve runs the qos-priority drill once per bitstream source,
+// slowest first.
+func recoveryCurve() []RecoveryPoint {
+	cfg := recoveryTestConfig()
+	cfg.fill()
+	sat := cfg.Wire.saturation()
+	var pts []RecoveryPoint
+	for _, src := range reconfig.Sources() {
+		pts = append(pts, RecoveryPointRun("qos-priority", src, sat, cfg))
 	}
-	for i, p := range a.Points {
+	return pts
+}
+
+func TestRecoveryCurvesDeterministic(t *testing.T) {
+	a, b := recoveryCurve(), recoveryCurve()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("E17 points not reproducible:\n%+v\nvs\n%+v", a, b)
+	}
+	for i, p := range a {
 		if p.ArrivalDigest == 0 {
 			t.Fatalf("point %d: zero arrival digest", i)
 		}
@@ -37,13 +48,12 @@ func TestRecoveryCurvesDeterministic(t *testing.T) {
 // Table IV hierarchy survives the full stack: the icap reload beats ram
 // beats compact-flash, in restart cost and in time back to capacity.
 func TestRecoveryCurvesShape(t *testing.T) {
-	res := RecoveryCurves(recoveryTestConfig())
-	t.Logf("\n%s", FormatRecoveryCurves(res))
-	if len(res.Points) != 3 {
-		t.Fatalf("expected 1 policy x 3 sources = 3 points, got %d", len(res.Points))
+	res := recoveryCurve()
+	if len(res) != 3 {
+		t.Fatalf("expected 1 policy x 3 sources = 3 points, got %d", len(res))
 	}
 	byName := map[string]RecoveryPoint{}
-	for _, p := range res.Points {
+	for _, p := range res {
 		byName[p.Source] = p
 		if p.RejoinWindow < 0 {
 			t.Errorf("%s: shard never rejoined", p.Source)
@@ -87,17 +97,16 @@ func TestRecoveryCurvesShape(t *testing.T) {
 }
 
 // TestRecoveryBaselineMatchesFaultZeroRow is the E17 lineage guard: the
-// zero-fault baseline row is computed by E16's own FaultPointRun with
+// zero-fault baseline row is computed by E16's own faultPointRun with
 // the same wire config, so the two experiments share one baseline bit
 // for bit — and the restart plumbing costs nothing until a crash fires.
 func TestRecoveryBaselineMatchesFaultZeroRow(t *testing.T) {
 	cfg := recoveryTestConfig()
 	cfg.fill()
 	sat := cfg.Wire.saturation()
-	res := RecoveryCurves(recoveryTestConfig())
+	got := recoveryBaseline("qos-priority", sat, recoveryTestConfig())
 	base := FaultPointRun("qos-priority", FaultRow{}, sat, cfg.FaultConfig)
-	if !reflect.DeepEqual(res.Baseline, base) {
-		t.Fatalf("E17 baseline diverges from the E16 zero-fault row:\n%+v\nvs\n%+v",
-			res.Baseline, base)
+	if !reflect.DeepEqual(got, base) {
+		t.Fatalf("E17 baseline diverges from the E16 zero-fault row:\n%+v\nvs\n%+v", got, base)
 	}
 }

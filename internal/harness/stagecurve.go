@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"reflect"
-	"strings"
 
 	"mccp/internal/obs"
 	"mccp/internal/qos"
@@ -28,30 +27,34 @@ import (
 var e18 = Experiment{
 	ID: "E18", Table: "stages",
 	Title: "stage attribution (traced per-class latency decomposition)",
-	Run:   func() string { return FormatStageAttribution(StageAttribution(StageCurveConfig{})) },
 	Notes: []string{
+		"(stages tile enqueue->completion exactly (queue+sched+xbar_up+core+drain ==",
+		" total); <class>_* figures count delivered packets only, sample rate 1;",
+		" 200 expected background packets a point)",
 		"(the E13 sweep replayed with the lifecycle tracer at sample rate 1;",
 		" each delivered packet's latency tiles exactly into class queue,",
 		" scheduler, crossbar upload, core service and drain, so the traced",
 		" percentiles reconcile bit-for-bit with E13's and the table shows",
 		" where qos-priority buys voice its headroom: the queue stage)",
 	},
-	// Three points per policy: where each class's p99 is spent. The
-	// cells are E13's (the traced run reconciles bit-for-bit);
-	// delivered_Mbps gates as throughput, the cycle counts ride ungated.
-	Points: sweepPoints("StageAttribution", []string{"first-idle", "qos-priority"}, []float64{0.5, 1.0, 1.5},
+	// Where each class's p99 is spent. The cells are E13's (the traced
+	// run reconciles bit-for-bit); delivered_Mbps gates as throughput, the
+	// cycle counts ride ungated.
+	Points: sweepPoints("StageAttribution", contrastPolicies, DefaultStagePoints,
 		func(policy string, offered float64) []Metric {
-			p := StagePointRun(policy, offered, SaturationMbps(LoadMix, 8), LoadCurveConfig{BackgroundPackets: 200})
-			v, bg := p.Cells[qos.Voice], p.Cells[qos.Background]
-			return []Metric{
-				{"delivered_Mbps", p.TotalDeliveredMbps},
-				{"spans_traced", float64(p.Spans)},
-				{"voice_p99_cycles", float64(v.TotalP99)},
-				{"voice_queue_p99_cycles", float64(v.P99[obs.StageQueue])},
-				{"voice_core_p99_cycles", float64(v.P99[obs.StageCore])},
-				{"background_p99_cycles", float64(bg.TotalP99)},
-				{"background_queue_p99_cycles", float64(bg.P99[obs.StageQueue])},
+			p := StagePointRun(policy, offered, SaturationMbps(LoadMix, satPackets), LoadCurveConfig{BackgroundPackets: 200})
+			ms := []Metric{{"delivered_Mbps", p.TotalDeliveredMbps}, {"spans_traced", float64(p.Spans)}}
+			for _, c := range []qos.Class{qos.Voice, qos.Background} {
+				sc := p.Cells[c]
+				ms = append(ms,
+					Metric{c.String() + "_spans", float64(sc.Spans)},
+					Metric{c.String() + "_p50_cycles", float64(sc.TotalP50)},
+					Metric{c.String() + "_p99_cycles", float64(sc.TotalP99)})
+				for k, d := range sc.P99 {
+					ms = append(ms, Metric{c.String() + "_" + obs.Stage(k).String() + "_p99_cycles", float64(d)})
+				}
 			}
+			return ms
 		}),
 	Gate: &Gate{
 		Name:  "obs",
@@ -60,8 +63,8 @@ var e18 = Experiment{
 	},
 }
 
-// DefaultStagePoints is the E18 sweep: underload, the knee, and twice
-// saturation.
+// DefaultStagePoints are the E18 sweep's offered loads: underload, the
+// knee, and twice saturation.
 var DefaultStagePoints = []float64{0.25, 0.5, 1.0, 1.5, 2.0}
 
 // StageCell is one class's stage decomposition at one load point,
@@ -96,49 +99,6 @@ type StagePoint struct {
 	Spans       int
 	// Cells is indexed by class (zero for a class outside the mix).
 	Cells [qos.NumClasses]StageCell
-}
-
-// StageCurveConfig parameterizes StageAttribution.
-type StageCurveConfig struct {
-	// Policies are the dispatch policies swept (default first-idle then
-	// qos-priority, the E13 contrast).
-	Policies []string
-	// Offered are the load points (default DefaultStagePoints).
-	Offered []float64
-	// Load carries the base E13 knobs (mix, window size, shaper, seed).
-	Load LoadCurveConfig
-}
-
-func (c *StageCurveConfig) fill() {
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"first-idle", "qos-priority"}
-	}
-	if len(c.Offered) == 0 {
-		c.Offered = DefaultStagePoints
-	}
-	c.Load.fill()
-}
-
-// StageCurveResult is the full E18 sweep.
-type StageCurveResult struct {
-	SaturationMbps float64
-	Points         []StagePoint // policy-major, offered ascending
-}
-
-// StageAttribution runs E18: the E13 sweep with the tracer attached,
-// every delivered packet's latency decomposed by stage. Deterministic:
-// the sampler is seeded, every duration is virtual-time, and the traced
-// pipeline is bit-identical to the untraced one.
-func StageAttribution(cfg StageCurveConfig) StageCurveResult {
-	cfg.fill()
-	sat := SaturationMbps(cfg.Load.Mix, cfg.Load.SatPackets)
-	res := StageCurveResult{SaturationMbps: sat}
-	for _, pol := range cfg.Policies {
-		for _, offered := range cfg.Offered {
-			res.Points = append(res.Points, StagePointRun(pol, offered, sat, cfg.Load))
-		}
-	}
-	return res
 }
 
 // StagePointRun measures one (policy, offered) point with the tracer on
@@ -182,30 +142,6 @@ func StagePointRun(policy string, offered, satMbps float64, cfg LoadCurveConfig)
 		sp.Cells[c] = sc
 	}
 	return sp
-}
-
-// FormatStageAttribution renders the E18 table: per (policy, offered),
-// the voice and background classes' p99 decomposed by stage, with the
-// mean stage share of total delivered latency alongside.
-func FormatStageAttribution(r StageCurveResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Stage attribution (E18): per-class latency decomposed by pipeline stage, saturation ~%.0f Mbps\n",
-		r.SaturationMbps)
-	b.WriteString("stages tile enqueue->completion exactly (queue+sched+xbar_up+core+drain == total); delivered packets only, sample rate 1\n")
-	fmt.Fprintf(&b, "%-14s %8s %-12s %7s | %8s %8s | p99 by stage: %8s %8s %8s %8s %8s\n",
-		"policy", "offered", "class", "spans", "p50 cyc", "p99 cyc",
-		"queue", "sched", "xbar_up", "core", "drain")
-	for _, p := range r.Points {
-		for _, class := range []qos.Class{qos.Voice, qos.Background} {
-			sc := p.Cells[class]
-			fmt.Fprintf(&b, "%-14s %7.2fx %-12s %7d | %8d %8d | %14s %8d %8d %8d %8d\n",
-				p.Policy, p.Offered, sc.Class, sc.Spans,
-				sc.TotalP50, sc.TotalP99,
-				fmt.Sprintf("%8d", sc.P99[obs.StageQueue]), sc.P99[obs.StageSched],
-				sc.P99[obs.StageXbarUp], sc.P99[obs.StageCore], sc.P99[obs.StageDrain])
-		}
-	}
-	return b.String()
 }
 
 // obsGate runs the observability gate at qos-priority, 1.5x saturation

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"mccp/internal/obs"
@@ -68,20 +67,6 @@ func TestStageSamplingSubsets(t *testing.T) {
 		}
 		if sp != want {
 			t.Errorf("span %d differs under sampling:\n%+v\n%+v", sp.ID, sp, want)
-		}
-	}
-}
-
-func TestFormatStageAttribution(t *testing.T) {
-	cfg := StageCurveConfig{
-		Policies: []string{"qos-priority"},
-		Offered:  []float64{0.5},
-		Load:     LoadCurveConfig{BackgroundPackets: 60},
-	}
-	text := FormatStageAttribution(StageAttribution(cfg))
-	for _, needle := range []string{"Stage attribution (E18)", "qos-priority", "voice", "background", "xbar_up"} {
-		if !strings.Contains(text, needle) {
-			t.Errorf("table missing %q:\n%s", needle, text)
 		}
 	}
 }

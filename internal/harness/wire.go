@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"net"
-	"strings"
 
 	"mccp/internal/arrivals"
 	"mccp/internal/cluster"
@@ -29,8 +28,10 @@ import (
 var e14 = Experiment{
 	ID: "E14", Table: "wire",
 	Title: "wire-level latency curves (loopback mccpserver)",
-	Run:   func() string { return FormatWireLatency(WireLatency(WireConfig{})) },
 	Notes: []string{
+		"(policy qos-priority on 2 shards; WireLatency/offered=*: 64 sessions x 24",
+		" windows, WireLatency/sessions=1000/*: 1000 sessions x 48 windows;",
+		" loss% = arrivals not delivered; total_* sum the verdicts of every class)",
 		"(every arrival crosses the server protocol on a loopback transport;",
 		" wire latency adds the client batching wait to the shard service)",
 	},
@@ -42,26 +43,44 @@ var e14 = Experiment{
 	},
 }
 
-// wirePoints is the E14 bench sweep: three offered points through the
-// loopback server. wire_Mbps gates higher-is-better and
-// voice_wire_p99_cycles lower-is-better against the baseline.
+// wirePoints is the E14 sweep: three offered points through the
+// loopback server at 64 sessions, then the 1000-session curve.
+// wire_Mbps gates higher-is-better and voice_wire_p99_cycles
+// lower-is-better against the baseline.
 func wirePoints() []Point {
 	var pts []Point
-	for _, offered := range []float64{0.5, 1.0, 2.0} {
-		pts = append(pts, Point{Name: fmt.Sprintf("WireLatency/offered=%.1f", offered), Run: func() []Metric {
-			cfg := WireConfig{Sessions: 64, Windows: 24}
-			p := WirePointRun(offered, cfg.saturation(), cfg)
-			v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
-			return []Metric{
-				{"offered_Mbps", p.TotalOfferedMbps},
-				{"wire_Mbps", p.WireMbps},
-				{"voice_wire_p99_cycles", float64(v.P99)},
-				{"background_wire_p99_cycles", float64(bg.P99)},
-				{"voice_loss_pct", 100 * v.LossFrac},
-				{"background_loss_pct", 100 * bg.LossFrac},
-				{"voice_shed", float64(v.Shed)},
-			}
-		}})
+	for _, sweep := range []struct {
+		prefix  string
+		cfg     WireConfig
+		offered []float64
+	}{
+		{"WireLatency", WireConfig{Sessions: 64, Windows: 24}, []float64{0.5, 1.0, 2.0}},
+		{"WireLatency/sessions=1000", WireConfig{Sessions: 1000}, DefaultOfferedPoints},
+	} {
+		for _, offered := range sweep.offered {
+			pts = append(pts, Point{Name: fmt.Sprintf("%s/offered=%s", sweep.prefix, offeredTag(offered)), Run: func() []Metric {
+				p := WirePointRun(offered, sweep.cfg.saturation(), sweep.cfg)
+				v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
+				var total qos.ClassStats
+				for _, c := range p.Classes {
+					total.Accumulate(c.ClassStats)
+				}
+				return []Metric{
+					{"offered_Mbps", p.TotalOfferedMbps},
+					{"wire_Mbps", p.WireMbps},
+					{"voice_wire_p50_cycles", float64(v.P50)},
+					{"voice_wire_p99_cycles", float64(v.P99)},
+					{"background_wire_p50_cycles", float64(bg.P50)},
+					{"background_wire_p99_cycles", float64(bg.P99)},
+					{"voice_loss_pct", 100 * v.LossFrac},
+					{"background_loss_pct", 100 * bg.LossFrac},
+					{"voice_shed", float64(v.Shed)},
+					{"total_shed", float64(total.Shed)},
+					{"total_expired", float64(total.Expired)},
+					{"total_aged", float64(total.Aged)},
+				}
+			}})
+		}
 	}
 	return pts
 }
@@ -79,7 +98,7 @@ var WireMix = []arrivals.ClassProfile{
 	{Class: qos.Background, Share: 0.60, Bytes: 2048, Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 16, Deadline: 12000},
 }
 
-// WireConfig parameterizes WireLatency.
+// WireConfig parameterizes an E14 wire point.
 type WireConfig struct {
 	// Shards and CoresPerShard size the backend cluster (defaults 2 and
 	// 4); Router and Policy its routing and dispatch (defaults qos-aware
@@ -89,9 +108,6 @@ type WireConfig struct {
 	// Sessions is the concurrent wire session count (default 1000 —
 	// the E14 table's 10^3 point; the server stress test covers 10^5).
 	Sessions int
-	// Offered are the load points as fractions of cluster saturation
-	// (default DefaultOfferedPoints).
-	Offered []float64
 	// WindowCycles is the client batching window on the wire clock
 	// (default 8192); Windows the measurement length per point (default
 	// 48).
@@ -108,11 +124,6 @@ type WireConfig struct {
 	Mix     []arrivals.ClassProfile
 	Process string
 	Seed    uint64
-	// SatMbps overrides the calibrated cluster saturation (0 =
-	// calibrate: per-shard mix saturation times the shard count).
-	SatMbps float64
-	// SatPackets sizes the calibration (default 8).
-	SatPackets int
 }
 
 func (c *WireConfig) fill() {
@@ -130,9 +141,6 @@ func (c *WireConfig) fill() {
 	}
 	if c.Sessions <= 0 {
 		c.Sessions = 1000
-	}
-	if len(c.Offered) == 0 {
-		c.Offered = DefaultOfferedPoints
 	}
 	if c.WindowCycles == 0 {
 		c.WindowCycles = 8192
@@ -155,20 +163,14 @@ func (c *WireConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 31
 	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
-	}
 }
 
-// saturation returns the cluster capacity offered fractions refer to:
-// the SatMbps override, or the calibrated per-device mix saturation scaled
-// to the cluster's shard and core counts.
+// saturation returns the cluster capacity offered fractions refer to: the
+// calibrated per-device mix saturation scaled to the cluster's shard and
+// core counts.
 func (c WireConfig) saturation() float64 {
 	c.fill()
-	if c.SatMbps > 0 {
-		return c.SatMbps
-	}
-	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.Shards) * float64(c.CoresPerShard) / 4
+	return SaturationMbps(c.Mix, satPackets) * float64(c.Shards) * float64(c.CoresPerShard) / 4
 }
 
 // WirePoint is one offered-rate measurement of the E14 table.
@@ -192,30 +194,6 @@ type WirePoint struct {
 	ArrivalDigest uint64
 	ServerDigests []uint64
 	ClusterCycles sim.Time
-}
-
-// WireResult is the E14 table.
-type WireResult struct {
-	// SaturationMbps is the calibrated cluster capacity for the mix.
-	SaturationMbps float64
-	Policy         string
-	Sessions       int
-	Points         []WirePoint
-}
-
-// WireLatency runs E14: for each offered point it starts a fresh
-// loopback server in front of a fresh cluster, opens cfg.Sessions
-// sessions, replays the open-loop mix through the wire protocol and
-// tears everything down. Single connection, no wall-clock flush trigger:
-// the table is deterministic.
-func WireLatency(cfg WireConfig) WireResult {
-	cfg.fill()
-	sat := cfg.saturation()
-	res := WireResult{SaturationMbps: sat, Policy: cfg.Policy, Sessions: cfg.Sessions}
-	for _, offered := range cfg.Offered {
-		res.Points = append(res.Points, WirePointRun(offered, sat, cfg))
-	}
-	return res
 }
 
 // WirePointRun measures one offered point of the E14 table.
@@ -299,30 +277,6 @@ func runWire(cfg WireConfig, offered, satMbps float64, fp *fleet.HealPolicy, dri
 		point.TotalLossFrac = float64(total.Submitted-total.Completed) / float64(total.Submitted)
 	}
 	return point
-}
-
-// FormatWireLatency renders the E14 table.
-func FormatWireLatency(r WireResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Wire-level latency curves (E14): loopback mccpserver, %d sessions, policy %s, cluster saturation ~%.0f Mbps\n",
-		r.Sessions, r.Policy, r.SaturationMbps)
-	fmt.Fprintf(&b, "wire latency = client batching wait + shard service; loss%% = arrivals not delivered (verdict mix at right)\n")
-	fmt.Fprintf(&b, "%8s | %9s %9s | %10s %10s | %10s %10s %8s | %8s %8s %8s\n",
-		"offered", "off Mbps", "wire Mbps",
-		"v p50 cyc", "v p99 cyc", "bg p50", "bg p99", "bg loss%", "shed", "expired", "aged")
-	for _, p := range r.Points {
-		v, bg := qos.CellOf(p.Classes, qos.Voice), qos.CellOf(p.Classes, qos.Background)
-		var shed, expired, aged uint64
-		for _, c := range p.Classes {
-			shed += c.Shed
-			expired += c.Expired
-			aged += c.Aged
-		}
-		fmt.Fprintf(&b, "%7.2fx | %9.0f %9.0f | %10d %10d | %10d %10d %7.2f%% | %8d %8d %8d\n",
-			p.Offered, p.TotalOfferedMbps, p.WireMbps,
-			v.P50, v.P99, bg.P50, bg.P99, 100*bg.LossFrac, shed, expired, aged)
-	}
-	return b.String()
 }
 
 // wireGate runs the one-point loopback measurement against the in-process

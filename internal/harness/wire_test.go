@@ -7,24 +7,24 @@ import (
 	"mccp/internal/qos"
 )
 
-// wireTestConfig keeps the E14 table small enough for CI while leaving
-// the knee visible.
-func wireTestConfig() WireConfig {
-	return WireConfig{
-		Sessions: 64,
-		Offered:  []float64{0.25, 0.5, 1.0, 1.5, 2.0},
-		Windows:  24,
+// wireCurve runs the E14 wire point at five offered loads on 64
+// sessions: small enough for CI while leaving the knee visible.
+func wireCurve() []WirePoint {
+	cfg := WireConfig{Sessions: 64, Windows: 24}
+	sat := cfg.saturation()
+	var pts []WirePoint
+	for _, offered := range []float64{0.25, 0.5, 1.0, 1.5, 2.0} {
+		pts = append(pts, WirePointRun(offered, sat, cfg))
 	}
+	return pts
 }
 
 func TestWireLatencyDeterministic(t *testing.T) {
-	a := WireLatency(wireTestConfig())
-	b := WireLatency(wireTestConfig())
+	a, b := wireCurve(), wireCurve()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("E14 table not reproducible:\n%s\nvs\n%s",
-			FormatWireLatency(a), FormatWireLatency(b))
+		t.Fatalf("E14 points not reproducible:\n%+v\nvs\n%+v", a, b)
 	}
-	for i, p := range a.Points {
+	for i, p := range a {
 		if p.ArrivalDigest == 0 {
 			t.Fatalf("point %d: zero arrival digest", i)
 		}
@@ -35,13 +35,12 @@ func TestWireLatencyDeterministic(t *testing.T) {
 }
 
 func TestWireLatencyCurveShape(t *testing.T) {
-	res := WireLatency(wireTestConfig())
-	t.Logf("\n%s", FormatWireLatency(res))
-	if len(res.Points) != 5 {
-		t.Fatalf("expected 5 points, got %d", len(res.Points))
+	res := wireCurve()
+	if len(res) != 5 {
+		t.Fatalf("expected 5 points, got %d", len(res))
 	}
 	var prevLoss float64
-	for i, p := range res.Points {
+	for i, p := range res {
 		v := qos.CellOf(p.Classes, qos.Voice)
 		if v.Submitted == 0 || v.Completed == 0 {
 			t.Fatalf("point %.2fx: no voice traffic (%+v)", p.Offered, v)
@@ -54,14 +53,14 @@ func TestWireLatencyCurveShape(t *testing.T) {
 				p.Offered, p.TotalLossFrac, prevLoss)
 		}
 		prevLoss = p.TotalLossFrac
-		if i > 0 && p.WireMbps+1e-9 < res.Points[i-1].WireMbps &&
+		if i > 0 && p.WireMbps+1e-9 < res[i-1].WireMbps &&
 			p.Offered <= 1.0 {
 			t.Errorf("point %.2fx: delivered %.0f Mbps dropped below previous %.0f under saturation",
-				p.Offered, p.WireMbps, res.Points[i-1].WireMbps)
+				p.Offered, p.WireMbps, res[i-1].WireMbps)
 		}
 	}
-	under := res.Points[0]                // 0.25x
-	over := res.Points[len(res.Points)-1] // 2.0x
+	under := res[0]         // 0.25x
+	over := res[len(res)-1] // 2.0x
 	bgU, bgO := qos.CellOf(under.Classes, qos.Background), qos.CellOf(over.Classes, qos.Background)
 	if bgO.P99 <= bgU.P99 {
 		t.Errorf("background wire p99 did not grow past the knee: %d -> %d cycles",
