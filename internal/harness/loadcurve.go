@@ -114,7 +114,7 @@ type LoadPoint struct {
 type LoadCurveConfig struct {
 	// BackgroundPackets sizes each point's measurement window: the window
 	// is long enough for this many expected background arrivals (default
-	// 300).
+	// 200, the size every registered E13 and E18 point runs).
 	BackgroundPackets int
 	// Process names the arrival process (default poisson); Drain the
 	// shaper drain policy (default strict-priority); Mix the class mix
@@ -130,7 +130,7 @@ type LoadCurveConfig struct {
 
 func (c *LoadCurveConfig) fill() {
 	if c.BackgroundPackets <= 0 {
-		c.BackgroundPackets = 300
+		c.BackgroundPackets = 200
 	}
 	if len(c.Mix) == 0 {
 		c.Mix = LoadMix

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mccp/internal/bufpool"
 	"mccp/internal/cluster"
 	"mccp/internal/core"
 	"mccp/internal/cryptocore"
@@ -100,7 +101,7 @@ const maxWireSamples = 1 << 20
 type conn struct {
 	s          *Server
 	nc         net.Conn
-	out        chan []byte
+	out        chan outFrame
 	done       chan struct{} // closed by the batcher when the conn is cleaned
 	lastActive atomic.Int64  // UnixNano of the last inbound frame
 
@@ -117,6 +118,55 @@ type conn struct {
 	// openTokens is the connection's OPEN-admission bucket (batcher-owned,
 	// Config.OpenBurst/OpenRefill); non-voice OPENs spend from it.
 	openTokens int
+}
+
+// outFrame is one response body queued for a connection's writer. pooled
+// marks a bufpool buffer (a packet response) that the writer recycles once
+// written; every other body, the OPEN/CLOSE frames conn.opened and
+// conn.closed keep for replay among them, is never recycled.
+type outFrame struct {
+	body   []byte
+	pooled bool
+}
+
+// requestPool is the free list of request records. Connection readers take
+// a record per frame; the batcher returns it once the request's response is
+// queued: a packet's in its bound completion, any other at the end of
+// handleReq.
+type requestPool struct {
+	mu   sync.Mutex
+	free []*request
+}
+
+// maxPooledBody caps the body buffer a recycled record keeps, so a burst
+// of large frames does not leave every pooled record holding megabytes.
+const maxPooledBody = 64 << 10
+
+func (p *requestPool) get() *request {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return r
+	}
+	p.mu.Unlock()
+	r := &request{}
+	r.done = r.complete
+	return r
+}
+
+// put clears a record for its next use, keeping its body buffer and bound
+// completion.
+func (p *requestPool) put(r *request) {
+	buf := r.buf[:0]
+	if cap(buf) > maxPooledBody {
+		buf = nil
+	}
+	*r = request{buf: buf, done: r.done}
+	p.mu.Lock()
+	p.free = append(p.free, r)
+	p.mu.Unlock()
 }
 
 // wireSession binds a wire session id to a cluster session (batcher
@@ -147,6 +197,7 @@ type Server struct {
 	cl  *cluster.Cluster
 
 	reqCh chan *request
+	reqs  requestPool
 
 	ln      net.Listener
 	serving bool
@@ -166,11 +217,14 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// Batcher-owned state.
+	// Batcher-owned state. flushAt is the wall-clock instant (UnixNano) of
+	// the last flush that dispatched packets and flushSeq counts those
+	// flushes: a packet queued at flushSeq n was dispatched by flush n+1.
 	sessions    map[uint64]*wireSession
 	nextSess    uint64
-	pending     []*request
 	pendingOps  int
+	flushAt     int64
+	flushSeq    uint64
 	stats       serverStats
 	digests     []uint64
 	wireSamples [qos.NumClasses][]sim.Time
@@ -261,7 +315,7 @@ func (s *Server) addConn(nc net.Conn) {
 	c := &conn{
 		s:        s,
 		nc:       nc,
-		out:      make(chan []byte, s.cfg.WriteBuffer),
+		out:      make(chan outFrame, s.cfg.WriteBuffer),
 		done:     make(chan struct{}),
 		sessions: make(map[uint64]struct{}),
 		opened:   make(map[uint64][]byte),
@@ -297,53 +351,62 @@ func (c *conn) readLoop() {
 			break
 		}
 		buf = body
-		c.lastActive.Store(time.Now().UnixNano())
-		req := &request{conn: c, enq: time.Now().UnixNano()}
-		if !decodeRequest(body, req) {
-			req.malformed = true
-		}
+		now := time.Now().UnixNano()
+		c.lastActive.Store(now)
+		req := c.s.reqs.get()
+		req.malformed = !decodeRequest(body, req)
+		req.conn, req.enq = c, now
 		c.s.reqCh <- req
 	}
 	c.nc.Close()
-	c.s.reqCh <- &request{op: opConnClosed, conn: c}
+	req := c.s.reqs.get()
+	req.op, req.conn = opConnClosed, c
+	c.s.reqCh <- req
 }
 
 // writeLoop drains the out channel to the socket, buffering writes and
-// flushing when the channel is momentarily empty. After a write error it
-// keeps draining (discarding) so the batcher never blocks on a dead
-// connection's buffer.
+// flushing when the channel is momentarily empty, and recycles pooled
+// bodies once bufio has copied them. After a write error it keeps draining
+// (discarding) so the batcher never blocks on a dead connection's buffer.
 func (c *conn) writeLoop() {
 	defer c.s.wgWriters.Done()
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var hdr [4]byte
 	failed := false
-	for body := range c.out {
-		if failed {
-			continue
-		}
-		putU32(hdr[:0], uint32(len(body)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			failed = true
-			continue
-		}
-		if _, err := bw.Write(body); err != nil {
-			failed = true
-			continue
-		}
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				failed = true
+	for f := range c.out {
+		if !failed {
+			putU32(hdr[:0], uint32(len(f.body)))
+			_, err := bw.Write(hdr[:])
+			if err == nil {
+				_, err = bw.Write(f.body)
 			}
+			if err == nil && len(c.out) == 0 {
+				err = bw.Flush()
+			}
+			failed = err != nil
+		}
+		if f.pooled {
+			bufpool.PutBytes(f.body)
 		}
 	}
 }
 
 // respond hands a response frame to the connection's writer; a cleaned
 // connection drops it.
-func (s *Server) respond(c *conn, frame []byte) {
+func (s *Server) respond(c *conn, frame []byte) { c.send(outFrame{body: frame}) }
+
+// respondPacket answers an ENCRYPT/DECRYPT in a pooled frame.
+func (s *Server) respondPacket(req *request, st Status, t Timing, out []byte) {
+	req.conn.send(outFrame{encodePacketResp(req.op, req.reqID, st, t, out), true})
+}
+
+func (c *conn) send(f outFrame) {
 	select {
-	case c.out <- frame:
+	case c.out <- f:
 	case <-c.done:
+		if f.pooled {
+			bufpool.PutBytes(f.body)
+		}
 	}
 }
 
@@ -497,48 +560,46 @@ func (s *Server) cleanupConn(c *conn) {
 	s.connMu.Unlock()
 }
 
-// flush stamps every pending packet request's dispatch time and runs the
-// cluster flush, delivering completions (and so responses) in enqueue
-// order.
+// flush stamps the dispatch time of the packets queued since the last one
+// and runs the cluster flush, delivering completions (and so responses) in
+// enqueue order.
 func (s *Server) flush() {
 	if s.pendingOps > 0 {
-		now := time.Now().UnixNano()
-		for _, r := range s.pending {
-			r.flushAt = now
-		}
-		s.pending = s.pending[:0]
+		s.flushAt = time.Now().UnixNano()
+		s.flushSeq++
 		s.pendingOps = 0
 	}
 	s.cl.Flush()
 	s.publishWire()
 }
 
+// handleReq answers one request and recycles its record, except a packet
+// the cluster took: that record's bound completion recycles it.
 func (s *Server) handleReq(req *request) {
-	switch {
-	case req.op == opConnClosed:
+	switch op := req.op; {
+	case op == opConnClosed:
 		s.cleanupConn(req.conn)
-		return
 	case req.malformed:
 		s.respondErr(req, StatusBadRequest, "malformed request frame")
-		return
-	}
-	switch req.op {
-	case OpOpen:
+	case op == OpEncrypt || op == OpDecrypt:
+		if s.handlePacket(req) {
+			return
+		}
+	case op == OpOpen:
 		s.handleOpen(req)
-	case OpClose:
+	case op == OpClose:
 		s.handleClose(req)
-	case OpEncrypt, OpDecrypt:
-		s.handlePacket(req)
-	case OpFlush:
+	case op == OpFlush:
 		n := uint32(s.pendingOps)
 		s.flush()
 		s.windowBoundary()
 		s.respond(req.conn, encodeFlushResp(req.reqID, StatusOK, n))
-	case OpRetrieve:
+	case op == OpRetrieve:
 		s.handleRetrieve(req)
-	case OpStats:
+	case op == OpStats:
 		s.handleStats(req)
 	}
+	s.reqs.put(req)
 }
 
 // windowBoundary runs after every FLUSH barrier: it advances the window
@@ -609,8 +670,7 @@ func (s *Server) respondErr(req *request, st Status, msg string) {
 	case OpEncrypt, OpDecrypt:
 		s.stats.verdicts[st]++
 		now := time.Now().UnixNano()
-		t := Timing{QueueNs: uint64(now - req.enq)}
-		s.respond(req.conn, encodePacketResp(req.op, req.reqID, st, t, nil))
+		s.respondPacket(req, st, Timing{QueueNs: uint64(now - req.enq)}, nil)
 	case OpFlush:
 		s.respond(req.conn, encodeFlushResp(req.reqID, st, 0))
 	default:
@@ -745,48 +805,64 @@ func (s *Server) doClose(req *request) (Status, string) {
 	return StatusOK, ""
 }
 
-func (s *Server) handlePacket(req *request) {
+// handlePacket submits an ENCRYPT/DECRYPT to the cluster and reports
+// whether it did; a request answered with an error here stays the
+// caller's to recycle.
+func (s *Server) handlePacket(req *request) bool {
 	ws := s.lookup(req)
 	if ws == nil {
-		return
+		return false
 	}
 	if s.closing.Load() {
 		s.respondErr(req, StatusShuttingDown, "")
-		return
+		return false
 	}
 	s.stats.bytesIn += uint64(len(req.data))
-	s.pending = append(s.pending, req)
 	s.pendingOps++
-	shard := ws.shard
-	class := ws.class
-	done := func(out []byte, took sim.Time, err error) {
-		st := statusFor(err)
-		s.stats.verdicts[st]++
-		if err == nil {
-			s.stats.bytesOut += uint64(len(out))
-			d := s.digests[shard]
-			for _, by := range out {
-				d = (d ^ uint64(by)) * 0x100000001b3
-			}
-			s.digests[shard] = d
-			if len(s.wireSamples[class]) < maxWireSamples {
-				s.wireSamples[class] = append(s.wireSamples[class], took)
-			}
-		}
-		now := time.Now().UnixNano()
-		t := Timing{WireCycles: took,
-			QueueNs:   uint64(req.flushAt - req.enq),
-			ServiceNs: uint64(now - req.flushAt)}
-		s.respond(req.conn, encodePacketResp(req.op, req.reqID, st, t, out))
-	}
+	req.shard, req.class, req.flushSeq = ws.shard, ws.class, s.flushSeq
 	if req.op == OpEncrypt {
-		ws.ses.EncryptWireAsync(req.nonce, req.aad, req.data, ws.deadline, done)
+		ws.ses.EncryptWireAsync(req.nonce, req.aad, req.data, ws.deadline, req.done)
 	} else {
-		ws.ses.DecryptWireAsync(req.nonce, req.aad, req.data, req.tag, done)
+		ws.ses.DecryptWireAsync(req.nonce, req.aad, req.data, req.tag, req.done)
 	}
 	if s.pendingOps >= s.cfg.BatchOps {
 		s.flush()
 	}
+	return true
+}
+
+// complete is a packet record's completion (bound once per record as
+// done). It runs on the batcher inside the cluster's delivery, after the
+// cluster let go of the record's body: it books the verdict, answers, and
+// recycles the cluster's result buffer and the record.
+func (req *request) complete(out []byte, took sim.Time, err error) {
+	s := req.conn.s
+	st := statusFor(err)
+	s.stats.verdicts[st]++
+	if err == nil {
+		s.stats.bytesOut += uint64(len(out))
+		d := s.digests[req.shard]
+		for _, by := range out {
+			d = (d ^ uint64(by)) * 0x100000001b3
+		}
+		s.digests[req.shard] = d
+		if len(s.wireSamples[req.class]) < maxWireSamples {
+			s.wireSamples[req.class] = append(s.wireSamples[req.class], took)
+		}
+	}
+	now := time.Now().UnixNano()
+	flushAt := s.flushAt
+	if req.flushSeq == s.flushSeq {
+		// Delivered before any server flush: the cluster's own batch
+		// window dispatched it, just now as far as the wire can tell.
+		flushAt = now
+	}
+	t := Timing{WireCycles: took,
+		QueueNs:   uint64(flushAt - req.enq),
+		ServiceNs: uint64(now - flushAt)}
+	s.respondPacket(req, st, t, out)
+	bufpool.PutBytes(out)
+	s.reqs.put(req)
 }
 
 func (s *Server) handleRetrieve(req *request) {

@@ -20,10 +20,12 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"mccp/internal/bufpool"
 	"mccp/internal/cryptocore"
 	"mccp/internal/qos"
 	"mccp/internal/sim"
@@ -177,21 +179,31 @@ func appendFrame(dst, body []byte) []byte {
 }
 
 // readFrame reads one length-prefixed frame body, reusing buf when large
-// enough.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
+// enough. The prefix is read in place (Peek, then Discard), so nothing
+// escapes to the heap per frame; a prefix over MaxFrame fails before buf
+// grows. A stream that ends between frames fails with io.EOF, one that
+// ends inside a frame with io.ErrUnexpectedEOF.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	l, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(l) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(l[:])
+	n := binary.BigEndian.Uint32(l)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds MaxFrame", n)
 	}
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered the four bytes
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return buf, nil
@@ -248,7 +260,7 @@ func (c *cursor) bytes(n int) []byte {
 		c.bad = true
 		return nil
 	}
-	v := c.b[:n]
+	v := c.b[:n:n]
 	c.b = c.b[n:]
 	return v
 }
@@ -272,7 +284,9 @@ func putU64(dst []byte, v uint64) []byte {
 }
 
 // request is one decoded frame plus delivery bookkeeping, owned by the
-// batcher once pushed onto the request channel.
+// batcher once pushed onto the request channel. Records are recycled
+// through the server's requestPool: a connection reader takes one per
+// frame, and the batcher returns it once the response is queued.
 type request struct {
 	op    Op
 	reqID uint64
@@ -286,18 +300,26 @@ type request struct {
 	weight   uint16
 	deadline sim.Time
 
-	// Packet fields (ENCRYPT/DECRYPT). Buffers are copies owned by the
-	// request (the reader's frame buffer is reused).
+	// Packet fields (ENCRYPT/DECRYPT). nonce, aad, data and tag are
+	// slices of buf, the record's own copy of the packet body (the
+	// reader's frame buffer is reused); buf outlives the record's uses, so
+	// a warm record copies without allocating.
 	sess  uint64
 	nonce []byte
 	aad   []byte
 	data  []byte
 	tag   []byte
+	buf   []byte
 
-	// Timing (wall clock): set at decode and at the flush that dispatched
-	// the request's batch.
-	enq     int64 // UnixNano at decode
-	flushAt int64 // UnixNano at dispatch
+	// Packet dispatch (set by the batcher): the session's shard and class
+	// (in the OPEN field above), the server's flushSeq when the packet was
+	// queued, and done, the record's completion bound once to it
+	// (request.complete).
+	shard    int
+	flushSeq uint64
+	done     func([]byte, sim.Time, error)
+
+	enq int64 // UnixNano at decode (wall clock)
 
 	// malformed marks an undecodable body; the batcher answers
 	// BadRequest with whatever op/reqID prefix parsed.
@@ -351,11 +373,13 @@ func decodeRequest(body []byte, req *request) bool {
 		req.sess = c.u64()
 	case OpEncrypt, OpDecrypt:
 		req.sess = c.u64()
-		req.nonce = append([]byte(nil), c.bytes(int(c.u8()))...)
-		req.aad = append([]byte(nil), c.bytes(int(c.u16()))...)
-		req.data = append([]byte(nil), c.bytes(int(c.u32()))...)
+		req.buf = append(req.buf[:0], c.b...)
+		c.b = req.buf
+		req.nonce = c.bytes(int(c.u8()))
+		req.aad = c.bytes(int(c.u16()))
+		req.data = c.bytes(int(c.u32()))
 		if req.op == OpDecrypt {
-			req.tag = append([]byte(nil), c.bytes(int(c.u8()))...)
+			req.tag = c.bytes(int(c.u8()))
 		}
 	case OpRetrieve, OpFlush, OpStats:
 	default:
@@ -392,6 +416,10 @@ func (r *Response) Err() error {
 	return fmt.Errorf("server: %s: %s", r.Op, r.Status)
 }
 
+// respHeaderLen is a response body's fixed prefix: op(u8) reqID(u64)
+// status(u8).
+const respHeaderLen = 1 + 8 + 1
+
 func respHeader(dst []byte, op Op, reqID uint64, st Status) []byte {
 	dst = append(dst, byte(op))
 	dst = putU64(dst, reqID)
@@ -402,7 +430,7 @@ func respHeader(dst []byte, op Op, reqID uint64, st Status) []byte {
 // encodeMsgResp builds an OPEN/CLOSE-shaped response: header, session id
 // (OPEN only carries a meaningful one), then a u16-length message.
 func encodeMsgResp(op Op, reqID uint64, st Status, sess uint64, msg string) []byte {
-	dst := respHeader(nil, op, reqID, st)
+	dst := respHeader(make([]byte, 0, respHeaderLen+8+2+len(msg)), op, reqID, st)
 	dst = putU64(dst, sess)
 	dst = putU16(dst, uint16(len(msg)))
 	dst = append(dst, msg...)
@@ -410,9 +438,10 @@ func encodeMsgResp(op Op, reqID uint64, st Status, sess uint64, msg string) []by
 }
 
 // encodePacketResp builds an ENCRYPT/DECRYPT response: header, timing,
-// output.
+// output. The body is a bufpool buffer, which the connection's writer
+// recycles once it is written.
 func encodePacketResp(op Op, reqID uint64, st Status, t Timing, out []byte) []byte {
-	dst := respHeader(make([]byte, 0, 9+24+4+len(out)), op, reqID, st)
+	dst := respHeader(bufpool.Bytes(respHeaderLen+24+4+len(out)), op, reqID, st)
 	dst = putU64(dst, uint64(t.WireCycles))
 	dst = putU64(dst, t.QueueNs)
 	dst = putU64(dst, t.ServiceNs)
@@ -422,20 +451,21 @@ func encodePacketResp(op Op, reqID uint64, st Status, t Timing, out []byte) []by
 }
 
 func encodeFlushResp(reqID uint64, st Status, flushed uint32) []byte {
-	dst := respHeader(nil, OpFlush, reqID, st)
+	dst := respHeader(make([]byte, 0, respHeaderLen+4), OpFlush, reqID, st)
 	return putU32(dst, flushed)
 }
 
 // encodeTextResp builds a STATS response: header then a u32-length text
 // payload (metrics expositions outgrow the u16 message field).
 func encodeTextResp(reqID uint64, st Status, text []byte) []byte {
-	dst := respHeader(make([]byte, 0, 9+4+len(text)), OpStats, reqID, st)
+	dst := respHeader(make([]byte, 0, respHeaderLen+4+len(text)), OpStats, reqID, st)
 	dst = putU32(dst, uint32(len(text)))
 	return append(dst, text...)
 }
 
 func encodeStatsResp(reqID uint64, st *Stats) []byte {
-	dst := respHeader(nil, OpRetrieve, reqID, StatusOK)
+	n := 8 * (5 + len(st.Verdicts) + 3*len(st.Classes) + len(st.Digests))
+	dst := respHeader(make([]byte, 0, respHeaderLen+n+1), OpRetrieve, reqID, StatusOK)
 	dst = putU64(dst, st.SessionsOpen)
 	dst = putU64(dst, st.SessionsOpened)
 	for _, v := range st.Verdicts {
